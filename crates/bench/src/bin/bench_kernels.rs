@@ -157,8 +157,12 @@ fn bench_config(cfg: &ModelConfig, name: &'static str, reps: usize, rows: &mut V
     let block = TransformerBlock::new(cfg, &mut DetRng::new(cfg.weight_seed));
     let prompt = embed_prompt(cfg, "bench");
     let cond = pool_condition(&prompt, &embed_timestep(cfg, 0.5));
+    // The prompt and timestep projections stay inside the timed body so
+    // the row measures the same work as the committed baseline.
     push("block_forward", &|| {
-        block.forward_full(&x, &prompt, &cond).unwrap().y
+        let cross = block.cross_kv(&prompt).unwrap();
+        let ada = block.ada_params(&cond).unwrap();
+        block.forward_full(&x, &cross, &ada).unwrap().y
     });
 }
 

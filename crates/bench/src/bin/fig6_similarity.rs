@@ -65,12 +65,15 @@ fn main() {
         let prompt_a = embed_prompt(&cfg, "add red flowers");
         let prompt_b = embed_prompt(&cfg, "paint a blue sky");
         let model = pipe.model();
-        let (_, cap_a) = model
-            .predict_full(&make_latent(11), t, &prompt_a, false)
-            .expect("predict");
-        let (_, cap_b) = model
-            .predict_full(&make_latent(22), t, &prompt_b, false)
-            .expect("predict");
+        let step = model.step_cond(t).expect("step cond");
+        let capture = |seed: u64, prompt: &Tensor| {
+            let cond = model.prompt_cond(prompt).expect("prompt cond");
+            let (_, cap) = model
+                .predict_full(&make_latent(seed), &step, &cond, false)
+                .expect("predict");
+            cap
+        };
+        let (cap_a, cap_b) = (capture(11, &prompt_a), capture(22, &prompt_b));
 
         // Left panel: per-block cosine similarity, masked vs unmasked.
         let mut table = Table::new(&["block", "unmasked-cos", "masked-cos"]);

@@ -22,8 +22,8 @@
 
 use fps_tensor::ops::sparse::SparsePlan;
 use fps_tensor::ops::{
-    ada_layer_norm, gelu, layer_norm, matmul, matmul_bt, matmul_gelu, mha_fused, modulate,
-    scatter_rows_into, softmax_rows,
+    ada_layer_norm, gather_rows, gelu, layer_norm, matmul, matmul_bt, matmul_gelu, mha_fused,
+    mha_fused_split, modulate, softmax_rows, FreshKv,
 };
 use fps_tensor::pool;
 use fps_tensor::rng::DetRng;
@@ -49,6 +49,26 @@ pub enum MaskedContext<'a> {
         /// Token indices (into `[0, L)`) of the masked rows.
         masked_idx: &'a [usize],
     },
+}
+
+/// A block's AdaLN modulation vectors, `[H]` each. They depend on the
+/// timestep condition only, so a pipeline derives them once per
+/// (denoising step, block) and shares them across requests.
+#[derive(Debug, Clone)]
+pub struct AdaParams {
+    scale1: Tensor,
+    shift1: Tensor,
+    scale2: Tensor,
+    shift2: Tensor,
+}
+
+/// A block's cross-attention keys and values of one prompt,
+/// `[prompt_tokens, H]` each. They depend on the prompt only, so a
+/// session projects them once per block and reuses them every step.
+#[derive(Debug, Clone)]
+pub struct CrossKv {
+    k: Tensor,
+    v: Tensor,
 }
 
 /// Output of a full-token forward pass, including the activations a
@@ -135,48 +155,46 @@ impl TransformerBlock {
 
     /// Derives the AdaLN (scale1, shift1, scale2, shift2) vectors from
     /// the pooled condition.
-    fn ada_params(&self, cond: &Tensor) -> Result<[Tensor; 4]> {
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor shape errors from a malformed condition.
+    pub fn ada_params(&self, cond: &Tensor) -> Result<AdaParams> {
         let h = cond.numel();
         let row = matmul(&cond.clone().reshape([1, h])?, &self.ada)?;
         let d = row.data();
         let slice = |i: usize| Tensor::from_vec(d[i * h..(i + 1) * h].to_vec(), [h]);
-        Ok([slice(0)?, slice(1)?, slice(2)?, slice(3)?])
+        Ok(AdaParams {
+            scale1: slice(0)?,
+            shift1: slice(1)?,
+            scale2: slice(2)?,
+            shift2: slice(3)?,
+        })
+    }
+
+    /// Projects a prompt embedding into this block's cross-attention
+    /// keys and values.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor shape errors from a malformed embedding.
+    pub fn cross_kv(&self, prompt: &Tensor) -> Result<CrossKv> {
+        Ok(CrossKv {
+            k: matmul(prompt, &self.ck)?,
+            v: matmul(prompt, &self.cv)?,
+        })
     }
 
     /// Multi-head scaled-dot-product attention of `q` rows over `k`/`v`
-    /// rows, before the output projection.
-    ///
-    /// On the default [`pool::ComputePath::Fused`] path this runs the
-    /// fused per-head kernel (one score row at a time, no per-head
-    /// column copies); the composed per-head loop below is the
-    /// reference it must — and does, bitwise — agree with.
+    /// rows, before the output projection: the one tiled kernel, on
+    /// every compute path.
     fn mha(&self, q: &Tensor, k: &Tensor, v: &Tensor) -> Result<Tensor> {
-        let (n, h) = (q.dims()[0], q.dims()[1]);
-        let l = k.dims()[0];
-        let dh = h / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        if pool::fused_enabled() {
-            return Ok(mha_fused(q, k, v, self.heads, scale)?);
-        }
-        let mut out = Tensor::zeros([n, h]);
-        for head in 0..self.heads {
-            let qs = slice_cols(q, head * dh, dh)?;
-            let ks = slice_cols(k, head * dh, dh)?;
-            let vs = slice_cols(v, head * dh, dh)?;
-            let scores = matmul_bt(&qs, &ks)?.scale(scale);
-            let probs = softmax_rows(&scores)?;
-            scores.recycle();
-            let ctx = matmul(&probs, &vs)?;
-            // Write the head's context back into its column slice.
-            for row in 0..n {
-                let src = ctx.row(row)?.to_vec();
-                out.row_mut(row)?[head * dh..(head + 1) * dh].copy_from_slice(&src);
-            }
-            debug_assert_eq!(probs.dims(), &[n, l]);
-            probs.recycle();
-            ctx.recycle();
-        }
-        Ok(out)
+        Ok(mha_fused(q, k, v, self.heads, self.attn_scale(q))?)
+    }
+
+    /// `1/√dh` for queries of this block's head width.
+    fn attn_scale(&self, q: &Tensor) -> f32 {
+        1.0 / ((q.dims()[1] / self.heads) as f32).sqrt()
     }
 
     /// AdaLN: `modulate(layer_norm(x), scale, shift)`, fused on the
@@ -214,6 +232,28 @@ impl TransformerBlock {
         Ok(out)
     }
 
+    /// The token-wise second half of every forward: `x += CrossAttn(
+    /// LN(x), prompt)`, then `x += FFN(AdaLN(x))`. Exact on any row
+    /// subset (§3.1), so the masked forwards run it on masked rows only.
+    fn cross_attn_and_ffn(&self, x: &mut Tensor, cross: &CrossKv, ada: &AdaParams) -> Result<()> {
+        let xn = layer_norm(x, &self.ln2_g, &self.ln2_b)?;
+        let cq = matmul(&xn, &self.cq)?;
+        xn.recycle();
+        let cctx = self.mha(&cq, &cross.k, &cross.v)?;
+        cq.recycle();
+        let out = matmul(&cctx, &self.co)?;
+        cctx.recycle();
+        // `axpy(1.0, ·)` is bitwise `add`.
+        x.axpy(1.0, &out)?;
+        out.recycle();
+        let xn = self.adaln(x, &self.ln3_g, &self.ln3_b, &ada.scale2, &ada.shift2)?;
+        let ff = self.ffn(&xn)?;
+        xn.recycle();
+        x.axpy(1.0, &ff)?;
+        ff.recycle();
+        Ok(())
+    }
+
     /// Full-token forward pass; returns `Y` plus the `K`/`V`
     /// activations for cache priming.
     ///
@@ -223,13 +263,11 @@ impl TransformerBlock {
     pub fn forward_full(
         &self,
         x: &Tensor,
-        prompt: &Tensor,
-        cond: &Tensor,
+        cross: &CrossKv,
+        ada: &AdaParams,
     ) -> Result<BlockFullOutput> {
-        let [s1, b1, s2, b2] = self.ada_params(cond)?;
-        // Self-attention branch. (`axpy(1.0, ·)` is bitwise `add`;
-        // dead intermediates go back to the scratch pool.)
-        let xn = self.adaln(x, &self.ln1_g, &self.ln1_b, &s1, &b1)?;
+        // Dead intermediates go back to the scratch pool.
+        let xn = self.adaln(x, &self.ln1_g, &self.ln1_b, &ada.scale1, &ada.shift1)?;
         let q = matmul(&xn, &self.wq)?;
         let k = matmul(&xn, &self.wk)?;
         let v = matmul(&xn, &self.wv)?;
@@ -238,29 +276,10 @@ impl TransformerBlock {
         q.recycle();
         let attn = matmul(&ctx, &self.wo)?;
         ctx.recycle();
-        let mut x = x.add(&attn)?;
+        let mut y = x.add(&attn)?;
         attn.recycle();
-        // Cross-attention branch over the prompt tokens.
-        let xn = layer_norm(&x, &self.ln2_g, &self.ln2_b)?;
-        let cq = matmul(&xn, &self.cq)?;
-        xn.recycle();
-        let ck = matmul(prompt, &self.ck)?;
-        let cv = matmul(prompt, &self.cv)?;
-        let cctx = self.mha(&cq, &ck, &cv)?;
-        cq.recycle();
-        ck.recycle();
-        cv.recycle();
-        let cross = matmul(&cctx, &self.co)?;
-        cctx.recycle();
-        x.axpy(1.0, &cross)?;
-        cross.recycle();
-        // Feed-forward branch.
-        let xn = self.adaln(&x, &self.ln3_g, &self.ln3_b, &s2, &b2)?;
-        let ff = self.ffn(&xn)?;
-        xn.recycle();
-        x.axpy(1.0, &ff)?;
-        ff.recycle();
-        Ok(BlockFullOutput { y: x, k, v })
+        self.cross_attn_and_ffn(&mut y, cross, ada)?;
+        Ok(BlockFullOutput { y, k, v })
     }
 
     /// FlashPS Y-variant forward pass (Fig. 5-bottom): queries come
@@ -279,13 +298,12 @@ impl TransformerBlock {
         &self,
         x_full: &Tensor,
         plan: &SparsePlan,
-        prompt: &Tensor,
-        cond: &Tensor,
+        cross: &CrossKv,
+        ada: &AdaParams,
     ) -> Result<Tensor> {
         let masked_idx = plan.active();
-        let [s1, b1, s2, b2] = self.ada_params(cond)?;
-        let xn_full = self.adaln(x_full, &self.ln1_g, &self.ln1_b, &s1, &b1)?;
-        let xn_masked = fps_tensor::ops::gather_rows(&xn_full, masked_idx)?;
+        let xn_full = self.adaln(x_full, &self.ln1_g, &self.ln1_b, &ada.scale1, &ada.shift1)?;
+        let xn_masked = gather_rows(&xn_full, masked_idx)?;
         let q = matmul(&xn_masked, &self.wq)?;
         xn_masked.recycle();
         let k = matmul(&xn_full, &self.wk)?;
@@ -297,29 +315,11 @@ impl TransformerBlock {
         v.recycle();
         let attn = matmul(&ctx, &self.wo)?;
         ctx.recycle();
-        let xg = fps_tensor::ops::gather_rows(x_full, masked_idx)?;
+        let xg = gather_rows(x_full, masked_idx)?;
         let mut x = xg.add(&attn)?;
         xg.recycle();
         attn.recycle();
-        // Cross-attention and FFN are token-wise in the image tokens.
-        let xn = layer_norm(&x, &self.ln2_g, &self.ln2_b)?;
-        let cq = matmul(&xn, &self.cq)?;
-        xn.recycle();
-        let ck = matmul(prompt, &self.ck)?;
-        let cv = matmul(prompt, &self.cv)?;
-        let cctx = self.mha(&cq, &ck, &cv)?;
-        cq.recycle();
-        ck.recycle();
-        cv.recycle();
-        let cross = matmul(&cctx, &self.co)?;
-        cctx.recycle();
-        x.axpy(1.0, &cross)?;
-        cross.recycle();
-        let xn = self.adaln(&x, &self.ln3_g, &self.ln3_b, &s2, &b2)?;
-        let ff = self.ffn(&xn)?;
-        xn.recycle();
-        x.axpy(1.0, &ff)?;
-        ff.recycle();
+        self.cross_attn_and_ffn(&mut x, cross, ada)?;
         Ok(x)
     }
 
@@ -328,7 +328,9 @@ impl TransformerBlock {
     /// With [`MaskedContext::SelfOnly`] the masked queries attend only
     /// among themselves (FISEdit-style); with
     /// [`MaskedContext::CachedKv`] they attend over the cached
-    /// full-length keys/values (with masked rows refreshed).
+    /// full-length keys/values with the masked rows refreshed — the
+    /// kernel's pack stage reads each key/value row from whichever
+    /// side holds it, so no `[L, H]` tensor is copied.
     ///
     /// # Errors
     ///
@@ -339,72 +341,48 @@ impl TransformerBlock {
         &self,
         x_masked: &Tensor,
         ctx: MaskedContext<'_>,
-        prompt: &Tensor,
-        cond: &Tensor,
+        cross: &CrossKv,
+        ada: &AdaParams,
     ) -> Result<Tensor> {
-        let [s1, b1, s2, b2] = self.ada_params(cond)?;
-        let xn = self.adaln(x_masked, &self.ln1_g, &self.ln1_b, &s1, &b1)?;
+        if let MaskedContext::CachedKv { masked_idx, .. } = ctx {
+            if masked_idx.len() != x_masked.dims()[0] {
+                return Err(DiffusionError::InvalidPlan {
+                    reason: format!(
+                        "cached-KV context has {} masked indices for {} rows",
+                        masked_idx.len(),
+                        x_masked.dims()[0]
+                    ),
+                });
+            }
+        }
+        let xn = self.adaln(x_masked, &self.ln1_g, &self.ln1_b, &ada.scale1, &ada.shift1)?;
         let q = matmul(&xn, &self.wq)?;
-        let attn = match ctx {
-            MaskedContext::SelfOnly => {
-                let k = matmul(&xn, &self.wk)?;
-                let v = matmul(&xn, &self.wv)?;
-                let attn = self.mha(&q, &k, &v)?;
-                k.recycle();
-                v.recycle();
-                attn
-            }
-            MaskedContext::CachedKv { k, v, masked_idx } => {
-                if masked_idx.len() != x_masked.dims()[0] {
-                    return Err(DiffusionError::InvalidPlan {
-                        reason: format!(
-                            "cached-KV context has {} masked indices for {} rows",
-                            masked_idx.len(),
-                            x_masked.dims()[0]
-                        ),
-                    });
-                }
-                let k_fresh = matmul(&xn, &self.wk)?;
-                let v_fresh = matmul(&xn, &self.wv)?;
-                let mut k_full = k.clone();
-                let mut v_full = v.clone();
-                scatter_rows_into(&mut k_full, &k_fresh, masked_idx)?;
-                scatter_rows_into(&mut v_full, &v_fresh, masked_idx)?;
-                k_fresh.recycle();
-                v_fresh.recycle();
-                let attn = self.mha(&q, &k_full, &v_full)?;
-                k_full.recycle();
-                v_full.recycle();
-                attn
-            }
-        };
+        let k_fresh = matmul(&xn, &self.wk)?;
+        let v_fresh = matmul(&xn, &self.wv)?;
         xn.recycle();
+        let attn = match ctx {
+            MaskedContext::SelfOnly => self.mha(&q, &k_fresh, &v_fresh)?,
+            MaskedContext::CachedKv { k, v, masked_idx } => mha_fused_split(
+                &q,
+                k,
+                v,
+                FreshKv {
+                    k: &k_fresh,
+                    v: &v_fresh,
+                    rows: masked_idx,
+                },
+                self.heads,
+                self.attn_scale(&q),
+            )?,
+        };
         q.recycle();
+        k_fresh.recycle();
+        v_fresh.recycle();
         let proj = matmul(&attn, &self.wo)?;
         attn.recycle();
         let mut x = x_masked.add(&proj)?;
         proj.recycle();
-        // Cross-attention and FFN are token-wise in the image tokens, so
-        // restricting them to masked rows is exact (not an
-        // approximation), per §3.1.
-        let xn = layer_norm(&x, &self.ln2_g, &self.ln2_b)?;
-        let cq = matmul(&xn, &self.cq)?;
-        xn.recycle();
-        let ck = matmul(prompt, &self.ck)?;
-        let cv = matmul(prompt, &self.cv)?;
-        let cctx = self.mha(&cq, &ck, &cv)?;
-        cq.recycle();
-        ck.recycle();
-        cv.recycle();
-        let cross = matmul(&cctx, &self.co)?;
-        cctx.recycle();
-        x.axpy(1.0, &cross)?;
-        cross.recycle();
-        let xn = self.adaln(&x, &self.ln3_g, &self.ln3_b, &s2, &b2)?;
-        let ff = self.ffn(&xn)?;
-        xn.recycle();
-        x.axpy(1.0, &ff)?;
-        ff.recycle();
+        self.cross_attn_and_ffn(&mut x, cross, ada)?;
         Ok(x)
     }
 
@@ -416,8 +394,12 @@ impl TransformerBlock {
     ///
     /// Propagates tensor shape errors.
     pub fn attention_probs(&self, x: &Tensor, cond: &Tensor) -> Result<Tensor> {
-        let [s1, b1, _, _] = self.ada_params(cond)?;
-        let xn = modulate(&layer_norm(x, &self.ln1_g, &self.ln1_b)?, &s1, &b1)?;
+        let ada = self.ada_params(cond)?;
+        let xn = modulate(
+            &layer_norm(x, &self.ln1_g, &self.ln1_b)?,
+            &ada.scale1,
+            &ada.shift1,
+        )?;
         let q = matmul(&xn, &self.wq)?;
         let k = matmul(&xn, &self.wk)?;
         let l = x.dims()[0];
@@ -452,20 +434,22 @@ mod tests {
     use crate::embedding::{embed_prompt, embed_timestep, pool_condition};
     use fps_tensor::ops::gather_rows;
 
-    fn setup() -> (ModelConfig, TransformerBlock, Tensor, Tensor) {
+    fn setup() -> (ModelConfig, TransformerBlock, CrossKv, AdaParams) {
         let cfg = ModelConfig::tiny();
         let mut rng = DetRng::new(cfg.weight_seed);
         let block = TransformerBlock::new(&cfg, &mut rng);
         let prompt = embed_prompt(&cfg, "test prompt");
         let cond = pool_condition(&prompt, &embed_timestep(&cfg, 0.5));
-        (cfg, block, prompt, cond)
+        let cross = block.cross_kv(&prompt).unwrap();
+        let ada = block.ada_params(&cond).unwrap();
+        (cfg, block, cross, ada)
     }
 
     #[test]
     fn full_forward_shapes() {
-        let (cfg, block, prompt, cond) = setup();
+        let (cfg, block, cross, ada) = setup();
         let x = Tensor::randn([cfg.tokens(), cfg.hidden], &mut DetRng::new(1));
-        let out = block.forward_full(&x, &prompt, &cond).unwrap();
+        let out = block.forward_full(&x, &cross, &ada).unwrap();
         assert_eq!(out.y.dims(), &[cfg.tokens(), cfg.hidden]);
         assert_eq!(out.k.dims(), &[cfg.tokens(), cfg.hidden]);
         assert_eq!(out.v.dims(), &[cfg.tokens(), cfg.hidden]);
@@ -474,10 +458,10 @@ mod tests {
 
     #[test]
     fn forward_is_deterministic() {
-        let (cfg, block, prompt, cond) = setup();
+        let (cfg, block, cross, ada) = setup();
         let x = Tensor::randn([cfg.tokens(), cfg.hidden], &mut DetRng::new(2));
-        let a = block.forward_full(&x, &prompt, &cond).unwrap();
-        let b = block.forward_full(&x, &prompt, &cond).unwrap();
+        let a = block.forward_full(&x, &cross, &ada).unwrap();
+        let b = block.forward_full(&x, &cross, &ada).unwrap();
         assert_eq!(a.y, b.y);
     }
 
@@ -488,9 +472,9 @@ mod tests {
         // every op on the masked path is then identical to the full
         // path. This is the paper's core exactness claim for token-wise
         // ops plus KV-complete attention.
-        let (cfg, block, prompt, cond) = setup();
+        let (cfg, block, cross, ada) = setup();
         let x = Tensor::randn([cfg.tokens(), cfg.hidden], &mut DetRng::new(3));
-        let full = block.forward_full(&x, &prompt, &cond).unwrap();
+        let full = block.forward_full(&x, &cross, &ada).unwrap();
         let masked_idx: Vec<usize> = vec![1, 4, 10, 15];
         let xm = gather_rows(&x, &masked_idx).unwrap();
         let ym = block
@@ -501,8 +485,8 @@ mod tests {
                     v: &full.v,
                     masked_idx: &masked_idx,
                 },
-                &prompt,
-                &cond,
+                &cross,
+                &ada,
             )
             .unwrap();
         let ym_ref = gather_rows(&full.y, &masked_idx).unwrap();
@@ -516,13 +500,13 @@ mod tests {
     fn self_only_differs_from_full_context() {
         // Masked-only attention is the approximation; it should be
         // close-ish but not identical to the full computation.
-        let (cfg, block, prompt, cond) = setup();
+        let (cfg, block, cross, ada) = setup();
         let x = Tensor::randn([cfg.tokens(), cfg.hidden], &mut DetRng::new(4));
-        let full = block.forward_full(&x, &prompt, &cond).unwrap();
+        let full = block.forward_full(&x, &cross, &ada).unwrap();
         let masked_idx: Vec<usize> = vec![0, 5, 6];
         let xm = gather_rows(&x, &masked_idx).unwrap();
         let ym = block
-            .forward_masked(&xm, MaskedContext::SelfOnly, &prompt, &cond)
+            .forward_masked(&xm, MaskedContext::SelfOnly, &cross, &ada)
             .unwrap();
         let ym_ref = gather_rows(&full.y, &masked_idx).unwrap();
         let diff = ym.max_abs_diff(&ym_ref).unwrap();
@@ -532,9 +516,9 @@ mod tests {
 
     #[test]
     fn cached_kv_validates_index_count() {
-        let (cfg, block, prompt, cond) = setup();
+        let (cfg, block, cross, ada) = setup();
         let x = Tensor::randn([cfg.tokens(), cfg.hidden], &mut DetRng::new(5));
-        let full = block.forward_full(&x, &prompt, &cond).unwrap();
+        let full = block.forward_full(&x, &cross, &ada).unwrap();
         let xm = gather_rows(&x, &[0, 1]).unwrap();
         let err = block
             .forward_masked(
@@ -544,8 +528,8 @@ mod tests {
                     v: &full.v,
                     masked_idx: &[0],
                 },
-                &prompt,
-                &cond,
+                &cross,
+                &ada,
             )
             .unwrap_err();
         assert!(matches!(err, DiffusionError::InvalidPlan { .. }));
@@ -553,8 +537,8 @@ mod tests {
 
     #[test]
     fn attention_probs_are_row_stochastic() {
-        let (cfg, block, prompt, cond) = setup();
-        let _ = prompt;
+        let (cfg, block, _, _) = setup();
+        let cond = embed_timestep(&cfg, 0.5);
         let x = Tensor::randn([cfg.tokens(), cfg.hidden], &mut DetRng::new(6));
         let probs = block.attention_probs(&x, &cond).unwrap();
         assert_eq!(probs.dims(), &[cfg.tokens(), cfg.tokens()]);
@@ -566,12 +550,12 @@ mod tests {
 
     #[test]
     fn condition_changes_output() {
-        let (cfg, block, prompt, _) = setup();
+        let (cfg, block, cross, _) = setup();
         let x = Tensor::randn([cfg.tokens(), cfg.hidden], &mut DetRng::new(7));
-        let c1 = pool_condition(&prompt, &embed_timestep(&cfg, 0.1));
-        let c2 = pool_condition(&prompt, &embed_timestep(&cfg, 0.9));
-        let y1 = block.forward_full(&x, &prompt, &c1).unwrap();
-        let y2 = block.forward_full(&x, &prompt, &c2).unwrap();
+        let a1 = block.ada_params(&embed_timestep(&cfg, 0.1)).unwrap();
+        let a2 = block.ada_params(&embed_timestep(&cfg, 0.9)).unwrap();
+        let y1 = block.forward_full(&x, &cross, &a1).unwrap();
+        let y2 = block.forward_full(&x, &cross, &a2).unwrap();
         assert!(y1.y.max_abs_diff(&y2.y).unwrap() > 1e-5);
     }
 }

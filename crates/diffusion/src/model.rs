@@ -6,7 +6,7 @@ use fps_tensor::ops::{gather_rows, layer_norm, matmul, scatter_rows_into};
 use fps_tensor::rng::DetRng;
 use fps_tensor::{pool, Tensor};
 
-use crate::block::{MaskedContext, TransformerBlock};
+use crate::block::{AdaParams, CrossKv, MaskedContext, TransformerBlock};
 use crate::cache::{BlockCache, StepCache, TemplateCache};
 use crate::config::{Architecture, ModelConfig};
 use crate::embedding::embed_timestep;
@@ -67,20 +67,20 @@ impl StepPlan {
         }
     }
 
-    /// Builds a plan from Algorithm 1's `useCache` output: `true` →
-    /// [`BlockMode::CachedY`], `false` → [`BlockMode::Full`].
-    pub fn from_use_cache(use_cache: &[bool]) -> Self {
+    /// Builds a plan from Algorithm 1's `useCache` output: `false` →
+    /// [`BlockMode::Full`], `true` → [`BlockMode::CachedKv`] when `kv`
+    /// selects the Fig. 7 variant, else [`BlockMode::CachedY`].
+    pub fn from_use_cache(use_cache: &[bool], kv: bool) -> Self {
+        let cached = if kv {
+            BlockMode::CachedKv
+        } else {
+            BlockMode::CachedY
+        };
+        let modes = use_cache
+            .iter()
+            .map(|&c| if c { cached } else { BlockMode::Full });
         Self {
-            modes: use_cache
-                .iter()
-                .map(|&c| {
-                    if c {
-                        BlockMode::CachedY
-                    } else {
-                        BlockMode::Full
-                    }
-                })
-                .collect(),
+            modes: modes.collect(),
         }
     }
 
@@ -91,6 +91,24 @@ impl StepPlan {
             .filter(|m| matches!(m, BlockMode::CachedY | BlockMode::CachedKv))
             .count()
     }
+}
+
+/// One prompt's conditioning of the whole stack: every block's
+/// cross-attention keys/values. A function of the prompt alone, so a
+/// session builds it once ([`DiffusionModel::prompt_cond`]) and every
+/// denoising step reuses it.
+#[derive(Debug, Clone)]
+pub struct PromptCond {
+    blocks: Vec<CrossKv>,
+}
+
+/// One timestep's conditioning of the whole stack: every block's AdaLN
+/// vectors. A function of the timestep alone, so a pipeline builds one
+/// per denoising step ([`DiffusionModel::step_cond`]) and every request
+/// shares them.
+#[derive(Debug, Clone)]
+pub struct StepCond {
+    blocks: Vec<AdaParams>,
 }
 
 /// The denoiser network.
@@ -147,6 +165,37 @@ impl DiffusionModel {
         &self.cfg
     }
 
+    /// Projects a `[prompt_tokens, hidden]` prompt embedding into every
+    /// block's cross-attention keys and values.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor shape errors from a malformed embedding.
+    pub fn prompt_cond(&self, prompt_emb: &Tensor) -> Result<PromptCond> {
+        let blocks = self.blocks.iter().map(|b| b.cross_kv(prompt_emb));
+        Ok(PromptCond {
+            blocks: blocks.collect::<Result<_>>()?,
+        })
+    }
+
+    /// Derives every block's AdaLN vectors for normalized timestep `t`.
+    ///
+    /// AdaLN conditions on the timestep only (as in SD-class models);
+    /// the prompt enters through cross-attention. This is what makes
+    /// cached template activations reusable across requests with
+    /// different prompts (§2.2).
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor shape errors.
+    pub fn step_cond(&self, t: f32) -> Result<StepCond> {
+        let cond = embed_timestep(&self.cfg, t);
+        let blocks = self.blocks.iter().map(|b| b.ada_params(&cond));
+        Ok(StepCond {
+            blocks: blocks.collect::<Result<_>>()?,
+        })
+    }
+
     /// Full (mask-agnostic) noise prediction for one step; also returns
     /// the per-block activations so priming runs can populate the
     /// template cache.
@@ -159,16 +208,12 @@ impl DiffusionModel {
     pub fn predict_full(
         &self,
         latent: &Tensor,
-        t: f32,
-        prompt_emb: &Tensor,
+        step: &StepCond,
+        prompt: &PromptCond,
         capture_kv: bool,
     ) -> Result<(Tensor, StepCache)> {
         self.check_latent(latent)?;
-        // AdaLN conditions on the timestep only (as in SD-class
-        // models); the prompt enters through cross-attention. This is
-        // what makes cached template activations reusable across
-        // requests with different prompts (§2.2).
-        let cond = embed_timestep(&self.cfg, t);
+        self.check_conds(prompt, step)?;
         let latent = self.apply_scaffold(latent)?;
         let mut captured = StepCache::default();
         // UNet priming also captures the scaffold output so sparse
@@ -178,8 +223,8 @@ impl DiffusionModel {
         }
         let mut x = matmul(&latent, &self.in_proj)?;
         latent.recycle();
-        for block in &self.blocks {
-            let out = block.forward_full(&x, prompt_emb, &cond)?;
+        for (block, (cross, ada)) in self.conditioned(prompt, step) {
+            let out = block.forward_full(&x, cross, ada)?;
             captured.blocks.push(BlockCache {
                 y: out.y.clone(),
                 k: capture_kv.then(|| out.k.clone()),
@@ -223,14 +268,15 @@ impl DiffusionModel {
     pub fn predict_planned(
         &self,
         latent: &Tensor,
-        t: f32,
-        prompt_emb: &Tensor,
+        cond: &StepCond,
+        prompt: &PromptCond,
         sparse: &SparsePlan,
         plan: &StepPlan,
         cache: Option<&TemplateCache>,
         step: usize,
     ) -> Result<Tensor> {
         self.check_latent(latent)?;
+        self.check_conds(prompt, cond)?;
         if plan.modes.len() != self.blocks.len() {
             return Err(DiffusionError::InvalidPlan {
                 reason: format!(
@@ -250,22 +296,21 @@ impl DiffusionModel {
             });
         }
         let masked_idx = sparse.active();
-        let cond = embed_timestep(&self.cfg, t);
         let latent = self.apply_scaffold_planned(latent, sparse, cache, step)?;
         let mut x = matmul(&latent, &self.in_proj)?;
         latent.recycle();
-        for (i, (block, mode)) in self.blocks.iter().zip(plan.modes.iter()).enumerate() {
+        let blocks = self.conditioned(prompt, cond).zip(&plan.modes);
+        for (i, ((block, (cross, ada)), mode)) in blocks.enumerate() {
             match mode {
                 BlockMode::Full => {
-                    let out = block.forward_full(&x, prompt_emb, &cond)?;
+                    let out = block.forward_full(&x, cross, ada)?;
                     std::mem::replace(&mut x, out.y).recycle();
                     out.k.recycle();
                     out.v.recycle();
                 }
                 BlockMode::MaskedOnly => {
                     let xm = gather_rows(&x, masked_idx)?;
-                    let ym =
-                        block.forward_masked(&xm, MaskedContext::SelfOnly, prompt_emb, &cond)?;
+                    let ym = block.forward_masked(&xm, MaskedContext::SelfOnly, cross, ada)?;
                     xm.recycle();
                     scatter_rows_into(&mut x, &ym, masked_idx)?;
                     ym.recycle();
@@ -274,7 +319,7 @@ impl DiffusionModel {
                     let entry = self.cache_entry(cache, step, i)?;
                     // Y variant: masked queries attend over fresh K/V of
                     // the full (cache-replenished) token matrix.
-                    let ym = block.forward_masked_full_kv(&x, sparse, prompt_emb, &cond)?;
+                    let ym = block.forward_masked_full_kv(&x, sparse, cross, ada)?;
                     std::mem::replace(&mut x, entry.y.clone()).recycle();
                     scatter_rows_into(&mut x, &ym, masked_idx)?;
                     ym.recycle();
@@ -289,8 +334,8 @@ impl DiffusionModel {
                     let ym = block.forward_masked(
                         &xm,
                         MaskedContext::CachedKv { k, v, masked_idx },
-                        prompt_emb,
-                        &cond,
+                        cross,
+                        ada,
                     )?;
                     xm.recycle();
                     std::mem::replace(&mut x, entry.y.clone()).recycle();
@@ -327,15 +372,26 @@ impl DiffusionModel {
             .ok_or(DiffusionError::InvalidPlan {
                 reason: format!("block index {block_idx} out of range"),
             })?;
-        let cond = embed_timestep(&self.cfg, t);
+        let (prompt, step) = (self.prompt_cond(prompt_emb)?, self.step_cond(t)?);
         // Run the stack up to the probed block so the probe sees
         // realistic inputs.
         let latent = self.apply_scaffold(latent)?;
         let mut x = matmul(&latent, &self.in_proj)?;
-        for b in &self.blocks[..block_idx] {
-            x = b.forward_full(&x, prompt_emb, &cond)?.y;
+        for (b, (cross, ada)) in self.conditioned(&prompt, &step).take(block_idx) {
+            x = b.forward_full(&x, cross, ada)?.y;
         }
-        block.attention_probs(&x, &cond)
+        block.attention_probs(&x, &embed_timestep(&self.cfg, t))
+    }
+
+    /// Each block with its share of the two conditionings.
+    fn conditioned<'a>(
+        &'a self,
+        prompt: &'a PromptCond,
+        step: &'a StepCond,
+    ) -> impl Iterator<Item = (&'a TransformerBlock, (&'a CrossKv, &'a AdaParams))> {
+        self.blocks
+            .iter()
+            .zip(prompt.blocks.iter().zip(&step.blocks))
     }
 
     /// Runs the UNet conv scaffold (identity for DiT models). The
@@ -384,6 +440,22 @@ impl DiffusionModel {
             .get(step, block)
     }
 
+    /// Conditionings built by a model with a different block count
+    /// would silently truncate the stack.
+    fn check_conds(&self, prompt: &PromptCond, step: &StepCond) -> Result<()> {
+        let n = self.blocks.len();
+        if prompt.blocks.len() != n || step.blocks.len() != n {
+            return Err(DiffusionError::InvalidPlan {
+                reason: format!(
+                    "conditioning covers {} / {} blocks of {n}",
+                    prompt.blocks.len(),
+                    step.blocks.len()
+                ),
+            });
+        }
+        Ok(())
+    }
+
     fn check_latent(&self, latent: &Tensor) -> Result<()> {
         if latent.rank() != 2
             || latent.dims()[0] != self.cfg.tokens()
@@ -407,31 +479,38 @@ mod tests {
     use super::*;
     use crate::embedding::embed_prompt;
 
-    fn setup() -> (ModelConfig, DiffusionModel, Tensor, Tensor) {
+    fn setup() -> (ModelConfig, DiffusionModel, PromptCond, StepCond, Tensor) {
         let cfg = ModelConfig::tiny();
         let model = DiffusionModel::new(&cfg).unwrap();
-        let prompt = embed_prompt(&cfg, "tiny test");
+        let prompt = model.prompt_cond(&embed_prompt(&cfg, "tiny test")).unwrap();
+        let step = model.step_cond(0.5).unwrap();
         let latent = Tensor::randn([cfg.tokens(), cfg.latent_channels], &mut DetRng::new(11));
-        (cfg, model, prompt, latent)
+        (cfg, model, prompt, step, latent)
     }
 
     fn plan_of(cfg: &ModelConfig, masked: &[usize]) -> SparsePlan {
         SparsePlan::from_mask(cfg.tokens(), masked).unwrap()
     }
 
-    fn prime(model: &DiffusionModel, latent: &Tensor, prompt: &Tensor, kv: bool) -> TemplateCache {
+    fn prime(
+        model: &DiffusionModel,
+        latent: &Tensor,
+        step: &StepCond,
+        prompt: &PromptCond,
+        kv: bool,
+    ) -> TemplateCache {
         let cfg = model.config();
         let mut cache = TemplateCache::new(7, cfg.tokens(), cfg.hidden);
         // A single-step cache is enough for block-level tests.
-        let (_, step) = model.predict_full(latent, 0.5, prompt, kv).unwrap();
-        cache.push_step(step);
+        let (_, captured) = model.predict_full(latent, step, prompt, kv).unwrap();
+        cache.push_step(captured);
         cache
     }
 
     #[test]
     fn full_prediction_shapes_and_capture() {
-        let (cfg, model, prompt, latent) = setup();
-        let (eps, cap) = model.predict_full(&latent, 0.5, &prompt, true).unwrap();
+        let (cfg, model, prompt, step, latent) = setup();
+        let (eps, cap) = model.predict_full(&latent, &step, &prompt, true).unwrap();
         assert_eq!(eps.dims(), &[cfg.tokens(), cfg.latent_channels]);
         assert_eq!(cap.blocks.len(), cfg.blocks);
         assert!(cap.blocks.iter().all(|b| b.k.is_some() && b.v.is_some()));
@@ -439,12 +518,12 @@ mod tests {
 
     #[test]
     fn planned_full_equals_predict_full() {
-        let (cfg, model, prompt, latent) = setup();
-        let (eps_ref, _) = model.predict_full(&latent, 0.5, &prompt, false).unwrap();
+        let (cfg, model, prompt, step, latent) = setup();
+        let (eps_ref, _) = model.predict_full(&latent, &step, &prompt, false).unwrap();
         let eps = model
             .predict_planned(
                 &latent,
-                0.5,
+                &step,
                 &prompt,
                 &plan_of(&cfg, &[0, 1]),
                 &StepPlan::full(cfg.blocks),
@@ -460,14 +539,14 @@ mod tests {
         // When the edit latent equals the primed latent, the cached-Y
         // plan's masked rows still see reduced attention context, so the
         // output is close to — but not exactly — the full computation.
-        let (cfg, model, prompt, latent) = setup();
-        let cache = prime(&model, &latent, &prompt, false);
+        let (cfg, model, prompt, step, latent) = setup();
+        let cache = prime(&model, &latent, &step, &prompt, false);
         let masked: Vec<usize> = vec![0, 3, 9];
-        let (eps_ref, _) = model.predict_full(&latent, 0.5, &prompt, false).unwrap();
+        let (eps_ref, _) = model.predict_full(&latent, &step, &prompt, false).unwrap();
         let eps = model
             .predict_planned(
                 &latent,
-                0.5,
+                &step,
                 &prompt,
                 &plan_of(&cfg, &masked),
                 &StepPlan::all_cached_y(cfg.blocks),
@@ -493,15 +572,15 @@ mod tests {
         // The K/V variant gives masked queries the full attention
         // context, so its masked-row error w.r.t. the full computation
         // must not exceed the Y variant's.
-        let (cfg, model, prompt, latent) = setup();
-        let cache = prime(&model, &latent, &prompt, true);
+        let (cfg, model, prompt, step, latent) = setup();
+        let cache = prime(&model, &latent, &step, &prompt, true);
         let masked: Vec<usize> = vec![2, 5, 7, 12];
-        let (eps_ref, _) = model.predict_full(&latent, 0.5, &prompt, false).unwrap();
+        let (eps_ref, _) = model.predict_full(&latent, &step, &prompt, false).unwrap();
         let err = |plan: &StepPlan| {
             let eps = model
                 .predict_planned(
                     &latent,
-                    0.5,
+                    &step,
                     &prompt,
                     &plan_of(&cfg, &masked),
                     plan,
@@ -533,14 +612,14 @@ mod tests {
 
     #[test]
     fn plan_and_cache_validation() {
-        let (cfg, model, prompt, latent) = setup();
+        let (cfg, model, prompt, step, latent) = setup();
         // Wrong plan length.
         let bad_plan = StepPlan::full(cfg.blocks + 1);
         assert!(matches!(
             model
                 .predict_planned(
                     &latent,
-                    0.5,
+                    &step,
                     &prompt,
                     &plan_of(&cfg, &[0]),
                     &bad_plan,
@@ -555,7 +634,7 @@ mod tests {
             model
                 .predict_planned(
                     &latent,
-                    0.5,
+                    &step,
                     &prompt,
                     &plan_of(&cfg, &[0]),
                     &StepPlan::all_cached_y(cfg.blocks),
@@ -566,12 +645,12 @@ mod tests {
             DiffusionError::CacheMiss { .. }
         ));
         // KV mode with a Y-only cache.
-        let cache = prime(&model, &latent, &prompt, false);
+        let cache = prime(&model, &latent, &step, &prompt, false);
         assert!(matches!(
             model
                 .predict_planned(
                     &latent,
-                    0.5,
+                    &step,
                     &prompt,
                     &plan_of(&cfg, &[0]),
                     &StepPlan::all_cached_kv(cfg.blocks),
@@ -586,7 +665,7 @@ mod tests {
         assert!(model
             .predict_planned(
                 &latent,
-                0.5,
+                &step,
                 &prompt,
                 &oversized,
                 &StepPlan::full(cfg.blocks),
@@ -601,13 +680,13 @@ mod tests {
         // In masked-only mode the unmasked rows' trajectory through the
         // stack is just the input projection (identity residuals), so
         // two different masked contents must not change unmasked rows.
-        let (cfg, model, prompt, latent) = setup();
+        let (cfg, model, prompt, step, latent) = setup();
         let masked: Vec<usize> = vec![1, 2];
         let plan = StepPlan::masked_only(cfg.blocks);
         let eps_a = model
             .predict_planned(
                 &latent,
-                0.5,
+                &step,
                 &prompt,
                 &plan_of(&cfg, &masked),
                 &plan,
@@ -620,7 +699,7 @@ mod tests {
         let eps_b = model
             .predict_planned(
                 &latent_b,
-                0.5,
+                &step,
                 &prompt,
                 &plan_of(&cfg, &masked),
                 &plan,
@@ -644,22 +723,27 @@ mod tests {
 
     #[test]
     fn attention_probe_shape_and_bounds() {
-        let (cfg, model, prompt, latent) = setup();
-        let probs = model.attention_probe(&latent, 0.5, &prompt, 1).unwrap();
+        let (cfg, model, _, _, latent) = setup();
+        let emb = embed_prompt(&cfg, "tiny test");
+        let probs = model.attention_probe(&latent, 0.5, &emb, 1).unwrap();
         assert_eq!(probs.dims(), &[cfg.tokens(), cfg.tokens()]);
         assert!(model
-            .attention_probe(&latent, 0.5, &prompt, cfg.blocks)
+            .attention_probe(&latent, 0.5, &emb, cfg.blocks)
             .is_err());
     }
 
     #[test]
     fn step_plan_helpers() {
-        let plan = StepPlan::from_use_cache(&[true, false, true]);
+        let plan = StepPlan::from_use_cache(&[true, false, true], false);
         assert_eq!(
             plan.modes,
             vec![BlockMode::CachedY, BlockMode::Full, BlockMode::CachedY]
         );
         assert_eq!(plan.cached_blocks(), 2);
+        assert_eq!(
+            StepPlan::from_use_cache(&[false, true], true).modes,
+            vec![BlockMode::Full, BlockMode::CachedKv]
+        );
         assert_eq!(StepPlan::all_cached_kv(3).cached_blocks(), 3);
         assert_eq!(StepPlan::masked_only(3).cached_blocks(), 0);
     }

@@ -12,7 +12,7 @@ use crate::embedding::embed_prompt;
 use crate::error::DiffusionError;
 use crate::flops;
 use crate::image::Image;
-use crate::model::{DiffusionModel, StepPlan};
+use crate::model::{DiffusionModel, PromptCond, StepCond, StepPlan};
 use crate::sampler::{ddim_step, inpaint_blend, noise_to_level, NoiseSchedule};
 use crate::vae::PatchVae;
 use crate::Result;
@@ -110,15 +110,21 @@ pub struct EditSession {
     template: Image,
     z_template: Tensor,
     template_noise: Tensor,
-    prompt_emb: Tensor,
     masked_idx: Vec<usize>,
     /// The mask-derived token plan, built once at `begin` and reused by
     /// every denoising step (grid-aware for UNet models so the sparse
     /// compute path can dilate the conv mask).
     plan: std::sync::Arc<SparsePlan>,
     strategy: Strategy,
-    /// Negative-prompt embedding and scale when guidance is active.
-    guidance: Option<(Tensor, f32)>,
+    /// The denoiser passes of one step, each a prompt's per-block
+    /// cross-attention K/V (projected once, here) and its weight in the
+    /// noise prediction: the prompt alone, or under classifier-free
+    /// guidance `(1 − scale)·eps_neg + scale·eps_cond`.
+    passes: Vec<(PromptCond, f32)>,
+    /// The strategy's per-block modes; `None` runs the full model.
+    step_plan: Option<StepPlan>,
+    /// Transformer FLOPs of one computed step, all passes.
+    flops_per_step: u64,
     x: Tensor,
     step: usize,
     total_steps: usize,
@@ -223,6 +229,9 @@ pub struct EditPipeline {
     model: DiffusionModel,
     vae: PatchVae,
     schedule: NoiseSchedule,
+    /// Every block's AdaLN vectors at each denoising step's timestep —
+    /// a function of the schedule alone, shared by every request.
+    step_conds: Vec<StepCond>,
     /// Wall-clock trace sink for pipeline stages (session setup, each
     /// denoising step, VAE decode). Meant for direct single-threaded
     /// API use; multi-worker servers keep their own per-worker spans.
@@ -238,10 +247,16 @@ impl EditPipeline {
     /// Returns [`DiffusionError::InvalidConfig`] for inconsistent
     /// configs.
     pub fn new(cfg: &ModelConfig) -> Result<Self> {
+        let model = DiffusionModel::new(cfg)?;
+        let schedule = NoiseSchedule::new(cfg.steps)?;
+        let step_conds = (0..schedule.steps())
+            .map(|k| model.step_cond(schedule.t_norm(k)))
+            .collect::<Result<_>>()?;
         Ok(Self {
-            model: DiffusionModel::new(cfg)?,
+            model,
             vae: PatchVae::new(cfg)?,
-            schedule: NoiseSchedule::new(cfg.steps)?,
+            schedule,
+            step_conds,
             trace: TraceSink::disabled(),
             trace_track: Track::default(),
         })
@@ -343,13 +358,12 @@ impl EditPipeline {
         let cfg = self.model.config();
         let z = self.vae.encode(template)?;
         let noise = self.template_noise(template_id);
-        let prompt = embed_prompt(cfg, ""); // Priming is unconditional.
+        // Priming is unconditional.
+        let prompt = self.model.prompt_cond(&embed_prompt(cfg, ""))?;
         let mut cache = TemplateCache::new(template_id, cfg.tokens(), cfg.hidden);
-        for k in 0..self.schedule.steps() {
+        for (k, cond) in self.step_conds.iter().enumerate() {
             let x = noise_to_level(&z, &noise, self.schedule.abar(k))?;
-            let (_, step) =
-                self.model
-                    .predict_full(&x, self.schedule.t_norm(k), &prompt, capture_kv)?;
+            let (_, step) = self.model.predict_full(&x, cond, &prompt, capture_kv)?;
             cache.push_step(step);
         }
         Ok(cache)
@@ -455,7 +469,7 @@ impl EditPipeline {
             .trace
             .start("pipeline_begin", "pipeline", self.trace_track, 0);
         span.arg("template", template_id);
-        let cfg = self.model.config().clone();
+        let cfg = self.model.config();
         if let Some(&bad) = masked_idx.iter().find(|&&i| i >= cfg.tokens()) {
             return Err(DiffusionError::MaskLengthMismatch {
                 expected: cfg.tokens(),
@@ -475,7 +489,6 @@ impl EditPipeline {
         }
         let z_template = self.vae.encode(template)?;
         let template_noise = self.template_noise(template_id);
-        let prompt_emb = embed_prompt(&cfg, prompt);
         let req_seed = hash_bytes(prompt.as_bytes(), seed ^ 0xED17);
         let req_noise = Tensor::randn(
             [cfg.tokens(), cfg.latent_channels],
@@ -493,9 +506,34 @@ impl EditPipeline {
             fps_tensor::ops::scatter_rows_into(&mut x, &fresh, masked_idx)?;
             x
         };
-        let guidance = guidance
-            .filter(|g| (g.scale - 1.0).abs() > 1e-6)
-            .map(|g| (embed_prompt(&cfg, &g.negative_prompt), g.scale));
+        // Everything a step needs that does not change between steps is
+        // derived here: the prompts' cross-attention K/V per block, the
+        // strategy's per-block modes, and the FLOPs of a computed step.
+        let cond = self.model.prompt_cond(&embed_prompt(cfg, prompt))?;
+        let passes = match guidance.filter(|g| (g.scale - 1.0).abs() > 1e-6) {
+            None => vec![(cond, 1.0)],
+            Some(g) => {
+                let neg = self
+                    .model
+                    .prompt_cond(&embed_prompt(cfg, &g.negative_prompt))?;
+                vec![(neg, 1.0 - g.scale), (cond, g.scale)]
+            }
+        };
+        let mask_ratio = masked_idx.len() as f64 / cfg.tokens() as f64;
+        let (step_plan, flops_per_pass) = match &strategy {
+            Strategy::FullRecompute | Strategy::StepSkip { .. } => {
+                (None, flops::step_flops_full(cfg, 1))
+            }
+            Strategy::MaskAware { use_cache, kv } => (
+                Some(StepPlan::from_use_cache(use_cache, *kv)),
+                flops::step_flops_plan(cfg, 1, mask_ratio, use_cache, *kv),
+            ),
+            Strategy::MaskedOnly | Strategy::NaiveDisregard => (
+                Some(StepPlan::masked_only(cfg.blocks)),
+                flops::step_flops_masked_only(cfg, 1, mask_ratio),
+            ),
+        };
+        let flops_per_step = flops_per_pass * passes.len() as u64;
         // One mask-derived plan per edit, shared by every step. UNet
         // models get the grid-aware plan (conv dilation sets included).
         let plan = match cfg.arch {
@@ -506,11 +544,12 @@ impl EditPipeline {
             template: template.clone(),
             z_template,
             template_noise,
-            prompt_emb,
             masked_idx: masked_idx.to_vec(),
             plan: std::sync::Arc::new(plan),
             strategy,
-            guidance,
+            passes,
+            step_plan,
+            flops_per_step,
             x,
             step: 0,
             total_steps: self.schedule.steps(),
@@ -541,17 +580,8 @@ impl EditPipeline {
             .trace
             .start("pipeline_step", "pipeline", self.trace_track, 0);
         span.arg("step", s.step as u64);
-        let cfg = self.model.config().clone();
         let k = s.step;
         let t = self.schedule.t_norm(k);
-        let mask_ratio = s.masked_idx.len() as f64 / cfg.tokens() as f64;
-        // Classifier-free guidance runs the denoiser once per pass and
-        // combines linearly: eps = (1-scale)·eps_neg + scale·eps_cond.
-        let passes: Vec<(Tensor, f32)> = match &s.guidance {
-            None => vec![(s.prompt_emb.clone(), 1.0)],
-            Some((neg, scale)) => vec![(neg.clone(), 1.0 - *scale), (s.prompt_emb.clone(), *scale)],
-        };
-        let n_passes = passes.len() as u64;
         // TeaCache's skip decision applies to the whole (guided) step.
         let skip = if let Strategy::StepSkip { threshold } = &s.strategy {
             // The drift indicator is the accumulated normalized
@@ -575,43 +605,28 @@ impl EditPipeline {
 
         let eps = if skip {
             s.steps_skipped += 1;
-            s.prev_eps.clone().expect("skip requires a previous eps")
+            s.prev_eps
+                .clone()
+                .ok_or_else(|| DiffusionError::InvalidPlan {
+                    reason: format!("step {k} skipped with no previous noise prediction"),
+                })?
         } else {
+            let cond = self
+                .step_conds
+                .get(k)
+                .ok_or_else(|| DiffusionError::InvalidPlan {
+                    reason: format!("step {k} is past this pipeline's schedule"),
+                })?;
+            // Only the mask-aware strategies read the template cache.
+            let cache = cache.filter(|_| matches!(s.strategy, Strategy::MaskAware { .. }));
+            // One denoiser run per pass, combined linearly.
             let mut acc: Option<Tensor> = None;
-            for (emb, weight) in &passes {
-                let eps_pass = match &s.strategy {
-                    Strategy::FullRecompute | Strategy::StepSkip { .. } => {
-                        self.model.predict_full(&s.x, t, emb, false)?.0
-                    }
-                    Strategy::MaskAware { use_cache, kv } => {
-                        let plan = if *kv {
-                            StepPlan {
-                                modes: use_cache
-                                    .iter()
-                                    .map(|&c| {
-                                        if c {
-                                            crate::model::BlockMode::CachedKv
-                                        } else {
-                                            crate::model::BlockMode::Full
-                                        }
-                                    })
-                                    .collect(),
-                            }
-                        } else {
-                            StepPlan::from_use_cache(use_cache)
-                        };
-                        self.model
-                            .predict_planned(&s.x, t, emb, &s.plan, &plan, cache, k)?
-                    }
-                    Strategy::MaskedOnly | Strategy::NaiveDisregard => self.model.predict_planned(
-                        &s.x,
-                        t,
-                        emb,
-                        &s.plan,
-                        &StepPlan::masked_only(cfg.blocks),
-                        None,
-                        k,
-                    )?,
+            for (prompt, weight) in &s.passes {
+                let eps_pass = match &s.step_plan {
+                    None => self.model.predict_full(&s.x, cond, prompt, false)?.0,
+                    Some(plan) => self
+                        .model
+                        .predict_planned(&s.x, cond, prompt, &s.plan, plan, cache, k)?,
                 };
                 match &mut acc {
                     None => acc = Some(eps_pass.scale(*weight)),
@@ -619,25 +634,15 @@ impl EditPipeline {
                 }
                 eps_pass.recycle();
             }
-            // FLOP accounting per strategy, once per pass.
-            let per_pass = match &s.strategy {
-                Strategy::FullRecompute | Strategy::StepSkip { .. } => {
-                    flops::step_flops_full(&cfg, 1)
-                }
-                Strategy::MaskAware { use_cache, kv } => {
-                    flops::step_flops_plan(&cfg, 1, mask_ratio, use_cache, *kv)
-                }
-                Strategy::MaskedOnly | Strategy::NaiveDisregard => {
-                    flops::step_flops_masked_only(&cfg, 1, mask_ratio)
-                }
-            };
-            s.flops += per_pass * n_passes;
+            s.flops += s.flops_per_step;
             s.steps_computed += 1;
             if matches!(s.strategy, Strategy::StepSkip { .. }) {
                 s.last_computed_t = Some(t);
                 s.drift_acc = 0.0;
             }
-            acc.expect("at least one pass")
+            acc.ok_or_else(|| DiffusionError::InvalidPlan {
+                reason: "session has no conditioning pass".to_string(),
+            })?
         };
         if matches!(s.strategy, Strategy::StepSkip { .. }) {
             s.prev_eps = Some(eps.clone());

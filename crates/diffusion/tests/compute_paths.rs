@@ -36,15 +36,19 @@ fn block_forwards_identical_across_paths() {
     let block = TransformerBlock::new(&cfg, &mut rng);
     let prompt = embed_prompt(&cfg, "path test");
     let cond = pool_condition(&prompt, &embed_timestep(&cfg, 0.5));
+    let (cross, ada) = (
+        block.cross_kv(&prompt).unwrap(),
+        block.ada_params(&cond).unwrap(),
+    );
     let x = Tensor::randn([cfg.tokens(), cfg.hidden], &mut DetRng::new(21));
     let masked_idx: Vec<usize> = vec![1, 4, 7];
     let plan = SparsePlan::from_mask(cfg.tokens(), &masked_idx).unwrap();
     let xm = gather_rows(&x, &masked_idx).unwrap();
 
     let reference = with_compute_path(ComputePath::Scalar, || {
-        let full = block.forward_full(&x, &prompt, &cond).unwrap();
+        let full = block.forward_full(&x, &cross, &ada).unwrap();
         let self_only = block
-            .forward_masked(&xm, MaskedContext::SelfOnly, &prompt, &cond)
+            .forward_masked(&xm, MaskedContext::SelfOnly, &cross, &ada)
             .unwrap();
         let cached_kv = block
             .forward_masked(
@@ -54,12 +58,12 @@ fn block_forwards_identical_across_paths() {
                     v: &full.v,
                     masked_idx: &masked_idx,
                 },
-                &prompt,
-                &cond,
+                &cross,
+                &ada,
             )
             .unwrap();
         let full_kv = block
-            .forward_masked_full_kv(&x, &plan, &prompt, &cond)
+            .forward_masked_full_kv(&x, &plan, &cross, &ada)
             .unwrap();
         (full, self_only, cached_kv, full_kv)
     });
@@ -71,12 +75,12 @@ fn block_forwards_identical_across_paths() {
     ] {
         with_compute_path(path, || {
             with_min_parallel_work(0, || {
-                let full = block.forward_full(&x, &prompt, &cond).unwrap();
+                let full = block.forward_full(&x, &cross, &ada).unwrap();
                 assert_eq!(bits(&full.y), bits(&reference.0.y), "{path:?} full y");
                 assert_eq!(bits(&full.k), bits(&reference.0.k), "{path:?} full k");
                 assert_eq!(bits(&full.v), bits(&reference.0.v), "{path:?} full v");
                 let self_only = block
-                    .forward_masked(&xm, MaskedContext::SelfOnly, &prompt, &cond)
+                    .forward_masked(&xm, MaskedContext::SelfOnly, &cross, &ada)
                     .unwrap();
                 assert_eq!(bits(&self_only), bits(&reference.1), "{path:?} self-only");
                 let cached_kv = block
@@ -87,13 +91,13 @@ fn block_forwards_identical_across_paths() {
                             v: &full.v,
                             masked_idx: &masked_idx,
                         },
-                        &prompt,
-                        &cond,
+                        &cross,
+                        &ada,
                     )
                     .unwrap();
                 assert_eq!(bits(&cached_kv), bits(&reference.2), "{path:?} cached-kv");
                 let full_kv = block
-                    .forward_masked_full_kv(&x, &plan, &prompt, &cond)
+                    .forward_masked_full_kv(&x, &plan, &cross, &ada)
                     .unwrap();
                 assert_eq!(bits(&full_kv), bits(&reference.3), "{path:?} full-kv");
             })
@@ -179,6 +183,10 @@ fn kernel_spans_appear_only_when_enabled() {
     pipe.edit(&template, 2, &[5, 6], "x", 1, &strat, Some(&cache))
         .unwrap();
     pipe.trace_kernels(false);
+    // The observer is process-wide: a kernel another test's thread had
+    // in flight when it was removed still reports, so "gone" is judged
+    // on spans that *start* from here on.
+    let off_ns = sink.instant_ns(std::time::Instant::now());
     let t = sink.drain().unwrap();
     let kernels: Vec<_> = t.spans.iter().filter(|s| s.cat == "kernel").collect();
     assert!(!kernels.is_empty(), "expected kernel spans when enabled");
@@ -189,7 +197,11 @@ fn kernel_spans_appear_only_when_enabled() {
     pipe.edit(&template, 2, &[5, 6], "x", 1, &strat, Some(&cache))
         .unwrap();
     let t = sink.drain().unwrap();
-    assert_eq!(t.spans.iter().filter(|s| s.cat == "kernel").count(), 0);
+    let late = t
+        .spans
+        .iter()
+        .filter(|s| s.cat == "kernel" && s.start_ns >= off_ns);
+    assert_eq!(late.count(), 0);
 }
 
 #[test]

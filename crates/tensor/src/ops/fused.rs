@@ -1,21 +1,21 @@
 //! Fused kernels for the transformer block's hot sequences.
 //!
 //! Each kernel here collapses a sequence of primitive ops into one
-//! pass, eliminating intermediate tensors (and, for attention, the
-//! per-head column slicing) while reusing the *same scalar row
-//! helpers* as the primitives — `layer_norm_row`,
-//! `softmax_row_inplace`, the matmul row kernels —
-//! so every fused result is **bitwise identical** to the composed
-//! path. That identity is asserted by proptests in this crate and by
-//! whole-pipeline byte-equality checks in `fps-bench`'s
-//! `bench_kernels`.
+//! pass, eliminating intermediate tensors while reusing the *same
+//! scalar row helpers* as the primitives — `layer_norm_row`,
+//! `softmax_row_inplace`, the matmul row kernels — or, for attention,
+//! keeping every reduction in the primitives' order, so every fused
+//! result is **bitwise identical** to the composed path. That identity
+//! is asserted by proptests in this crate and by whole-pipeline
+//! byte-equality checks in `fps-bench`'s `bench_kernels`.
 //!
 //! Fusions provided (the `TransformerBlock` hot path):
 //!
 //! - [`ada_layer_norm`] — LayerNorm + AdaLN modulate in one row pass.
-//! - [`mha_fused`] — per-head `QKᵀ → softmax → ·V` that materializes
-//!   one score row at a time instead of an `[N, L]` matrix per head,
-//!   reading head slices in place instead of copying column blocks.
+//! - [`mha_fused`] / [`mha_fused_split`] — tiled per-head `QKᵀ →
+//!   softmax → ·V` over K/V panels packed once per call (optionally
+//!   from a cached base with fresh rows laid over it); four score rows
+//!   at a time instead of an `[N, L]` matrix per head.
 //! - [`matmul_gelu`] — FFN up-projection with GeLU applied to each
 //!   output row as it is produced.
 
@@ -101,15 +101,41 @@ pub fn matmul_gelu(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, [m, n])
 }
 
+/// Query rows the attention kernel advances together: their score
+/// tiles share each packed `K` load and their `P·V` accumulators stay
+/// in registers, so each packed `V` row is read once per block rather
+/// than once per query.
+const QB: usize = 4;
+/// Keys per score tile (`QB × KB` accumulators fit the SSE2 register
+/// file).
+const KB: usize = 8;
+
+/// Fresh key/value rows laid over a cached base: row `j` of `k`/`v`
+/// replaces base row `rows[j]` — what `scatter_rows_into` on a clone of
+/// the base would produce, without the clone.
+#[derive(Debug, Clone, Copy)]
+pub struct FreshKv<'a> {
+    /// Fresh keys `[rows.len(), H]`.
+    pub k: &'a Tensor,
+    /// Fresh values `[rows.len(), H]`.
+    pub v: &'a Tensor,
+    /// Base row each fresh row replaces (on duplicates the last wins,
+    /// as in `scatter_rows_into`).
+    pub rows: &'a [usize],
+}
+
 /// Fused multi-head scaled-dot-product attention, pre-output-
-/// projection: for each query row and head, computes the score row
-/// `q·Kᵀ·scale`, softmaxes it in place, and accumulates the context
-/// `probs·V` — never materializing a full `[N, L]` score tensor, and
-/// reading each head's `dh`-wide slice of the row-major `[·, H]`
-/// matrices directly instead of slicing columns into temporaries.
+/// projection. Per head the keys are packed once as `K_hᵀ` (`[dh][L]`)
+/// and the values as `V_h` (`[L][dh]`); the score rows `q·Kᵀ·scale` of
+/// four queries are then `dh` axpys over contiguous keys, softmaxed in
+/// place, and their context `probs·V` accumulates in registers — never
+/// materializing an `[N, L]` score tensor.
 ///
 /// Matches the composed `matmul_bt → scale → softmax_rows → matmul`
-/// path bitwise: per (row, head) the reduction orders are identical.
+/// path bitwise: every score is still `((0 + q₀k₀) + q₁k₁) + …` in
+/// ascending `d`, every context element `((0 + p₀v₀) + p₁v₁) + …` in
+/// ascending key order, and no `mul_add` is used; tiling only changes
+/// which independent sums advance together.
 ///
 /// # Errors
 ///
@@ -117,6 +143,37 @@ pub fn matmul_gelu(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// divide the hidden dimension, or `k`/`v` have no rows (the composed
 /// path rejects a zero-width softmax the same way).
 pub fn mha_fused(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, scale: f32) -> Result<Tensor> {
+    mha(q, k, v, None, heads, scale)
+}
+
+/// [`mha_fused`] over a split key/value source: `k`/`v` with the rows
+/// named by `fresh` replaced. The pack stage reads each row from
+/// whichever side holds it, so the result is bitwise
+/// `mha_fused(q, scatter(k), scatter(v))` with no `[L, H]` copies.
+///
+/// # Errors
+///
+/// As [`mha_fused`]; additionally when the fresh tensors are not
+/// `[fresh.rows.len(), H]` or a row index is out of bounds.
+pub fn mha_fused_split(
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    fresh: FreshKv<'_>,
+    heads: usize,
+    scale: f32,
+) -> Result<Tensor> {
+    mha(q, k, v, Some(fresh), heads, scale)
+}
+
+fn mha(
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    fresh: Option<FreshKv<'_>>,
+    heads: usize,
+    scale: f32,
+) -> Result<Tensor> {
     let (n, h) = rank2_dims("mha_fused", q)?;
     let (l, hk) = rank2_dims("mha_fused", k)?;
     let (lv, hv) = rank2_dims("mha_fused", v)?;
@@ -127,6 +184,24 @@ pub fn mha_fused(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, scale: f32) -
             rhs: vec![l, hk, hv, lv],
         });
     }
+    if let Some(f) = &fresh {
+        for t in [f.k, f.v] {
+            if rank2_dims("mha_fused", t)? != (f.rows.len(), h) {
+                return Err(TensorError::ShapeMismatch {
+                    op: "mha_fused",
+                    lhs: vec![f.rows.len(), h],
+                    rhs: t.dims().to_vec(),
+                });
+            }
+        }
+        if let Some(&bad) = f.rows.iter().find(|&&r| r >= l) {
+            return Err(TensorError::IndexOutOfBounds {
+                op: "mha_fused",
+                index: bad,
+                bound: l,
+            });
+        }
+    }
     if l == 0 {
         // The composed path feeds `[N, 0]` scores into softmax_rows,
         // which rejects zero-width rows; keep that contract.
@@ -135,7 +210,13 @@ pub fn mha_fused(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, scale: f32) -
     let _span = ktrace::span("mha_fused");
     let dh = h / heads;
     let mut out = scratch::take(n * h);
-    let (qd, kd, vd) = (q.data(), k.data(), v.data());
+    if n == 0 {
+        return Tensor::from_vec(out, [n, h]);
+    }
+    // Pack once, outside the pooled region: every row chunk reads the
+    // same panels.
+    let panels = AttnPanels::pack(k.data(), v.data(), fresh, l, h, dh);
+    let qd = q.data();
     pool::for_each_row_chunk(
         &mut out,
         n,
@@ -143,34 +224,224 @@ pub fn mha_fused(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, scale: f32) -
         4 * h * l,
         pool::KernelClass::Gemm,
         |r0, chunk| {
-            let mut scores = scratch::take(l);
-            for (ri, orow) in chunk.chunks_exact_mut(h).enumerate() {
-                let i = r0 + ri;
-                for head in 0..heads {
-                    let off = head * dh;
-                    let qrow = &qd[i * h + off..i * h + off + dh];
-                    for (j, s) in scores.iter_mut().enumerate() {
-                        let krow = &kd[j * h + off..j * h + off + dh];
-                        let mut acc = 0.0f32;
-                        for (&x, &y) in qrow.iter().zip(krow.iter()) {
-                            acc += x * y;
-                        }
-                        *s = acc * scale;
-                    }
-                    softmax_row_inplace(&mut scores);
-                    let octx = &mut orow[off..off + dh];
-                    for (p, &pv) in scores.iter().enumerate() {
-                        let vrow = &vd[p * h + off..p * h + off + dh];
-                        for (o, &vv) in octx.iter_mut().zip(vrow.iter()) {
-                            *o += pv * vv;
-                        }
+            let mut probs = scratch::take(QB * l);
+            for (bi, oblock) in chunk.chunks_mut(QB * h).enumerate() {
+                let qblock = &qd[(r0 + bi * QB) * h..];
+                if oblock.len() == QB * h {
+                    panels.attend::<QB>(oblock, qblock, &mut probs, scale);
+                } else {
+                    for (orow, qrow) in oblock.chunks_exact_mut(h).zip(qblock.chunks_exact(h)) {
+                        panels.attend::<1>(orow, qrow, &mut probs, scale);
                     }
                 }
             }
-            scratch::give(scores);
+            scratch::give(probs);
         },
     );
+    panels.recycle();
     Tensor::from_vec(out, [n, h])
+}
+
+/// The attention kernel's packed operands: `kt` is `Kᵀ`, `[H][L]` —
+/// head `g`'s `K_gᵀ` is its rows `g·dh..(g+1)·dh` — and `vp` holds each
+/// head's `V_g` as a contiguous `[L][dh]` panel at `g·dh·L`.
+struct AttnPanels {
+    kt: Vec<f32>,
+    vp: Vec<f32>,
+    l: usize,
+    h: usize,
+    dh: usize,
+}
+
+impl AttnPanels {
+    /// Packs the `[L, H]` keys and values, then lays the fresh rows
+    /// over them.
+    fn pack(
+        k: &[f32],
+        v: &[f32],
+        fresh: Option<FreshKv<'_>>,
+        l: usize,
+        h: usize,
+        dh: usize,
+    ) -> Self {
+        let mut kt = scratch::take(h * l);
+        let mut vp = scratch::take(l * h);
+        // Transpose K eight rows at a time so every store run is
+        // contiguous in `kt`.
+        const TB: usize = 8;
+        let blocked = l - l % TB;
+        for j in (0..blocked).step_by(TB) {
+            for c in 0..h {
+                for (t, o) in kt[c * l + j..][..TB].iter_mut().enumerate() {
+                    *o = k[(j + t) * h + c];
+                }
+            }
+        }
+        for (j, krow) in k.chunks_exact(h).enumerate().skip(blocked) {
+            put_k(&mut kt, l, j, krow);
+        }
+        for (j, vrow) in v.chunks_exact(h).enumerate() {
+            put_v(&mut vp, l, dh, j, vrow);
+        }
+        if let Some(f) = fresh {
+            let (fk, fv) = (f.k.data().chunks_exact(h), f.v.data().chunks_exact(h));
+            for (&j, (krow, vrow)) in f.rows.iter().zip(fk.zip(fv)) {
+                put_k(&mut kt, l, j, krow);
+                put_v(&mut vp, l, dh, j, vrow);
+            }
+        }
+        Self { kt, vp, l, h, dh }
+    }
+
+    fn recycle(self) {
+        scratch::give(self.kt);
+        scratch::give(self.vp);
+    }
+
+    /// Attention of `R` query rows (`q`, stride `h`) over every head,
+    /// written to `out` (`R` rows of stride `h`). `probs` is `QB · l`
+    /// scratch.
+    fn attend<const R: usize>(&self, out: &mut [f32], q: &[f32], probs: &mut [f32], scale: f32) {
+        let (l, h, dh) = (self.l, self.h, self.dh);
+        let probs = &mut probs[..R * l];
+        for off in (0..h).step_by(dh) {
+            let kt = &self.kt[off * l..(off + dh) * l];
+            let vp = &self.vp[off * l..(off + dh) * l];
+            score_rows::<R>(probs, &q[off..], h, kt, l, scale);
+            for prow in probs.chunks_exact_mut(l) {
+                softmax_row_inplace(prow);
+            }
+            context_rows::<R>(&mut out[off..], h, probs, l, vp, dh);
+        }
+    }
+}
+
+/// Writes key row `j` into the transposed panel.
+fn put_k(kt: &mut [f32], l: usize, j: usize, krow: &[f32]) {
+    for (c, &kv) in krow.iter().enumerate() {
+        kt[c * l + j] = kv;
+    }
+}
+
+/// Writes value row `j` into each head's `[L][dh]` panel.
+fn put_v(vp: &mut [f32], l: usize, dh: usize, j: usize, vrow: &[f32]) {
+    for (g, vhead) in vrow.chunks_exact(dh).enumerate() {
+        vp[(g * l + j) * dh..][..dh].copy_from_slice(vhead);
+    }
+}
+
+/// Scaled score rows `out[r][j] = (Σ_d q[r][d]·kt[d][j]) · scale` of `R`
+/// queries, in key tiles of [`KB`], then 4, then 1.
+///
+/// Kept out of line, like [`context_rows`]: inlined into `attend` the
+/// two stages and the softmax share one register allocation and the
+/// tile loops spill their row pointers (measured ≈ 10% slower).
+#[inline(never)]
+fn score_rows<const R: usize>(
+    out: &mut [f32],
+    q: &[f32],
+    h: usize,
+    kt: &[f32],
+    l: usize,
+    scale: f32,
+) {
+    let mut j = 0;
+    while j + KB <= l {
+        score_tile::<R, KB>(out, q, h, kt, l, j, scale);
+        j += KB;
+    }
+    while j + 4 <= l {
+        score_tile::<R, 4>(out, q, h, kt, l, j, scale);
+        j += 4;
+    }
+    while j < l {
+        score_tile::<R, 1>(out, q, h, kt, l, j, scale);
+        j += 1;
+    }
+}
+
+/// Context `probs·V_g` of `R` queries for one head, in column tiles of
+/// 8, then 4, then 1.
+#[inline(never)]
+fn context_rows<const R: usize>(
+    out: &mut [f32],
+    h: usize,
+    probs: &[f32],
+    l: usize,
+    vp: &[f32],
+    dh: usize,
+) {
+    let mut d = 0;
+    while d + 8 <= dh {
+        context_tile::<R, 8>(&mut out[d..], h, probs, l, vp, dh, d);
+        d += 8;
+    }
+    if d + 4 <= dh {
+        context_tile::<R, 4>(&mut out[d..], h, probs, l, vp, dh, d);
+        d += 4;
+    }
+    while d < dh {
+        context_tile::<R, 1>(&mut out[d..], h, probs, l, vp, dh, d);
+        d += 1;
+    }
+}
+
+/// Scores of keys `j..j + W` for `R` queries (`q` rows of stride `h`):
+/// `dh` axpys into `R × W` accumulators, each summed from `0.0` in
+/// ascending `d`, then scaled into `out` (rows of length `l`).
+#[inline(always)]
+fn score_tile<const R: usize, const W: usize>(
+    out: &mut [f32],
+    q: &[f32],
+    h: usize,
+    kt: &[f32],
+    l: usize,
+    j: usize,
+    scale: f32,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (d, krow) in kt.chunks_exact(l).enumerate() {
+        let kk = &krow[j..j + W];
+        for (r, a) in acc.iter_mut().enumerate() {
+            let qv = q[r * h + d];
+            for (x, &kv) in a.iter_mut().zip(kk) {
+                *x += qv * kv;
+            }
+        }
+    }
+    for (r, a) in acc.iter().enumerate() {
+        for (o, &x) in out[r * l + j..][..W].iter_mut().zip(a) {
+            *o = x * scale;
+        }
+    }
+}
+
+/// Context columns `d..d + W` of one head for `R` queries: every
+/// output element is summed from `0.0` in ascending key order over the
+/// packed `[L][dh]` values, then stored to `out` (rows of stride `h`).
+#[inline(always)]
+fn context_tile<const R: usize, const W: usize>(
+    out: &mut [f32],
+    h: usize,
+    probs: &[f32],
+    l: usize,
+    vp: &[f32],
+    dh: usize,
+    d: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (j, vrow) in vp.chunks_exact(dh).enumerate() {
+        let vv = &vrow[d..d + W];
+        for (r, a) in acc.iter_mut().enumerate() {
+            let p = probs[r * l + j];
+            for (x, &v) in a.iter_mut().zip(vv) {
+                *x += p * v;
+            }
+        }
+    }
+    for (r, a) in acc.iter().enumerate() {
+        out[r * h..][..W].copy_from_slice(a);
+    }
 }
 
 fn rank2_dims(op: &'static str, t: &Tensor) -> Result<(usize, usize)> {
@@ -270,6 +541,63 @@ mod tests {
                 "n={n} l={l} h={h} heads={heads}"
             );
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_split_source_matches_clone_and_scatter(
+            n in 0usize..10,
+            l in 1usize..30,
+            heads in 1usize..4,
+            dh_idx in 0usize..5,
+            fresh_pct in 0usize..101,
+            seed in 0u64..1_000_000,
+        ) {
+            let h = heads * [1, 3, 4, 8, 12][dh_idx];
+            let mut rng = DetRng::new(seed);
+            let q = Tensor::randn([n, h], &mut rng);
+            let k = Tensor::randn([l, h], &mut rng);
+            let v = Tensor::randn([l, h], &mut rng);
+            // Fresh rows in descending order with the first repeated at
+            // the end, so both "any order" and "last wins" are exercised.
+            let mut rows: Vec<usize> = (0..l).rev().filter(|j| (j * 37 + 11) % 100 < fresh_pct).collect();
+            rows.extend(rows.first().copied());
+            let fk = Tensor::randn([rows.len(), h], &mut rng);
+            let fv = Tensor::randn([rows.len(), h], &mut rng);
+            let (mut k_full, mut v_full) = (k.clone(), v.clone());
+            crate::ops::scatter_rows_into(&mut k_full, &fk, &rows).unwrap();
+            crate::ops::scatter_rows_into(&mut v_full, &fv, &rows).unwrap();
+            let scale = 1.0 / ((h / heads) as f32).sqrt();
+            let fresh = FreshKv { k: &fk, v: &fv, rows: &rows };
+            let split = with_min_parallel_work(0, || {
+                mha_fused_split(&q, &k, &v, fresh, heads, scale).unwrap()
+            });
+            let dense = mha_fused(&q, &k_full, &v_full, heads, scale).unwrap();
+            proptest::prop_assert_eq!(bits(&split), bits(&dense));
+            proptest::prop_assert_eq!(
+                bits(&split),
+                bits(&mha_composed(&q, &k_full, &v_full, heads, scale))
+            );
+        }
+    }
+
+    #[test]
+    fn mha_fused_split_validates_fresh_rows() {
+        let q = Tensor::zeros([2, 4]);
+        let kv = Tensor::zeros([3, 4]);
+        let one = Tensor::zeros([1, 4]);
+        let split = |k: &Tensor, v: &Tensor, rows: &[usize]| {
+            mha_fused_split(&q, &kv, &kv, FreshKv { k, v, rows }, 2, 1.0)
+        };
+        assert!(split(&one, &one, &[2]).is_ok());
+        assert!(matches!(
+            split(&one, &one, &[3]),
+            Err(TensorError::IndexOutOfBounds { .. })
+        ));
+        assert!(split(&one, &one, &[0, 1]).is_err(), "row count");
+        assert!(split(&one, &Tensor::zeros([1, 6]), &[0]).is_err(), "width");
     }
 
     #[test]

@@ -98,12 +98,16 @@ proptest! {
 
     #[test]
     fn prop_mha_fused_bitwise_vs_composed(
-        n in 0usize..9,
-        l in 1usize..9,
+        // Row blocks of 4 with every remainder, empty queries; key
+        // tiles of 8, then 4, then 1, down to a single key; head
+        // widths on and off the 8/4-column tiles.
+        n in 0usize..14,
+        l in 1usize..42,
         heads in 1usize..4,
-        dh in 1usize..5,
+        dh_idx in 0usize..5,
         seed in 0u64..1_000_000,
     ) {
+        let dh = [1, 3, 4, 8, 12][dh_idx];
         let h = heads * dh;
         let mut rng = DetRng::new(seed);
         let q = Tensor::randn([n, h], &mut rng);

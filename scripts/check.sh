@@ -25,7 +25,8 @@ cargo run --release -p fps-bench --bin trace_bubbles -- --smoke > /dev/null
 
 echo "==> bench_kernels --smoke (path identity + tiled/sparse gates, mode-tagged)"
 # Asserts bitwise identity across Scalar/Parallel/Fused/Sparse (incl.
-# the sparse GEMM row-split contract) and runs both speed gates; on
+# the tiled attention kernel and the sparse GEMM row-split contract)
+# and runs both speed gates; on
 # hosts under 4 cores the tiled gate runs in modeled-makespan mode, so
 # single-core CI cannot flake on wall-clock thread speedups.
 cargo run --release -p fps-bench --bin bench_kernels -- --smoke > /dev/null
@@ -54,6 +55,12 @@ cargo run --release -p fps-bench --bin fig_cache_placement -- --smoke > /dev/nul
 
 echo "==> sim-vs-server decision parity (release)"
 cargo test --release -q -p flashps --test integration_control > /dev/null
+
+echo "==> benchmark/run.sh --smoke (BENCHMARK.json schema + output checks, ~1 min)"
+# Every workload at a tenth of the run length: each metric BENCHMARK.json
+# names is printed once with its unit, and every served edit is
+# byte-checked. A schema and correctness check, not a measurement.
+benchmark/run.sh --smoke > /dev/null
 
 echo "==> fig12_e2e --quick replays the committed artifact byte-identically"
 cargo run --release -q -p fps-bench --bin fig12_e2e -- --quick > /dev/null
