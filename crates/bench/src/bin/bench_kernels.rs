@@ -1,7 +1,7 @@
 //! Compute-plane regression baseline: scalar vs pooled vs fused vs
 //! mask-sparse kernels at the SD2.1/SDXL/Flux substrate shapes.
 //!
-//! Four claims are checked every run and recorded in
+//! Five claims are checked every run and recorded in
 //! `BENCH_kernels.json`:
 //!
 //! 1. **Identity** — for every benchmarked kernel and for a whole
@@ -36,10 +36,18 @@
 //!    dispatch once made slower (small-shape parallel must stay within
 //!    1.3× of scalar now that thresholds are calibrated at pool init).
 //!
+//! 5. **Transcendentals** — `softmax_rows` and `gelu` in ns/element at
+//!    the sdxl/flux attention and FFN widths, beside bench-local loops
+//!    over `f32::exp` / `f32::tanh` (the library may not call libm; the
+//!    bench may). On full runs the in-tree GeLU must be ≥ 4× the
+//!    `tanhf` loop, single-threaded measured wall; the softmax ratio is
+//!    reported only (most of a softmax row is max, sum and scale).
+//!
 //! Flags: `--smoke` shrinks repetition counts, skips the FLOP-tracking
-//! assert (timing-noise sensitive), and writes no artifacts (used by
-//! `scripts/check.sh`); the full run writes `BENCH_kernels.json` into
-//! the working directory and `results/bench_kernels.txt`.
+//! and GeLU asserts (timing-noise sensitive), and writes no artifacts
+//! (used by `scripts/check.sh`); the full run writes
+//! `BENCH_kernels.json` into the working directory and
+//! `results/bench_kernels.txt`.
 
 use std::time::Instant;
 
@@ -52,7 +60,8 @@ use fps_json::Json;
 use fps_metrics::Table;
 use fps_tensor::ops::sparse::{self, SparsePlan};
 use fps_tensor::ops::{
-    ada_layer_norm, conv3x3, layer_norm, matmul, matmul_gelu, matmul_naive, mha_fused,
+    ada_layer_norm, conv3x3, gelu, layer_norm, matmul, matmul_gelu, matmul_naive, mha_fused,
+    softmax_rows,
 };
 use fps_tensor::pool::{self, with_compute_path, ComputePath};
 use fps_tensor::rng::DetRng;
@@ -63,6 +72,9 @@ const GATE_SPEEDUP: f64 = 2.0;
 
 /// The sparse gate: sparse GEMM ≥ 3× dense at a 10% mask.
 const SPARSE_GATE_SPEEDUP: f64 = 3.0;
+
+/// The transcendental gate: in-tree GeLU ≥ 4× a `tanhf` loop.
+const GELU_GATE_SPEEDUP: f64 = 4.0;
 
 /// Virtual lanes for the modeled gate on small hosts.
 const MODEL_LANES: usize = 4;
@@ -294,6 +306,82 @@ fn sparse_sweep(a: &Tensor, b: &Tensor, reps: usize) -> (f64, Vec<SparseRow>) {
     (dense_us, rows)
 }
 
+/// One in-tree transcendental kernel beside its libm twin.
+struct TranscendentalRow {
+    kernel: &'static str,
+    rows: usize,
+    cols: usize,
+    /// In-tree kernel, ns per element.
+    ns: f64,
+    /// Bench-local libm loop, ns per element.
+    libm_ns: f64,
+}
+
+/// Row softmax over `f32::exp`: the kernel `softmax_rows` replaced.
+fn softmax_rows_libm(x: &Tensor) -> Tensor {
+    let mut out = x.clone();
+    for r in 0..x.dims()[0] {
+        let row = out.row_mut(r).expect("row");
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
+        }
+        let inv = 1.0 / sum;
+        row.iter_mut().for_each(|v| *v *= inv);
+    }
+    out
+}
+
+/// GeLU in its `f32::tanh` form: the kernel `gelu` replaced.
+fn gelu_libm(x: &Tensor) -> Tensor {
+    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+    x.map(|v| 0.5 * v * (1.0 + (SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)).tanh()))
+}
+
+/// Times `softmax_rows` and `gelu` against their libm twins on one
+/// thread, on unit-normal inputs (FFN pre-activations and scaled
+/// attention scores are about that wide), checking first that each
+/// pair computes the same function to 1e-6.
+fn transcendental_rows(reps: usize) -> Vec<TranscendentalRow> {
+    type Kernel = fn(&Tensor) -> Tensor;
+    let softmax: Kernel = |x| softmax_rows(x).expect("softmax_rows");
+    let cases: [(&'static str, Kernel, Kernel, [usize; 2]); 4] = [
+        ("softmax_rows", softmax, softmax_rows_libm, [144, 144]),
+        ("softmax_rows", softmax, softmax_rows_libm, [256, 256]),
+        ("gelu", gelu, gelu_libm, [144, 192]),
+        ("gelu", gelu, gelu_libm, [256, 256]),
+    ];
+    let mut rng = DetRng::new(0x7A4E);
+    with_compute_path(ComputePath::Scalar, || {
+        cases
+            .into_iter()
+            .map(|(kernel, ours, libm, [rows, cols])| {
+                let x = Tensor::randn([rows, cols], &mut rng);
+                let diff = ours(&x).max_abs_diff(&libm(&x)).expect("same shape");
+                assert!(
+                    diff <= 1e-6,
+                    "{kernel} [{rows},{cols}] is {diff:e} from libm"
+                );
+                let ns = |f: Kernel| {
+                    let us = time_us(reps * 5, || {
+                        std::hint::black_box(f(&x));
+                    });
+                    us * 1e3 / (rows * cols) as f64
+                };
+                TranscendentalRow {
+                    kernel,
+                    rows,
+                    cols,
+                    ns: ns(ours),
+                    libm_ns: ns(libm),
+                }
+            })
+            .collect()
+    })
+}
+
 /// Whole-pipeline identity: one edit per compute path on the tiny
 /// model must produce byte-identical images.
 fn pipeline_identity() {
@@ -400,6 +488,21 @@ fn main() {
         }
     }
 
+    let transcendentals = transcendental_rows(reps);
+    if !smoke {
+        for r in transcendentals.iter().filter(|r| r.kernel == "gelu") {
+            assert!(
+                r.libm_ns >= GELU_GATE_SPEEDUP * r.ns,
+                "gelu [{},{}] at {:.2} ns/element is under {GELU_GATE_SPEEDUP}x the tanhf loop's \
+                 {:.2}",
+                r.rows,
+                r.cols,
+                r.ns,
+                r.libm_ns
+            );
+        }
+    }
+
     let mut table = Table::new(&[
         "config",
         "kernel",
@@ -436,6 +539,22 @@ fn main() {
             format!("{:.3}", r.wall_frac),
         ]);
     }
+    let mut transcendental_table = Table::new(&[
+        "kernel",
+        "shape",
+        "in-tree(ns/el)",
+        "libm(ns/el)",
+        "speedup",
+    ]);
+    for r in &transcendentals {
+        transcendental_table.row(&[
+            r.kernel.to_string(),
+            format!("[{},{}]", r.rows, r.cols),
+            format!("{:.2}", r.ns),
+            format!("{:.2}", r.libm_ns),
+            format!("{:.2}x", r.libm_ns / r.ns),
+        ]);
+    }
     let mut out = String::from(
         "Compute-plane baseline: scalar vs pooled vs fused vs sparse kernels (bitwise identical)\n\n",
     );
@@ -448,10 +567,15 @@ fn main() {
     out.push_str(&sparse_table.render());
     out.push_str(&format!(
         "\nSparse gate: {:.2}x dense at {:.1}% mask (threshold {SPARSE_GATE_SPEEDUP}x, measured \
-         wall).\nHost: {cores} cores, pool {} lanes.\nAll kernels and a whole tiny-model edit are \
-         byte-identical across\nScalar/Parallel/Fused/Sparse compute paths (asserted every run).\n",
+         wall).\n\nTranscendentals, one thread, beside bench-local f32::exp / f32::tanh loops (gate: \
+         gelu >= {GELU_GATE_SPEEDUP}x,\nfull runs only; softmax reported, not gated):\n\n",
         at_10.speedup,
         at_10.ratio * 100.0,
+    ));
+    out.push_str(&transcendental_table.render());
+    out.push_str(&format!(
+        "\nHost: {cores} cores, pool {} lanes.\nAll kernels and a whole tiny-model edit are \
+         byte-identical across\nScalar/Parallel/Fused/Sparse compute paths (asserted every run).\n",
         pool::global().threads(),
     ));
     println!("{out}");
@@ -479,6 +603,18 @@ fn main() {
                     .with("speedup_vs_dense", r.speedup)
                     .with("flops_frac", r.flops_frac)
                     .with("wall_frac", r.wall_frac)
+            })
+            .collect();
+        let transcendentals_json: Vec<Json> = transcendentals
+            .iter()
+            .map(|r| {
+                Json::object()
+                    .with("kernel", r.kernel)
+                    .with("rows", r.rows)
+                    .with("cols", r.cols)
+                    .with("ns_per_element", r.ns)
+                    .with("libm_ns_per_element", r.libm_ns)
+                    .with("speedup_vs_libm", r.libm_ns / r.ns)
             })
             .collect();
         let json = Json::object()
@@ -509,6 +645,12 @@ fn main() {
                     .with("gate_threshold", SPARSE_GATE_SPEEDUP)
                     .with("flops_tracking_limit", 2.0)
                     .with("sweep", Json::Array(sweep_json)),
+            )
+            .with(
+                "transcendentals",
+                Json::object()
+                    .with("gelu_gate_threshold", GELU_GATE_SPEEDUP)
+                    .with("rows", Json::Array(transcendentals_json)),
             )
             .with(
                 "identity",

@@ -22,10 +22,9 @@
 
 use fps_tensor::ops::sparse::SparsePlan;
 use fps_tensor::ops::{
-    ada_layer_norm, gather_rows, gelu, layer_norm, matmul, matmul_bt, matmul_gelu, mha_fused,
-    mha_fused_split, modulate, softmax_rows, FreshKv,
+    ada_layer_norm, gather_rows, layer_norm, matmul, matmul_bt, matmul_gelu, mha_fused,
+    mha_fused_split, softmax_rows, FreshKv,
 };
-use fps_tensor::pool;
 use fps_tensor::rng::DetRng;
 use fps_tensor::Tensor;
 
@@ -197,36 +196,10 @@ impl TransformerBlock {
         1.0 / ((q.dims()[1] / self.heads) as f32).sqrt()
     }
 
-    /// AdaLN: `modulate(layer_norm(x), scale, shift)`, fused on the
-    /// default path.
-    fn adaln(
-        &self,
-        x: &Tensor,
-        gamma: &Tensor,
-        beta: &Tensor,
-        scale: &Tensor,
-        shift: &Tensor,
-    ) -> Result<Tensor> {
-        if pool::fused_enabled() {
-            return Ok(ada_layer_norm(x, gamma, beta, scale, shift)?);
-        }
-        let ln = layer_norm(x, gamma, beta)?;
-        let out = modulate(&ln, scale, shift)?;
-        ln.recycle();
-        Ok(out)
-    }
-
-    /// Feed-forward branch `W₂ · gelu(W₁ · xn)`, with the up-projection
-    /// and GeLU fused on the default path.
+    /// Feed-forward branch `W₂ · gelu(W₁ · xn)`; GeLU is the row
+    /// epilogue of the up-projection.
     fn ffn(&self, xn: &Tensor) -> Result<Tensor> {
-        let up = if pool::fused_enabled() {
-            matmul_gelu(xn, &self.w1)?
-        } else {
-            let pre = matmul(xn, &self.w1)?;
-            let up = gelu(&pre);
-            pre.recycle();
-            up
-        };
+        let up = matmul_gelu(xn, &self.w1)?;
         let out = matmul(&up, &self.w2)?;
         up.recycle();
         Ok(out)
@@ -246,7 +219,7 @@ impl TransformerBlock {
         // `axpy(1.0, ·)` is bitwise `add`.
         x.axpy(1.0, &out)?;
         out.recycle();
-        let xn = self.adaln(x, &self.ln3_g, &self.ln3_b, &ada.scale2, &ada.shift2)?;
+        let xn = ada_layer_norm(x, &self.ln3_g, &self.ln3_b, &ada.scale2, &ada.shift2)?;
         let ff = self.ffn(&xn)?;
         xn.recycle();
         x.axpy(1.0, &ff)?;
@@ -267,7 +240,7 @@ impl TransformerBlock {
         ada: &AdaParams,
     ) -> Result<BlockFullOutput> {
         // Dead intermediates go back to the scratch pool.
-        let xn = self.adaln(x, &self.ln1_g, &self.ln1_b, &ada.scale1, &ada.shift1)?;
+        let xn = ada_layer_norm(x, &self.ln1_g, &self.ln1_b, &ada.scale1, &ada.shift1)?;
         let q = matmul(&xn, &self.wq)?;
         let k = matmul(&xn, &self.wk)?;
         let v = matmul(&xn, &self.wv)?;
@@ -302,7 +275,7 @@ impl TransformerBlock {
         ada: &AdaParams,
     ) -> Result<Tensor> {
         let masked_idx = plan.active();
-        let xn_full = self.adaln(x_full, &self.ln1_g, &self.ln1_b, &ada.scale1, &ada.shift1)?;
+        let xn_full = ada_layer_norm(x_full, &self.ln1_g, &self.ln1_b, &ada.scale1, &ada.shift1)?;
         let xn_masked = gather_rows(&xn_full, masked_idx)?;
         let q = matmul(&xn_masked, &self.wq)?;
         xn_masked.recycle();
@@ -355,7 +328,7 @@ impl TransformerBlock {
                 });
             }
         }
-        let xn = self.adaln(x_masked, &self.ln1_g, &self.ln1_b, &ada.scale1, &ada.shift1)?;
+        let xn = ada_layer_norm(x_masked, &self.ln1_g, &self.ln1_b, &ada.scale1, &ada.shift1)?;
         let q = matmul(&xn, &self.wq)?;
         let k_fresh = matmul(&xn, &self.wk)?;
         let v_fresh = matmul(&xn, &self.wv)?;
@@ -395,11 +368,7 @@ impl TransformerBlock {
     /// Propagates tensor shape errors.
     pub fn attention_probs(&self, x: &Tensor, cond: &Tensor) -> Result<Tensor> {
         let ada = self.ada_params(cond)?;
-        let xn = modulate(
-            &layer_norm(x, &self.ln1_g, &self.ln1_b)?,
-            &ada.scale1,
-            &ada.shift1,
-        )?;
+        let xn = ada_layer_norm(x, &self.ln1_g, &self.ln1_b, &ada.scale1, &ada.shift1)?;
         let q = matmul(&xn, &self.wq)?;
         let k = matmul(&xn, &self.wk)?;
         let l = x.dims()[0];

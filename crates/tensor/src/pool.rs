@@ -21,12 +21,13 @@
 //!   an ordinary serial loop, and nested `run` calls cannot deadlock
 //!   (the nested caller drains its own region itself).
 //! - Kernel dispatch is controlled per-thread via [`ComputePath`]:
-//!   `Scalar` forces the reference path, `Parallel` enables pooled
-//!   row-chunking, `Fused` (the default) additionally enables the
-//!   fused kernels in `ops::fused`, and `Sparse` further enables
+//!   `Scalar` forces the serial path, `Parallel` and `Fused` (the
+//!   default) enable pooled row-chunking, and `Sparse` further enables
 //!   mask-sparse gather→compute→scatter execution in layers that hold
-//!   a `SparsePlan` (`ops::sparse`). Benchmarks and identity tests
-//!   switch paths with [`with_compute_path`] and compare outputs.
+//!   a `SparsePlan` (`ops::sparse`). Every path runs the same kernels
+//!   (the fused ones in `ops::fused` included). Benchmarks and
+//!   identity tests switch paths with [`with_compute_path`] and
+//!   compare outputs.
 //! - Row-chunking only pays off once the serial work dwarfs the cost
 //!   of waking workers, and that break-even point differs per kernel
 //!   family, so thresholds are *calibrated*: [`calibration`] measures
@@ -51,8 +52,9 @@ pub enum ComputePath {
     Scalar,
     /// Pooled row-chunked kernels (bitwise identical to `Scalar`).
     Parallel,
-    /// Pooled kernels plus the fused attention/AdaLN/FFN kernels
-    /// (bitwise identical to `Scalar`). The default.
+    /// The default. Dispatches exactly like `Parallel` — no layer
+    /// switches between a fused kernel and its composition any more —
+    /// and differs only in its trace label.
     Fused,
     /// Everything `Fused` enables, plus mask-sparse execution where a
     /// [`SparsePlan`](crate::ops::sparse::SparsePlan) is available:
@@ -116,11 +118,6 @@ pub fn with_min_parallel_work<T>(work: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// True when the calling thread's path enables the fused kernels.
-pub fn fused_enabled() -> bool {
-    matches!(compute_path(), ComputePath::Fused | ComputePath::Sparse)
-}
-
 /// True when the calling thread's path enables mask-sparse execution
 /// in plan-holding layers.
 pub fn sparse_enabled() -> bool {
@@ -150,8 +147,9 @@ const N_KERNEL_CLASSES: usize = 3;
 /// Per-class parallel-dispatch thresholds, measured once per process.
 #[derive(Debug, Clone, Copy)]
 pub struct Calibration {
-    /// Wall time of one empty pooled region (chunk dispatch, wakeup,
-    /// completion signalling), in nanoseconds.
+    /// Median wall time of one empty pooled region dispatched to
+    /// parked workers (chunk dispatch, wakeup, completion signalling),
+    /// in nanoseconds.
     pub dispatch_overhead_ns: f64,
     /// Measured serial nanoseconds per work unit, per kernel class.
     pub ns_per_unit: [f64; N_KERNEL_CLASSES],
@@ -172,16 +170,25 @@ pub fn calibration() -> &'static Calibration {
         let dispatch_overhead_ns = if pool.threads() <= 1 {
             0.0
         } else {
-            let reps = 24;
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let t0 = std::time::Instant::now();
-                pool.run(pool.threads() * 4, |i| {
-                    std::hint::black_box(i);
-                });
-                best = best.min(t0.elapsed().as_nanos() as f64);
-            }
-            best
+            // Each probe first sleeps so the workers have parked, as
+            // they have whenever a kernel arrives after a serial
+            // stretch: waking them is most of the cost (≈ 6 µs, against
+            // ≈ 1 µs when they are still runnable or not yet started).
+            // The median, not the best: a threshold sized for the one
+            // probe that found a worker awake dispatches small kernels
+            // into being slower than serial.
+            let mut probes: Vec<f64> = (0..24)
+                .map(|_| {
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                    let t0 = std::time::Instant::now();
+                    pool.run(pool.threads() * 4, |i| {
+                        std::hint::black_box(i);
+                    });
+                    t0.elapsed().as_nanos() as f64
+                })
+                .collect();
+            probes.sort_by(f64::total_cmp);
+            probes[probes.len() / 2]
         };
         let ns_per_unit = [
             calibrate_gemm_ns_per_unit(),
@@ -234,21 +241,17 @@ fn best_ns_per_unit(iters: usize, units: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn calibrate_gemm_ns_per_unit() -> f64 {
-    // 16×32 · 32×32 ikj product: 2·m·k·n = 32768 units.
+    // The production row kernel itself on a 16×32 · 32×32 product,
+    // 2·m·k·n = 32768 units. (A stand-in `ikj` loop ran at about half
+    // `matmul_rows`' speed, which halved the threshold and dispatched
+    // GEMMs the pool then made slower.)
     let (m, k, n) = (16usize, 32usize, 32usize);
     let a: Vec<f32> = (0..m * k).map(|i| (i % 13) as f32 * 0.25).collect();
     let b: Vec<f32> = (0..k * n).map(|i| (i % 7) as f32 * 0.5).collect();
     let mut c = vec![0.0f32; m * n];
     best_ns_per_unit(8, 2 * m * k * n, || {
-        c.iter_mut().for_each(|v| *v = 0.0);
-        for i in 0..m {
-            for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
-                let brow = &b[p * n..(p + 1) * n];
-                for (o, &bv) in c[i * n..(i + 1) * n].iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
+        c.fill(0.0);
+        crate::ops::matmul::matmul_rows(&mut c, 0, &a, &b, k, n);
         std::hint::black_box(&mut c);
     })
 }
@@ -689,16 +692,9 @@ mod tests {
     }
 
     #[test]
-    fn sparse_path_enables_fused_kernels() {
-        with_compute_path(ComputePath::Sparse, || {
-            assert!(fused_enabled());
-            assert!(sparse_enabled());
-        });
-        with_compute_path(ComputePath::Fused, || {
-            assert!(fused_enabled());
-            assert!(!sparse_enabled());
-        });
-        with_compute_path(ComputePath::Parallel, || assert!(!fused_enabled()));
+    fn only_the_sparse_path_enables_sparse_execution() {
+        with_compute_path(ComputePath::Sparse, || assert!(sparse_enabled()));
+        with_compute_path(ComputePath::Fused, || assert!(!sparse_enabled()));
     }
 
     #[test]
