@@ -1,13 +1,29 @@
 //! A real multi-threaded serving front end with step-level continuous
 //! batching.
 //!
-//! Worker threads drive [`fps_diffusion::EditSession`]s: each loop
-//! iteration admits newly arrived requests into the running batch —
-//! taking exactly one denoising step, per §4.3 — executes one step for
-//! every inflight session, and retires completed ones. Preprocessing
-//! (session setup) and postprocessing (decode) happen on the worker
-//! thread here; the *performance* consequences of disaggregation are
-//! studied in the simulator, where timing is controlled.
+//! ## One loop, two intakes, two outlets
+//!
+//! Denoise workers drive [`fps_diffusion::EditSession`]s through one
+//! loop: each iteration admits newly arrived sessions into the running
+//! batch — a join costs at most one denoising step, per §4.3 —
+//! executes one step for every inflight session, and retires completed
+//! ones. The two execution modes are that loop with its ends attached
+//! differently — the paper's Fig. 10 comparison: one engine, one
+//! step-boundary join/leave rule, two placements of the CPU work.
+//!
+//! - **Monolithic** ([`ThreadedServer::start`]): the intake is the
+//!   worker's own job queue and the outlet is inline — session setup
+//!   (preprocess + text encode) and decode (VAE + postprocess) run on
+//!   the worker thread, between steps of the rest of the batch.
+//! - **Staged** ([`ThreadedServer::start_staged`]): an encode pool
+//!   builds sessions and a decode pool finishes them, over bounded
+//!   queues. The intake is the worker's queue of built sessions, the
+//!   outlet the decode queue; a finished session that finds it full
+//!   keeps its batch slot until decode drains (backpressure).
+//!
+//! The pools run the same `build_session` and `resolve_finish` the
+//! inline path calls, so outputs are byte-identical: the monolithic
+//! mode is the staged pipeline with its stages inline.
 //!
 //! ## Control plane
 //!
@@ -19,9 +35,9 @@
 //! [`ServerConfig::max_queue_depth`] bound);
 //! [`ThreadedServer::start_with_plane`] accepts a caller-built plane,
 //! which is how the server gains SLO-aware admission, the five-rung
-//! degradation ladder, and mask-aware worker selection. Each worker
-//! owns a private queue; the plane's router decides placement at
-//! submit time over live per-worker outstanding-work views.
+//! degradation ladder, and mask-aware worker selection. The plane's
+//! router decides placement at submit time over live per-worker
+//! outstanding-work views: a ledger with one slot per unresolved job.
 //!
 //! ## Resilience
 //!
@@ -31,11 +47,24 @@
 //! [`ServerConfig::max_job_attempts`], then the ticket resolves to
 //! [`FlashPsError::WorkerPanicked`]). Jobs carry an optional
 //! wall-clock deadline ([`ServerConfig::job_timeout`]); expired jobs
-//! resolve to [`FlashPsError::JobTimeout`] instead of occupying the
-//! batch — including at requeue time, so a job whose deadline already
-//! passed never burns a second batch slot. Shutdown — explicit or via
-//! `Drop` — flips a closing flag, lets workers drain their queues
-//! (including requeued jobs), and joins them; tickets never dangle.
+//! resolve to [`FlashPsError::JobTimeout`] at the next boundary they
+//! cross instead of occupying the batch — including at requeue time,
+//! so a job whose deadline already passed never burns a second batch
+//! slot.
+//!
+//! ## Shutdown
+//!
+//! Shutdown — explicit or via `Drop` — flips a closing flag and joins
+//! the stage threads, which all follow one exit rule: leave when the
+//! flag is set *and the ledger is empty*. A job holds its ledger slot
+//! through queues, session setup, the batch, stalled hand-offs and
+//! panic requeues, until just after its ticket resolves — so the rule
+//! is the drain guarantee itself: every ticket submitted before
+//! shutdown resolves, none to [`FlashPsError::ServerClosed`]. An empty
+//! queue is no such evidence (a job routed here may still be in setup
+//! upstream), and neither is disconnection: workers hold senders to
+//! every job queue so a panic requeue can follow the plane's re-route.
+//! Only an idle thread checks the rule, once per poll interval.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,9 +72,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{
-    bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError,
-};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use fps_diffusion::{EditSession, Guidance, Strategy};
 use fps_json::Json;
 use fps_serving::worker::OutstandingReq;
@@ -61,7 +88,8 @@ use parking_lot::Mutex;
 use crate::system::{rung_strategy, EditResult, FlashPs};
 use crate::{FlashPsError, Result};
 
-/// How long an idle worker sleeps between checks of the closing flag.
+/// How long an idle stage thread waits on its queue between checks of
+/// the exit rule.
 const IDLE_POLL: Duration = Duration::from_millis(10);
 
 /// Configuration of the threaded server.
@@ -191,6 +219,13 @@ impl ControlState {
         self.ledger.len() * self.max_batch.max(1)
     }
 
+    /// Removes job `id`'s entry from `worker`'s ledger, if it is there.
+    fn release(&mut self, worker: usize, id: u64) {
+        if let Some(pos) = self.ledger[worker].iter().position(|(i, _)| *i == id) {
+            self.ledger[worker].swap_remove(pos);
+        }
+    }
+
     /// Routes one request: refreshes the view buffer from the ledger,
     /// asks the plane, clamps a misbehaving router to worker 0, and
     /// records the placement in the ledger.
@@ -243,28 +278,104 @@ impl ControlState {
 }
 
 /// Holds one ledger slot; dropping it removes the entry, so the
-/// ledger counts *unresolved* jobs exactly — through queues, the
-/// inflight batch, and panic requeues.
+/// ledger counts *unresolved* jobs exactly — through queues, session
+/// setup, the inflight batch, stalled hand-offs and panic requeues.
 ///
 /// `Drop` takes the control lock: never drop a guard while holding it.
 struct SlotGuard {
     control: Arc<Mutex<ControlState>>,
+    /// Plane-assigned request id (stable across requeues).
     id: u64,
+    /// The denoise worker the plane routed this dispatch to.
     worker: usize,
 }
 
 impl Drop for SlotGuard {
     fn drop(&mut self) {
-        let mut ctl = self.control.lock();
-        if let Some(pos) = ctl.ledger[self.worker]
-            .iter()
-            .position(|(id, _)| *id == self.id)
-        {
-            ctl.ledger[self.worker].swap_remove(pos);
-        }
+        self.control.lock().release(self.worker, self.id);
     }
 }
 
+/// One trip through the control plane, first submission or requeue:
+/// id → assess (admission and rung) → route → ledger slot. A first
+/// submission (`prior: None`) takes a fresh id and faces the admission
+/// gates. A panic requeue brings the slot it holds: it has paid for
+/// admission, so only the ladder re-assesses it, at the pressure
+/// prevailing now (same contract as the simulator's retries), and its
+/// slot moves to the new placement under one lock — the ledger never
+/// reads empty while the job is unresolved.
+///
+/// # Errors
+///
+/// The shed verdict, when admission refuses the job.
+fn dispatch(
+    control: &Arc<Mutex<ControlState>>,
+    job: &EditJob,
+    prior: Option<SlotGuard>,
+) -> Result<(Option<Rung>, SlotGuard)> {
+    let mut ctl = control.lock();
+    let now = ctl.plane.time().now();
+    let id = match &prior {
+        // The plane must see the system without this job, as it does
+        // on a first submission.
+        Some(slot) => {
+            ctl.release(slot.worker, slot.id);
+            slot.id
+        }
+        // Ids are consumed per submission, shed or served — the same
+        // numbering a trace gives the simulator.
+        None => {
+            let id = ctl.next_id;
+            ctl.next_id += 1;
+            id
+        }
+    };
+    let (backlog, capacity) = (ctl.backlog(), ctl.capacity());
+    let retry = prior.is_some();
+    let (rung, steps) = match ctl.plane.assess(id, now, backlog, capacity, retry) {
+        Assessment::Serve { rung, steps } => (rung, steps),
+        Assessment::Shed(cause) => {
+            // The full overload stack surfaces the shed cause; the
+            // legacy depth cap keeps its historical error. Unreachable
+            // for a requeue (already-admitted work is never shed), which
+            // would fail loudly through its ticket rather than silently
+            // if the plane's contract ever changed.
+            let shed = if ctl.plane.overload_enabled() {
+                FlashPsError::Rejected(RejectReason::Shed(cause))
+            } else {
+                FlashPsError::Overloaded
+            };
+            // `prior` drops on return and takes the lock to do it.
+            drop(ctl);
+            return Err(shed);
+        }
+    };
+    let spec = RequestSpec {
+        id,
+        arrival_ns: now.as_nanos(),
+        template_id: job.template_id,
+        mask_ratio: job.masked_idx.len() as f64 / ctl.model_tokens as f64,
+        mask_shape: MaskShapeSpec::Rect,
+        seed: job.seed,
+    };
+    let worker = ctl.route_and_ledger(id, &spec, steps, now);
+    drop(ctl);
+    let slot = match prior {
+        Some(mut slot) => {
+            slot.worker = worker;
+            slot
+        }
+        None => SlotGuard {
+            control: Arc::clone(control),
+            id,
+            worker,
+        },
+    };
+    Ok((rung, slot))
+}
+
+/// A dispatched job on its way to a session: what `submit` and a panic
+/// requeue put on a job queue.
 struct QueuedJob {
     job: EditJob,
     reply: Sender<Result<EditResult>>,
@@ -273,8 +384,6 @@ struct QueuedJob {
     /// When the job was first submitted (deadline anchor; requeues
     /// keep the original).
     enqueued_at: Instant,
-    /// Plane-assigned request id (stable across requeues).
-    id: u64,
     /// Degradation rung the plane assigned this dispatch.
     rung: Option<Rung>,
     /// Ledger slot: released when the job resolves.
@@ -300,18 +409,10 @@ impl Ticket {
 
 /// The multi-threaded continuous-batching server.
 pub struct ThreadedServer {
-    txs: Option<Vec<Sender<QueuedJob>>>,
-    /// Staged mode only: the encode pool's shared entry queue.
-    /// [`Self::submit`] sends here instead of to a per-worker queue —
-    /// routing to a specific denoise worker still happens at submit
-    /// time (the ledger slot carries the placement); the encode pool
-    /// forwards the built session to that worker's bounded queue.
-    entry: Option<Sender<QueuedJob>>,
-    closing: Arc<AtomicBool>,
-    paused: Arc<AtomicBool>,
+    /// The context each stage thread runs over a copy of; the server
+    /// submits and shuts down through the original.
+    ctx: WorkerCtx,
     handles: Vec<JoinHandle<()>>,
-    system: Arc<FlashPs>,
-    control: Arc<Mutex<ControlState>>,
 }
 
 impl ThreadedServer {
@@ -325,14 +426,7 @@ impl ThreadedServer {
     /// timestamps with real [`Instant`]s, and wall and virtual
     /// nanoseconds must never mix in one trace.
     pub fn start(system: FlashPs, config: ServerConfig) -> Self {
-        let steps = system.config().model.steps;
-        let plane = ControlPlane::new(
-            Box::new(LeastLoadedRouter) as Box<dyn Router + Send>,
-            TimeSource::wall(),
-            steps,
-        )
-        .with_queue_cap(config.max_queue_depth);
-        Self::start_with_plane(system, config, plane)
+        Self::spawn(system, config, None, None)
     }
 
     /// Starts worker threads routed through a caller-built control
@@ -350,6 +444,40 @@ impl ThreadedServer {
         config: ServerConfig,
         plane: ControlPlane<Box<dyn Router + Send>>,
     ) -> Self {
+        Self::spawn(system, config, None, Some(plane))
+    }
+
+    /// Starts the server in *staged* (disaggregated) mode with a
+    /// minimal control plane: session setup, denoising, and decode run
+    /// on separate pools joined by bounded queues, so CPU-side work
+    /// never blocks a denoise step. Outputs are byte-identical to the
+    /// monolithic mode — the stages call the exact same
+    /// `begin`/`step`/`finish` pipeline seams.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.trace` is a virtual-clock sink.
+    pub fn start_staged(system: FlashPs, config: ServerConfig, staged: StagedServerConfig) -> Self {
+        Self::spawn(system, config, Some(staged), None)
+    }
+
+    /// The one constructor: `staged` picks where the denoise loop's
+    /// two ends attach (`None` = both inline, the monolithic mode) and
+    /// `plane` the policy (`None` = the minimal plane).
+    fn spawn(
+        system: FlashPs,
+        config: ServerConfig,
+        staged: Option<StagedServerConfig>,
+        plane: Option<ControlPlane<Box<dyn Router + Send>>>,
+    ) -> Self {
+        let plane = plane.unwrap_or_else(|| {
+            ControlPlane::new(
+                Box::new(LeastLoadedRouter) as Box<dyn Router + Send>,
+                TimeSource::wall(),
+                system.config().model.steps,
+            )
+            .with_queue_cap(config.max_queue_depth)
+        });
         assert_ne!(
             config.trace.clock(),
             Some(Clock::Virtual),
@@ -368,14 +496,6 @@ impl ThreadedServer {
             0 => fps_tensor::pool::global().threads(),
             n => n,
         };
-        for w in 0..workers {
-            config
-                .trace
-                .name_track(Track::new(0, w as u32), format!("worker{w}"));
-        }
-        let system = Arc::new(system);
-        let closing = Arc::new(AtomicBool::new(false));
-        let paused = Arc::new(AtomicBool::new(config.start_paused));
         let control = Arc::new(Mutex::new(ControlState {
             plane,
             ledger: vec![Vec::new(); workers],
@@ -384,229 +504,84 @@ impl ThreadedServer {
             model_tokens: system.config().model.tokens(),
             max_batch: config.max_batch.max(1),
         }));
-        let mut txs = Vec::with_capacity(workers);
-        let mut rxs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = unbounded::<QueuedJob>();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let handles = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(w, rx)| {
-                let ctx = WorkerCtx {
-                    system: Arc::clone(&system),
-                    control: Arc::clone(&control),
-                    // Workers hold sender clones of every queue so a
-                    // panic requeue can follow the plane's re-route;
-                    // channel disconnection therefore no longer signals
-                    // shutdown — the closing flag does.
-                    txs: txs.clone(),
-                    own: w,
-                    closing: Arc::clone(&closing),
-                    paused: Arc::clone(&paused),
-                    config: config.clone(),
-                };
-                fps_tensor::pool::spawn_service(&format!("worker{w}"), move || {
-                    worker_loop(&ctx, &rx)
-                })
-            })
-            .collect();
-        Self {
-            txs: Some(txs),
-            entry: None,
-            closing,
-            paused,
-            handles,
-            system,
+        let mut ctx = WorkerCtx {
+            system: Arc::new(system),
             control,
-        }
-    }
-
-    /// Starts the server in *staged* (disaggregated) mode with a
-    /// minimal control plane: session setup, denoising, and decode run
-    /// on separate pools joined by bounded queues, so CPU-side work
-    /// never blocks a denoise step. Outputs are byte-identical to the
-    /// monolithic mode — the stages call the exact same
-    /// `begin`/`step`/`finish` pipeline seams.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config.trace` is a virtual-clock sink.
-    pub fn start_staged(system: FlashPs, config: ServerConfig, staged: StagedServerConfig) -> Self {
-        let steps = system.config().model.steps;
-        let plane = ControlPlane::new(
-            Box::new(LeastLoadedRouter) as Box<dyn Router + Send>,
-            TimeSource::wall(),
-            steps,
-        )
-        .with_queue_cap(config.max_queue_depth);
-        Self::start_staged_with_plane(system, config, staged, plane)
-    }
-
-    /// Staged mode behind a caller-built control plane (the staged
-    /// analogue of [`Self::start_with_plane`]). The plane still gates
-    /// admission and routes each job to a denoise worker at submit
-    /// time; the encode pool forwards the built session to that
-    /// worker's bounded queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `plane.time()` is virtual or `config.trace` is a
-    /// virtual-clock sink.
-    pub fn start_staged_with_plane(
-        system: FlashPs,
-        config: ServerConfig,
-        staged: StagedServerConfig,
-        plane: ControlPlane<Box<dyn Router + Send>>,
-    ) -> Self {
-        assert_ne!(
-            config.trace.clock(),
-            Some(Clock::Virtual),
-            "ThreadedServer records wall-clock timestamps; use \
-             TraceSink::recording(Clock::Wall) (virtual clocks belong to ClusterSim)"
-        );
-        assert!(
-            plane.time().is_wall(),
-            "ThreadedServer is the wall-clock execution plane; build its \
-             ControlPlane with TimeSource::wall() (virtual clocks belong to ClusterSim)"
-        );
-        let plane = plane.with_trace(config.trace.clone());
-        let workers = match config.workers {
-            0 => fps_tensor::pool::global().threads(),
-            n => n,
+            txs: Vec::new(),
+            own: 0,
+            track: Track::new(0, 0),
+            closing: Arc::new(AtomicBool::new(false)),
+            paused: Arc::new(AtomicBool::new(config.start_paused)),
+            config,
         };
-        let encode_workers = staged.encode_workers.max(1);
-        let decode_workers = staged.decode_workers.max(1);
-        let cap = staged.stage_queue_capacity.max(1);
-        for w in 0..workers {
-            config
-                .trace
-                .name_track(Track::new(0, w as u32), format!("worker{w}"));
+        let mut handles = Vec::new();
+        match staged {
+            None => {
+                let (txs, rxs): (Vec<_>, Vec<_>) =
+                    (0..workers).map(|_| unbounded::<QueuedJob>()).unzip();
+                ctx.txs = txs;
+                for (w, rx) in rxs.into_iter().enumerate() {
+                    handles.push(ctx.spawn_stage("worker", 0, w, move |ctx| {
+                        denoise_loop(ctx, Intake::Jobs(rx), Outlet::Inline)
+                    }));
+                }
+            }
+            Some(staged) => {
+                let cap = staged.stage_queue_capacity.max(1);
+                let (entry_tx, entry_rx) = unbounded::<QueuedJob>();
+                // Panic requeues re-enter through the encode pool too
+                // (a lost session must be rebuilt), so every job queue
+                // in the table is the entry.
+                ctx.txs = vec![entry_tx; workers];
+                let (decode_tx, decode_rx) = bounded::<Inflight>(cap);
+                // Per-denoise-worker bounded queues (PR 5 shape): the
+                // submit-time placement is honored, and a full queue
+                // backpressures the encode pool.
+                let mut denoise_txs = Vec::with_capacity(workers);
+                for w in 0..workers {
+                    let (tx, rx) = bounded::<Inflight>(cap);
+                    denoise_txs.push(tx);
+                    let decode_tx = decode_tx.clone();
+                    handles.push(ctx.spawn_stage("worker", 0, w, move |ctx| {
+                        denoise_loop(ctx, Intake::Sessions(rx), Outlet::Decode(decode_tx))
+                    }));
+                }
+                // Encode and decode pools: MPMC over a shared queue.
+                for e in 0..staged.encode_workers.max(1) {
+                    let (rx, txs) = (entry_rx.clone(), denoise_txs.clone());
+                    handles.push(
+                        ctx.spawn_stage("encode", 5, e, move |ctx| encode_loop(ctx, &rx, &txs)),
+                    );
+                }
+                for d in 0..staged.decode_workers.max(1) {
+                    let rx = decode_rx.clone();
+                    handles.push(ctx.spawn_stage("decode", 6, d, move |ctx| decode_loop(ctx, &rx)));
+                }
+            }
         }
-        for e in 0..encode_workers {
-            config
-                .trace
-                .name_track(Track::new(5, e as u32), format!("encode{e}"));
-        }
-        for d in 0..decode_workers {
-            config
-                .trace
-                .name_track(Track::new(6, d as u32), format!("decode{d}"));
-        }
-        let system = Arc::new(system);
-        let closing = Arc::new(AtomicBool::new(false));
-        let paused = Arc::new(AtomicBool::new(config.start_paused));
-        let control = Arc::new(Mutex::new(ControlState {
-            plane,
-            ledger: vec![Vec::new(); workers],
-            views: Vec::new(),
-            next_id: 0,
-            model_tokens: system.config().model.tokens(),
-            max_batch: config.max_batch.max(1),
-        }));
-        let (entry_tx, entry_rx) = unbounded::<QueuedJob>();
-        // Per-denoise-worker bounded queues (PR 5 shape): the submit-
-        // time placement is honored, and a full queue backpressures
-        // the encode pool.
-        let mut denoise_txs = Vec::with_capacity(workers);
-        let mut denoise_rxs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = bounded::<Inflight>(cap);
-            denoise_txs.push(tx);
-            denoise_rxs.push(rx);
-        }
-        let (decode_tx, decode_rx) = bounded::<Inflight>(cap);
-        let mut handles = Vec::with_capacity(encode_workers + workers + decode_workers);
-        // Encode pool: MPMC over the shared entry queue.
-        for e in 0..encode_workers {
-            let ctx = WorkerCtx {
-                system: Arc::clone(&system),
-                control: Arc::clone(&control),
-                txs: Vec::new(),
-                own: e,
-                closing: Arc::clone(&closing),
-                paused: Arc::clone(&paused),
-                config: config.clone(),
-            };
-            let rx = entry_rx.clone();
-            let txs = denoise_txs.clone();
-            handles.push(fps_tensor::pool::spawn_service(
-                &format!("encode{e}"),
-                move || encode_loop(&ctx, &rx, &txs),
-            ));
-        }
-        // Denoise pool: per-worker bounded queues. Panic requeues
-        // re-enter through the encode pool (a lost session must be
-        // rebuilt), so every "queue" in the requeue table is the entry.
-        for (w, rx) in denoise_rxs.into_iter().enumerate() {
-            let ctx = WorkerCtx {
-                system: Arc::clone(&system),
-                control: Arc::clone(&control),
-                txs: vec![entry_tx.clone(); workers],
-                own: w,
-                closing: Arc::clone(&closing),
-                paused: Arc::clone(&paused),
-                config: config.clone(),
-            };
-            let tx = decode_tx.clone();
-            handles.push(fps_tensor::pool::spawn_service(
-                &format!("worker{w}"),
-                move || staged_denoise_loop(&ctx, &rx, &tx),
-            ));
-        }
-        // The denoise pool holds the only decode senders from here on:
-        // decode workers exit on disconnection once the pool drains.
-        drop(decode_tx);
-        for d in 0..decode_workers {
-            let ctx = WorkerCtx {
-                system: Arc::clone(&system),
-                control: Arc::clone(&control),
-                txs: Vec::new(),
-                own: d,
-                closing: Arc::clone(&closing),
-                paused: Arc::clone(&paused),
-                config: config.clone(),
-            };
-            let rx = decode_rx.clone();
-            handles.push(fps_tensor::pool::spawn_service(
-                &format!("decode{d}"),
-                move || decode_loop(&ctx, &rx),
-            ));
-        }
-        drop(decode_rx);
-        Self {
-            txs: Some(Vec::new()),
-            entry: Some(entry_tx),
-            closing,
-            paused,
-            handles,
-            system,
-            control,
-        }
+        Self { ctx, handles }
     }
 
     /// The shared system (templates can no longer be mutated once the
     /// server owns it).
     pub fn system(&self) -> &FlashPs {
-        &self.system
+        &self.ctx.system
     }
 
     /// Outstanding jobs: queued plus inflight, requeues included.
     pub fn queue_depth(&self) -> usize {
-        self.control.lock().backlog()
+        self.ctx.control.lock().backlog()
     }
 
     /// Unpauses workers started with [`ServerConfig::start_paused`].
     pub fn resume(&self) {
-        self.paused.store(false, Ordering::SeqCst);
+        self.ctx.paused.store(false, Ordering::SeqCst);
     }
 
     /// The control plane's recorded decision sequence (empty unless
     /// the plane was built with recording enabled).
     pub fn decisions(&self) -> Vec<Decision> {
-        self.control.lock().plane.decisions().to_vec()
+        self.ctx.control.lock().plane.decisions().to_vec()
     }
 
     /// Submits a job; returns a ticket to await the result.
@@ -622,68 +597,22 @@ impl ThreadedServer {
     /// it, or [`FlashPsError::Rejected`] when overload-control
     /// admission sheds it.
     pub fn submit(&self, job: EditJob) -> Result<Ticket> {
-        if self.closing.load(Ordering::SeqCst) {
+        if self.ctx.closing.load(Ordering::SeqCst) {
             return Err(FlashPsError::ServerClosed);
         }
-        let txs = self.txs.as_ref().ok_or(FlashPsError::ServerClosed)?;
-        let cfg = &self.system.config().model;
-        let mask_ratio = job.masked_idx.len() as f64 / cfg.tokens() as f64;
-        let (worker, queued) = {
-            let mut ctl = self.control.lock();
-            let now = ctl.plane.time().now();
-            // Ids are consumed per submission, shed or served — the
-            // same numbering a trace gives the simulator.
-            let id = ctl.next_id;
-            ctl.next_id += 1;
-            let (backlog, capacity) = (ctl.backlog(), ctl.capacity());
-            let (rung, steps) = match ctl.plane.assess(id, now, backlog, capacity, false) {
-                Assessment::Serve { rung, steps } => (rung, steps),
-                Assessment::Shed(cause) => {
-                    // The full overload stack surfaces the shed cause;
-                    // the legacy depth cap keeps its historical error.
-                    return Err(if ctl.plane.overload_enabled() {
-                        FlashPsError::Rejected(RejectReason::Shed(cause))
-                    } else {
-                        FlashPsError::Overloaded
-                    });
-                }
-            };
-            let spec = RequestSpec {
-                id,
-                arrival_ns: now.as_nanos(),
-                template_id: job.template_id,
-                mask_ratio,
-                mask_shape: MaskShapeSpec::Rect,
-                seed: job.seed,
-            };
-            let w = ctl.route_and_ledger(id, &spec, steps, now);
-            let (reply, rx) = bounded(1);
-            let slot = SlotGuard {
-                control: Arc::clone(&self.control),
-                id,
-                worker: w,
-            };
-            let queued = QueuedJob {
+        let (rung, slot) = dispatch(&self.ctx.control, &job, None)?;
+        let (reply, rx) = bounded(1);
+        // A failed send drops the job (and its slot guard, which locks
+        // to clean the ledger).
+        self.ctx.txs[slot.worker]
+            .send(QueuedJob {
                 job,
                 reply,
                 attempt: 0,
                 enqueued_at: Instant::now(),
-                id,
                 rung,
                 slot,
-            };
-            (w, (queued, rx))
-        };
-        let (queued, rx) = queued;
-        // Send outside the lock: a failed send drops the job (and its
-        // slot guard, which re-locks to clean the ledger). Staged mode
-        // enters through the encode pool's shared queue.
-        let target = match &self.entry {
-            Some(tx) => tx,
-            None => &txs[worker],
-        };
-        target
-            .send(queued)
+            })
             .map_err(|_| FlashPsError::ServerClosed)?;
         Ok(Ticket { rx })
     }
@@ -695,14 +624,12 @@ impl ThreadedServer {
     }
 
     /// Shared drain path for [`Self::shutdown`] and `Drop`: flips the
-    /// closing flag (and unpauses), releases the submit side of every
-    /// queue, and joins workers — who keep serving until their queues
-    /// (including requeues) are empty.
+    /// closing flag (and unpauses) and joins the stage threads — who
+    /// keep serving until the ledger is empty, i.e. until every
+    /// submitted job (requeues included) has resolved.
     fn close(&mut self) {
-        self.closing.store(true, Ordering::SeqCst);
-        self.paused.store(false, Ordering::SeqCst);
-        self.txs.take();
-        self.entry.take();
+        self.ctx.closing.store(true, Ordering::SeqCst);
+        self.ctx.paused.store(false, Ordering::SeqCst);
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -715,37 +642,95 @@ impl Drop for ThreadedServer {
     }
 }
 
-/// Everything a worker thread needs, bundled so the loop and the
-/// requeue path share one context.
+/// Everything a stage thread needs, bundled so the loops, the session
+/// seams and the requeue path share one context.
+#[derive(Clone)]
 struct WorkerCtx {
     system: Arc<FlashPs>,
     control: Arc<Mutex<ControlState>>,
+    /// The job queue behind each denoise worker, indexed by the
+    /// plane's placement; stage threads hold it so a panic requeue can
+    /// follow the plane's re-route. Staged mode has one queue — the
+    /// encode pool's shared entry — in every position: routing to a
+    /// specific denoise worker still happens at submit time (the
+    /// ledger slot carries the placement), and the encode pool
+    /// forwards the built session to that worker's bounded queue.
     txs: Vec<Sender<QueuedJob>>,
+    /// This thread's index within its pool.
     own: usize,
+    /// The trace timeline this thread draws on.
+    track: Track,
     closing: Arc<AtomicBool>,
     paused: Arc<AtomicBool>,
     config: ServerConfig,
 }
 
+impl WorkerCtx {
+    /// Spawns stage thread `{stage}{own}` over a copy of this context,
+    /// drawing on trace track (`lane`, `own`).
+    fn spawn_stage(
+        &self,
+        stage: &str,
+        lane: u32,
+        own: usize,
+        run: impl FnOnce(&WorkerCtx) + Send + 'static,
+    ) -> JoinHandle<()> {
+        let name = format!("{stage}{own}");
+        let ctx = WorkerCtx {
+            own,
+            track: Track::new(lane, own as u32),
+            ..self.clone()
+        };
+        ctx.config.trace.name_track(ctx.track, name.clone());
+        fps_tensor::pool::spawn_service(&name, move || run(&ctx))
+    }
+
+    /// The exit rule of every stage thread: shutdown was requested and
+    /// no job is unresolved anywhere in the server. Takes the control
+    /// lock, so only idle threads ask.
+    fn drained(&self) -> bool {
+        self.closing.load(Ordering::SeqCst) && self.control.lock().backlog() == 0
+    }
+
+    /// The deadline rule of every boundary a job crosses: when its
+    /// wall-clock deadline has passed, resolves the ticket to
+    /// [`FlashPsError::JobTimeout`] and returns `true` — the caller
+    /// drops the job, freeing whatever slot it held.
+    fn timed_out(&self, q: &QueuedJob) -> bool {
+        let expired = self
+            .config
+            .job_timeout
+            .is_some_and(|t| q.enqueued_at.elapsed() > t);
+        if expired {
+            let trace = &self.config.trace;
+            if trace.is_enabled() {
+                trace.event_at(
+                    "job_timeout",
+                    "server",
+                    self.track,
+                    trace.now_ns(),
+                    vec![("seed", Json::U64(q.job.seed))],
+                );
+            }
+            let _ = q.reply.send(Err(FlashPsError::JobTimeout));
+        }
+        expired
+    }
+}
+
+/// A job with its session built: a member of a denoise batch, or on a
+/// stage queue on its way into or out of one.
 struct Inflight {
+    /// The dispatch this session serves, kept whole so a panic can
+    /// requeue it.
+    q: QueuedJob,
     session: EditSession,
-    /// The original job, kept so a panic can requeue it.
-    job: EditJob,
-    attempt: u32,
-    enqueued_at: Instant,
     use_cache: Vec<bool>,
     mask_ratio: f64,
-    reply: Sender<Result<EditResult>>,
-    /// Plane-assigned request id (stable across requeues).
-    id: u64,
-    /// Degradation rung this dispatch serves at.
-    rung: Option<Rung>,
     /// Root "request" span id for this attempt (0 when disabled).
     trace_root: u64,
     /// Wall nanoseconds when this attempt joined the batch.
     admitted_ns: u64,
-    /// Ledger slot, released when this job resolves.
-    slot: SlotGuard,
 }
 
 /// Builds the session for a dispatch: the control plane's rung picks
@@ -790,9 +775,67 @@ fn begin_job(
     Ok((session, use_cache, mask_ratio))
 }
 
-/// Whether a job's wall-clock deadline has passed.
-fn expired(timeout: Option<Duration>, enqueued_at: Instant) -> bool {
-    timeout.is_some_and(|t| enqueued_at.elapsed() > t)
+/// Session setup for one dispatch — the encode stage's body, which the
+/// monolithic mode runs `inline` on the denoise thread: deadline check
+/// → [`begin_job`] → `queue` span (and `text_encode`, where setup is a
+/// stage of its own) → [`Inflight`]. `None` when the job resolved here
+/// instead: its deadline had passed, or setup failed.
+fn build_session(ctx: &WorkerCtx, q: QueuedJob, inline: bool) -> Option<Inflight> {
+    if ctx.timed_out(&q) {
+        return None;
+    }
+    let trace = &ctx.config.trace;
+    let encode_start = trace.now_ns();
+    let (session, use_cache, mask_ratio) = match begin_job(&ctx.system, &q.job, q.rung) {
+        Ok(built) => built,
+        Err(e) => {
+            let _ = q.reply.send(Err(e));
+            return None;
+        }
+    };
+    // The root "request" span is recorded when the job resolves;
+    // children reference its pre-allocated id (0, like every
+    // timestamp here, when tracing is off).
+    let trace_root = trace.next_id();
+    let admitted_ns = trace.now_ns();
+    if trace.is_enabled() {
+        // Inline, setup is time the job spent waiting for its worker.
+        let queue_end = if inline { admitted_ns } else { encode_start };
+        trace.span_at(
+            "queue",
+            "stage",
+            ctx.track,
+            trace.instant_ns(q.enqueued_at),
+            queue_end,
+            trace_root,
+            vec![
+                ("attempt", Json::U64(q.attempt.into())),
+                (
+                    "rung",
+                    Json::Str(q.rung.map(|r| r.label()).unwrap_or("no-ladder").into()),
+                ),
+            ],
+        );
+        if !inline {
+            trace.span_at(
+                "text_encode",
+                "stage",
+                ctx.track,
+                encode_start,
+                admitted_ns,
+                trace_root,
+                Vec::new(),
+            );
+        }
+    }
+    Some(Inflight {
+        q,
+        session,
+        use_cache,
+        mask_ratio,
+        trace_root,
+        admitted_ns,
+    })
 }
 
 /// Crash recovery: the engine process died mid-batch. Every inflight
@@ -800,119 +843,59 @@ fn expired(timeout: Option<Duration>, enqueued_at: Instant) -> bool {
 /// control plane, the rest resolve to
 /// [`FlashPsError::WorkerPanicked`]. Jobs whose submit-time deadline
 /// already passed are dropped here with [`FlashPsError::JobTimeout`]
-/// instead of burning another batch slot.
-fn requeue_batch(inflight: &mut Vec<Inflight>, ctx: &WorkerCtx, trace: &TraceSink, track: Track) {
-    for item in inflight.drain(..) {
-        let next_attempt = item.attempt + 1;
-        if next_attempt >= ctx.config.max_job_attempts.max(1) {
-            let _ = item.reply.send(Err(FlashPsError::WorkerPanicked));
+/// instead of burning another batch slot: the deadline elapsed while
+/// the job was inflight, so requeueing could only waste a slot on an
+/// answer nobody is waiting for.
+fn requeue_batch(inflight: &mut Vec<Inflight>, ctx: &WorkerCtx) {
+    for Inflight { mut q, .. } in inflight.drain(..) {
+        q.attempt += 1;
+        if q.attempt >= ctx.config.max_job_attempts.max(1) {
+            let _ = q.reply.send(Err(FlashPsError::WorkerPanicked));
             continue;
         }
-        if expired(ctx.config.job_timeout, item.enqueued_at) {
-            // Satellite of the requeue path: the deadline elapsed
-            // while the job was inflight, so requeueing could only
-            // waste a slot on an answer nobody is waiting for.
-            if trace.is_enabled() {
-                trace.event_at(
-                    "job_timeout",
-                    "server",
-                    track,
-                    trace.now_ns(),
-                    vec![("seed", Json::U64(item.job.seed))],
-                );
+        if ctx.timed_out(&q) {
+            continue;
+        }
+        let (rung, slot) = match dispatch(&ctx.control, &q.job, Some(q.slot)) {
+            Ok(placed) => placed,
+            Err(shed) => {
+                let _ = q.reply.send(Err(shed));
+                continue;
             }
-            let _ = item.reply.send(Err(FlashPsError::JobTimeout));
-            continue;
-        }
-        let Inflight {
-            job,
-            reply,
-            enqueued_at,
-            id,
-            mask_ratio,
-            slot,
-            ..
-        } = item;
-        // The old slot's Drop takes the control lock — release it
-        // before locking for the re-route.
-        drop(slot);
-        let (worker, queued) = {
-            let mut ctl = ctx.control.lock();
-            let now = ctl.plane.time().now();
-            let (backlog, capacity) = (ctl.backlog(), ctl.capacity());
-            // A requeue has paid for admission; the ladder re-assesses
-            // it at the pressure prevailing now (same contract as the
-            // simulator's retries).
-            let (rung, steps) = match ctl.plane.assess(id, now, backlog, capacity, true) {
-                Assessment::Serve { rung, steps } => (rung, steps),
-                Assessment::Shed(cause) => {
-                    // Unreachable: already-admitted work is never
-                    // shed; fail loudly rather than silently if the
-                    // plane's contract ever changes.
-                    let _ = reply.send(Err(FlashPsError::Rejected(RejectReason::Shed(cause))));
-                    continue;
-                }
-            };
-            let spec = RequestSpec {
-                id,
-                arrival_ns: now.as_nanos(),
-                template_id: job.template_id,
-                mask_ratio,
-                mask_shape: MaskShapeSpec::Rect,
-                seed: job.seed,
-            };
-            let w = ctl.route_and_ledger(id, &spec, steps, now);
-            let slot = SlotGuard {
-                control: Arc::clone(&ctx.control),
-                id,
-                worker: w,
-            };
-            (
-                w,
-                QueuedJob {
-                    job,
-                    reply,
-                    attempt: next_attempt,
-                    enqueued_at,
-                    id,
-                    rung,
-                    slot,
-                },
-            )
         };
-        // The routed sibling may already have drained and exited; our
-        // own queue is always alive (we are running), so fall back to
-        // it rather than stranding the job.
-        if let Err(e) = ctx.txs[worker].send(queued) {
-            let q = e.into_inner();
-            if let Err(e) = ctx.txs[ctx.own].send(q) {
+        let worker = slot.worker;
+        (q.rung, q.slot) = (rung, slot);
+        // A send fails only when the routed worker's thread is gone,
+        // which the exit rule excludes while this job holds a slot —
+        // short of that thread dying. Our own queue is always alive
+        // (we are running), so fall back to it rather than stranding
+        // the job.
+        if let Err(e) = ctx.txs[worker].send(q) {
+            if let Err(e) = ctx.txs[ctx.own].send(e.into_inner()) {
                 let _ = e.into_inner().reply.send(Err(FlashPsError::ServerClosed));
             }
         }
     }
 }
 
-/// Decodes a finished session and resolves its ticket: the shared tail
-/// of the monolithic worker loop and the staged decode pool. Records
-/// the `vae_decode` span and the root `request` span.
-fn resolve_finish(system: &FlashPs, item: Inflight, trace: &TraceSink, track: Track) {
-    let cfg = &system.config().model;
+/// Decodes a finished session and resolves its ticket — the decode
+/// stage's body, which the monolithic mode runs inline on the denoise
+/// thread. Records the `vae_decode` span and the root `request` span.
+fn resolve_finish(ctx: &WorkerCtx, item: Inflight) {
+    let trace = &ctx.config.trace;
+    let cfg = &ctx.system.config().model;
     let full = fps_diffusion::flops::step_flops_full(cfg, 1) * cfg.steps as u64;
     let Inflight {
+        q,
         session,
-        job,
-        attempt,
-        enqueued_at,
         use_cache,
         mask_ratio,
-        reply,
-        rung,
         trace_root,
         ..
     } = item;
     let result = {
-        let _decode_span = trace.start("vae_decode", "stage", track, trace_root);
-        system
+        let _decode_span = trace.start("vae_decode", "stage", ctx.track, trace_root);
+        ctx.system
             .pipeline()
             .finish(session)
             .map(|output| {
@@ -922,7 +905,7 @@ fn resolve_finish(system: &FlashPs, item: Inflight, trace: &TraceSink, track: Tr
                     use_cache,
                     speedup_vs_full: speedup,
                     mask_ratio,
-                    rung,
+                    rung: q.rung,
                 }
             })
             .map_err(FlashPsError::from)
@@ -932,205 +915,20 @@ fn resolve_finish(system: &FlashPs, item: Inflight, trace: &TraceSink, track: Tr
             trace_root,
             "request",
             "request",
-            track,
-            trace.instant_ns(enqueued_at),
+            ctx.track,
+            trace.instant_ns(q.enqueued_at),
             trace.now_ns(),
             0,
             vec![
-                ("template", Json::U64(job.template_id)),
-                ("seed", Json::U64(job.seed)),
-                ("attempt", Json::U64(attempt.into())),
+                ("template", Json::U64(q.job.template_id)),
+                ("seed", Json::U64(q.job.seed)),
+                ("attempt", Json::U64(q.attempt.into())),
                 ("mask_ratio", Json::F64(mask_ratio)),
             ],
         );
     }
-    let _ = reply.send(result);
-}
-
-fn worker_loop(ctx: &WorkerCtx, rx: &Receiver<QueuedJob>) {
-    let system = &*ctx.system;
-    let config = &ctx.config;
-    let max_batch = config.max_batch.max(1);
-    let trace = config.trace.clone();
-    let track = Track::new(0, ctx.own as u32);
-    let mut inflight: Vec<Inflight> = Vec::new();
-    loop {
-        if ctx.paused.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        // Admission: poll when idle (requeue senders keep the channel
-        // open, so disconnection can't signal shutdown — the closing
-        // flag does), otherwise take whatever is queued — a join costs
-        // at most one denoising step (§4.3).
-        while inflight.len() < max_batch {
-            let queued = if inflight.is_empty() {
-                match rx.recv_timeout(IDLE_POLL) {
-                    Ok(q) => Some(q),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return;
-                    }
-                }
-            } else {
-                match rx.try_recv() {
-                    Ok(q) => Some(q),
-                    Err(TryRecvError::Empty) => None,
-                    Err(TryRecvError::Disconnected) => None,
-                }
-            };
-            let Some(q) = queued else { break };
-            if expired(config.job_timeout, q.enqueued_at) {
-                if trace.is_enabled() {
-                    trace.event_at(
-                        "job_timeout",
-                        "server",
-                        track,
-                        trace.now_ns(),
-                        vec![("seed", Json::U64(q.job.seed))],
-                    );
-                }
-                let _ = q.reply.send(Err(FlashPsError::JobTimeout));
-                continue;
-            }
-            match begin_job(system, &q.job, q.rung) {
-                Ok((session, use_cache, mask_ratio)) => {
-                    let mut trace_root = 0;
-                    let mut admitted_ns = 0;
-                    if trace.is_enabled() {
-                        // The root "request" span is recorded when the
-                        // job resolves; children reference its
-                        // pre-allocated id.
-                        trace_root = trace.next_id();
-                        admitted_ns = trace.now_ns();
-                        trace.span_at(
-                            "queue",
-                            "stage",
-                            track,
-                            trace.instant_ns(q.enqueued_at),
-                            admitted_ns,
-                            trace_root,
-                            vec![
-                                ("attempt", Json::U64(q.attempt.into())),
-                                (
-                                    "rung",
-                                    Json::Str(
-                                        q.rung.map(|r| r.label()).unwrap_or("no-ladder").into(),
-                                    ),
-                                ),
-                            ],
-                        );
-                    }
-                    inflight.push(Inflight {
-                        session,
-                        job: q.job,
-                        attempt: q.attempt,
-                        enqueued_at: q.enqueued_at,
-                        use_cache,
-                        mask_ratio,
-                        reply: q.reply,
-                        id: q.id,
-                        rung: q.rung,
-                        trace_root,
-                        admitted_ns,
-                        slot: q.slot,
-                    });
-                }
-                Err(e) => {
-                    let _ = q.reply.send(Err(e));
-                }
-            }
-        }
-        if inflight.is_empty() {
-            // Graceful drain: leave only once shutdown was requested
-            // and nothing is queued anymore (a sibling's requeue would
-            // land in the channel and be picked up above).
-            if ctx.closing.load(Ordering::SeqCst) && rx.is_empty() {
-                return;
-            }
-            continue;
-        }
-        // One denoising step for every inflight session. A panic here
-        // kills the whole batch (the "engine process" died): caught,
-        // sessions dropped, jobs requeued.
-        let mut i = 0;
-        let mut crashed = false;
-        while i < inflight.len() {
-            let item = &mut inflight[i];
-            if expired(config.job_timeout, item.enqueued_at) {
-                let item = inflight.swap_remove(i);
-                if trace.is_enabled() {
-                    trace.event_at(
-                        "job_timeout",
-                        "server",
-                        track,
-                        trace.now_ns(),
-                        vec![("seed", Json::U64(item.job.seed))],
-                    );
-                }
-                let _ = item.reply.send(Err(FlashPsError::JobTimeout));
-                continue;
-            }
-            let chaos_panic = config.chaos_panic_seed == Some(item.job.seed) && item.attempt == 0;
-            let step_result = {
-                // RAII: the span records on drop, panics included.
-                let _step_span = trace.start("step", "gpu", track, item.trace_root);
-                let session = &mut item.session;
-                let template_id = item.job.template_id;
-                catch_unwind(AssertUnwindSafe(|| {
-                    assert!(!chaos_panic, "injected worker panic (chaos hook)");
-                    match system.template(template_id) {
-                        Ok((_, cache)) => system
-                            .pipeline()
-                            .step(session, Some(cache))
-                            .map_err(FlashPsError::from),
-                        Err(e) => Err(e),
-                    }
-                }))
-            };
-            let step_result = match step_result {
-                Ok(r) => r,
-                Err(_panic) => {
-                    crashed = true;
-                    break;
-                }
-            };
-            if let Err(e) = step_result {
-                let item = inflight.swap_remove(i);
-                let _ = item.reply.send(Err(e));
-                continue;
-            }
-            if inflight[i].session.is_done() {
-                let item = inflight.swap_remove(i);
-                if trace.is_enabled() {
-                    trace.span_at(
-                        "denoise",
-                        "stage",
-                        track,
-                        item.admitted_ns,
-                        trace.now_ns(),
-                        item.trace_root,
-                        Vec::new(),
-                    );
-                }
-                resolve_finish(system, item, &trace, track);
-                continue;
-            }
-            i += 1;
-        }
-        if crashed {
-            if trace.is_enabled() {
-                trace.event_at(
-                    "worker_panic",
-                    "server",
-                    track,
-                    trace.now_ns(),
-                    vec![("lost_batch", Json::U64(inflight.len() as u64))],
-                );
-            }
-            requeue_batch(&mut inflight, ctx, &trace, track);
-        }
-    }
+    // The ledger slot goes with `q`, after the ticket has its answer.
+    let _ = q.reply.send(result);
 }
 
 /// Emits a `stage_enqueue`/`stage_dequeue` boundary event on the
@@ -1148,225 +946,165 @@ fn edge_event(trace: &TraceSink, name: &'static str, edge: u32, id: u64) {
     }
 }
 
-/// Staged mode, stage 1: session setup (preprocess + text encode).
-/// Pulls from the shared entry queue, builds the session through the
-/// same [`begin_job`] seam the monolithic loop uses, and forwards it
-/// to the submit-time-routed denoise worker's bounded queue — blocking
-/// there when it is full (backpressure).
-fn encode_loop(ctx: &WorkerCtx, rx: &Receiver<QueuedJob>, denoise_txs: &[Sender<Inflight>]) {
-    let system = &*ctx.system;
-    let config = &ctx.config;
-    let trace = config.trace.clone();
-    let track = Track::new(5, ctx.own as u32);
-    loop {
-        if ctx.paused.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        let q = match rx.recv_timeout(IDLE_POLL) {
-            Ok(q) => q,
-            Err(RecvTimeoutError::Timeout) => {
-                if ctx.closing.load(Ordering::SeqCst) && rx.is_empty() {
-                    return;
+/// Takes the next item off a stage queue: an idle thread waits one
+/// poll interval for it, a busy one takes only what is already there.
+/// Disconnection reads as "nothing yet" — the exit rule is
+/// [`WorkerCtx::drained`], not the state of any one channel.
+fn poll<T>(rx: &Receiver<T>, idle: bool) -> Option<T> {
+    if idle {
+        rx.recv_timeout(IDLE_POLL).ok()
+    } else {
+        rx.try_recv().ok()
+    }
+}
+
+/// Where a denoise worker's sessions come from.
+enum Intake {
+    /// Monolithic: the worker's own job queue; sessions are built on
+    /// its thread, between steps.
+    Jobs(Receiver<QueuedJob>),
+    /// Staged: the worker's bounded queue of sessions the encode pool
+    /// built.
+    Sessions(Receiver<Inflight>),
+}
+
+/// Where a denoise worker's finished sessions go.
+enum Outlet {
+    /// Monolithic: decoded on the worker's thread, between steps.
+    Inline,
+    /// Staged: the decode pool's bounded queue.
+    Decode(Sender<Inflight>),
+}
+
+impl Outlet {
+    /// Retires a finished session. A full decode queue hands it back
+    /// through `stalled` instead (backpressure): it keeps its batch
+    /// slot until a later retry gets through.
+    fn retire(&self, ctx: &WorkerCtx, item: Inflight, stalled: &mut Vec<Inflight>) {
+        match self {
+            Outlet::Inline => resolve_finish(ctx, item),
+            Outlet::Decode(tx) => {
+                let id = item.q.slot.id;
+                match tx.try_send(item) {
+                    Ok(()) => edge_event(&ctx.config.trace, "stage_enqueue", 1, id),
+                    Err(TrySendError::Full(item)) => stalled.push(item),
+                    Err(TrySendError::Disconnected(item)) => {
+                        let _ = item.q.reply.send(Err(FlashPsError::ServerClosed));
+                    }
                 }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        if expired(config.job_timeout, q.enqueued_at) {
-            if trace.is_enabled() {
-                trace.event_at(
-                    "job_timeout",
-                    "server",
-                    track,
-                    trace.now_ns(),
-                    vec![("seed", Json::U64(q.job.seed))],
-                );
-            }
-            let _ = q.reply.send(Err(FlashPsError::JobTimeout));
-            continue;
-        }
-        let encode_start = if trace.is_enabled() {
-            trace.now_ns()
-        } else {
-            0
-        };
-        match begin_job(system, &q.job, q.rung) {
-            Ok((session, use_cache, mask_ratio)) => {
-                let mut trace_root = 0;
-                let mut admitted_ns = 0;
-                if trace.is_enabled() {
-                    trace_root = trace.next_id();
-                    admitted_ns = trace.now_ns();
-                    trace.span_at(
-                        "queue",
-                        "stage",
-                        track,
-                        trace.instant_ns(q.enqueued_at),
-                        encode_start,
-                        trace_root,
-                        vec![
-                            ("attempt", Json::U64(q.attempt.into())),
-                            (
-                                "rung",
-                                Json::Str(q.rung.map(|r| r.label()).unwrap_or("no-ladder").into()),
-                            ),
-                        ],
-                    );
-                    trace.span_at(
-                        "text_encode",
-                        "stage",
-                        track,
-                        encode_start,
-                        admitted_ns,
-                        trace_root,
-                        Vec::new(),
-                    );
-                }
-                let worker = q.slot.worker;
-                let id = q.id;
-                let item = Inflight {
-                    session,
-                    job: q.job,
-                    attempt: q.attempt,
-                    enqueued_at: q.enqueued_at,
-                    use_cache,
-                    mask_ratio,
-                    reply: q.reply,
-                    id,
-                    rung: q.rung,
-                    trace_root,
-                    admitted_ns,
-                    slot: q.slot,
-                };
-                edge_event(&trace, "stage_enqueue", 0, id);
-                if let Err(e) = denoise_txs[worker].send(item) {
-                    let _ = e.into_inner().reply.send(Err(FlashPsError::ServerClosed));
-                }
-            }
-            Err(e) => {
-                let _ = q.reply.send(Err(e));
             }
         }
     }
 }
 
-/// Staged mode, stage 2: denoising with step-level continuous
-/// batching. Admits built sessions from this worker's bounded queue at
-/// step boundaries; finished sessions hand off to the decode queue —
-/// or, when it is full, keep their batch slot until it drains. Jobs
-/// whose deadline lapses at a boundary are dropped there, freeing the
-/// slot immediately. A panic requeues the batch through the encode
-/// pool (the sessions died with the "engine process" and must be
-/// rebuilt).
-fn staged_denoise_loop(ctx: &WorkerCtx, rx: &Receiver<Inflight>, decode_tx: &Sender<Inflight>) {
+/// Staged mode, stage 1: session setup (preprocess + text encode).
+/// Pulls from the shared entry queue, builds the session through the
+/// same [`build_session`] the monolithic loop runs inline, and
+/// forwards it to the submit-time-routed denoise worker's bounded
+/// queue — blocking there when it is full (backpressure).
+fn encode_loop(ctx: &WorkerCtx, rx: &Receiver<QueuedJob>, denoise_txs: &[Sender<Inflight>]) {
+    loop {
+        if ctx.paused.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+            continue;
+        }
+        let Some(q) = poll(rx, true) else {
+            if ctx.drained() {
+                return;
+            }
+            continue;
+        };
+        let Some(item) = build_session(ctx, q, false) else {
+            continue;
+        };
+        edge_event(&ctx.config.trace, "stage_enqueue", 0, item.q.slot.id);
+        if let Err(e) = denoise_txs[item.q.slot.worker].send(item) {
+            let _ = e.into_inner().q.reply.send(Err(FlashPsError::ServerClosed));
+        }
+    }
+}
+
+/// Stage 2, and in monolithic mode the whole pipeline: denoising with
+/// step-level continuous batching. Admits sessions from `intake` at
+/// step boundaries, takes one denoising step for every inflight
+/// session, and retires finished ones through `outlet` — where a
+/// session the decode queue has no room for keeps its batch slot until
+/// it drains. Jobs whose deadline lapses at a boundary are dropped
+/// there, freeing the slot immediately. A panic requeues the batch
+/// through the job queues (the sessions died with the "engine process"
+/// and must be rebuilt).
+fn denoise_loop(ctx: &WorkerCtx, intake: Intake, outlet: Outlet) {
     let system = &*ctx.system;
     let config = &ctx.config;
     let max_batch = config.max_batch.max(1);
-    let trace = config.trace.clone();
-    let track = Track::new(0, ctx.own as u32);
+    let trace = &config.trace;
+    let track = ctx.track;
     let mut inflight: Vec<Inflight> = Vec::new();
     // Finished sessions blocked on a full decode queue (backpressure):
-    // they occupy batch slots until the queue drains.
-    let mut done_stalled: Vec<Inflight> = Vec::new();
-    let mut upstream_done = false;
+    // they occupy batch slots until the queue drains. Always empty
+    // with an inline outlet.
+    let mut stalled: Vec<Inflight> = Vec::new();
     loop {
         if ctx.paused.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(1));
             continue;
         }
         // Retry stalled handoffs first: decode may have drained.
-        for item in std::mem::take(&mut done_stalled) {
-            let id = item.id;
-            match decode_tx.try_send(item) {
-                Ok(()) => edge_event(&trace, "stage_enqueue", 1, id),
-                Err(TrySendError::Full(item)) => done_stalled.push(item),
-                Err(TrySendError::Disconnected(item)) => {
-                    let _ = item.reply.send(Err(FlashPsError::ServerClosed));
-                }
-            }
+        for item in std::mem::take(&mut stalled) {
+            outlet.retire(ctx, item, &mut stalled);
         }
         // Admission at the step boundary, batch slots shared with
-        // stalled handoffs.
-        while inflight.len() + done_stalled.len() < max_batch {
-            let queued = if inflight.is_empty() && done_stalled.is_empty() {
-                match rx.recv_timeout(IDLE_POLL) {
-                    Ok(q) => Some(q),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        upstream_done = true;
-                        None
-                    }
+        // stalled handoffs: wait when idle, otherwise take whatever is
+        // queued — a join costs at most one denoising step (§4.3).
+        while inflight.len() + stalled.len() < max_batch {
+            let idle = inflight.is_empty() && stalled.is_empty();
+            let admitted = match &intake {
+                Intake::Jobs(rx) => {
+                    let Some(q) = poll(rx, idle) else { break };
+                    build_session(ctx, q, true)
                 }
-            } else {
-                match rx.try_recv() {
-                    Ok(q) => Some(q),
-                    Err(TryRecvError::Empty) => None,
-                    Err(TryRecvError::Disconnected) => {
-                        upstream_done = true;
-                        None
-                    }
+                Intake::Sessions(rx) => {
+                    let Some(mut item) = poll(rx, idle) else {
+                        break;
+                    };
+                    edge_event(trace, "stage_dequeue", 0, item.q.slot.id);
+                    item.admitted_ns = trace.now_ns();
+                    // Deadline drop at the stage boundary: the batch
+                    // slot is never occupied.
+                    (!ctx.timed_out(&item.q)).then_some(item)
                 }
             };
-            let Some(mut q) = queued else { break };
-            edge_event(&trace, "stage_dequeue", 0, q.id);
-            if expired(config.job_timeout, q.enqueued_at) {
-                // Deadline drop at the stage boundary: the batch slot
-                // is never occupied.
-                if trace.is_enabled() {
-                    trace.event_at(
-                        "job_timeout",
-                        "server",
-                        track,
-                        trace.now_ns(),
-                        vec![("seed", Json::U64(q.job.seed))],
-                    );
-                }
-                let _ = q.reply.send(Err(FlashPsError::JobTimeout));
-                continue;
-            }
-            if trace.is_enabled() {
-                q.admitted_ns = trace.now_ns();
-            }
-            inflight.push(q);
+            inflight.extend(admitted);
         }
         if inflight.is_empty() {
-            if done_stalled.is_empty()
-                && (upstream_done || (ctx.closing.load(Ordering::SeqCst) && rx.is_empty()))
-            {
-                return;
-            }
-            if !done_stalled.is_empty() {
+            if !stalled.is_empty() {
                 // Nothing to step; wait for decode to drain.
                 std::thread::sleep(Duration::from_millis(1));
+            } else if ctx.drained() {
+                // Graceful drain: nothing here and nothing anywhere
+                // else that could still be routed or requeued here.
+                return;
             }
             continue;
         }
-        // One denoising step for every inflight session (same engine
-        // semantics as the monolithic loop, panics included).
+        // One denoising step for every inflight session. A panic here
+        // kills the whole batch (the "engine process" died): caught,
+        // sessions dropped, jobs requeued.
         let mut i = 0;
         let mut crashed = false;
         while i < inflight.len() {
             let item = &mut inflight[i];
-            if expired(config.job_timeout, item.enqueued_at) {
-                let item = inflight.swap_remove(i);
-                if trace.is_enabled() {
-                    trace.event_at(
-                        "job_timeout",
-                        "server",
-                        track,
-                        trace.now_ns(),
-                        vec![("seed", Json::U64(item.job.seed))],
-                    );
-                }
-                let _ = item.reply.send(Err(FlashPsError::JobTimeout));
+            if ctx.timed_out(&item.q) {
+                inflight.swap_remove(i);
                 continue;
             }
-            let chaos_panic = config.chaos_panic_seed == Some(item.job.seed) && item.attempt == 0;
+            let chaos_panic =
+                config.chaos_panic_seed == Some(item.q.job.seed) && item.q.attempt == 0;
             let step_result = {
+                // RAII: the span records on drop, panics included.
                 let _step_span = trace.start("step", "gpu", track, item.trace_root);
                 let session = &mut item.session;
-                let template_id = item.job.template_id;
+                let template_id = item.q.job.template_id;
                 catch_unwind(AssertUnwindSafe(|| {
                     assert!(!chaos_panic, "injected worker panic (chaos hook)");
                     match system.template(template_id) {
@@ -1387,7 +1125,7 @@ fn staged_denoise_loop(ctx: &WorkerCtx, rx: &Receiver<Inflight>, decode_tx: &Sen
             };
             if let Err(e) = step_result {
                 let item = inflight.swap_remove(i);
-                let _ = item.reply.send(Err(e));
+                let _ = item.q.reply.send(Err(e));
                 continue;
             }
             if inflight[i].session.is_done() {
@@ -1403,14 +1141,7 @@ fn staged_denoise_loop(ctx: &WorkerCtx, rx: &Receiver<Inflight>, decode_tx: &Sen
                         Vec::new(),
                     );
                 }
-                let id = item.id;
-                match decode_tx.try_send(item) {
-                    Ok(()) => edge_event(&trace, "stage_enqueue", 1, id),
-                    Err(TrySendError::Full(item)) => done_stalled.push(item),
-                    Err(TrySendError::Disconnected(item)) => {
-                        let _ = item.reply.send(Err(FlashPsError::ServerClosed));
-                    }
-                }
+                outlet.retire(ctx, item, &mut stalled);
                 continue;
             }
             i += 1;
@@ -1426,42 +1157,29 @@ fn staged_denoise_loop(ctx: &WorkerCtx, rx: &Receiver<Inflight>, decode_tx: &Sen
                 );
             }
             // Stalled sessions died with the engine too: rebuild them.
-            inflight.append(&mut done_stalled);
-            requeue_batch(&mut inflight, ctx, &trace, track);
+            inflight.append(&mut stalled);
+            requeue_batch(&mut inflight, ctx);
         }
     }
 }
 
 /// Staged mode, stage 3: VAE decode + postprocess. Pulls finished
 /// sessions from the shared decode queue (MPMC) and resolves tickets
-/// through the same [`resolve_finish`] tail the monolithic loop uses.
-/// Exits on disconnection, i.e. once the whole denoise pool drained.
+/// through the same [`resolve_finish`] tail the monolithic loop runs
+/// inline.
 fn decode_loop(ctx: &WorkerCtx, rx: &Receiver<Inflight>) {
-    let system = &*ctx.system;
-    let config = &ctx.config;
-    let trace = config.trace.clone();
-    let track = Track::new(6, ctx.own as u32);
     loop {
-        let item = match rx.recv_timeout(IDLE_POLL) {
-            Ok(i) => i,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        edge_event(&trace, "stage_dequeue", 1, item.id);
-        if expired(config.job_timeout, item.enqueued_at) {
-            if trace.is_enabled() {
-                trace.event_at(
-                    "job_timeout",
-                    "server",
-                    track,
-                    trace.now_ns(),
-                    vec![("seed", Json::U64(item.job.seed))],
-                );
+        let Some(item) = poll(rx, true) else {
+            if ctx.drained() {
+                return;
             }
-            let _ = item.reply.send(Err(FlashPsError::JobTimeout));
+            continue;
+        };
+        edge_event(&ctx.config.trace, "stage_dequeue", 1, item.q.slot.id);
+        if ctx.timed_out(&item.q) {
             continue;
         }
-        resolve_finish(system, item, &trace, track);
+        resolve_finish(ctx, item);
     }
 }
 
@@ -1678,25 +1396,56 @@ mod tests {
         let img = Image::template(cfg.pixel_h(), cfg.pixel_w(), 0);
         sys.register_template(0, &img).unwrap();
         let sink = TraceSink::recording(Clock::Wall);
+        let timeout = Duration::from_millis(1);
         let server = ThreadedServer::start(
             sys,
             ServerConfig {
                 workers: 1,
                 max_batch: 2,
-                chaos_panic_seed: Some(55),
-                // Generous enough to pass the admission check, tight
-                // enough to have expired by the time the injected
-                // panic triggers the requeue.
-                job_timeout: Some(Duration::from_millis(1)),
+                job_timeout: Some(timeout),
+                // The crashed batch is handed to `requeue_batch` below;
+                // the worker only lends its state.
+                start_paused: true,
                 trace: sink.clone(),
                 ..ServerConfig::default()
             },
         );
-        let poisoned = server.submit(job(0, 55)).unwrap();
-        assert!(matches!(poisoned.wait(), Err(FlashPsError::JobTimeout)));
-        while server.queue_depth() > 0 {
-            std::thread::yield_now();
-        }
+        // A job queue the test owns, so a requeue would be seen.
+        let (queue_tx, queue_rx) = unbounded::<QueuedJob>();
+        let ctx = WorkerCtx {
+            txs: vec![queue_tx],
+            ..server.ctx.clone()
+        };
+        // The batch member: dispatched now, but submitted — as far as
+        // its deadline can tell — well before the timeout ago. The
+        // lapse is a fact of the input, not a race with the unwind.
+        let job = job(0, 55);
+        let (rung, slot) = dispatch(&ctx.control, &job, None).unwrap();
+        let (session, use_cache, mask_ratio) = begin_job(&ctx.system, &job, rung).unwrap();
+        let (reply, rx) = bounded(1);
+        let item = Inflight {
+            q: QueuedJob {
+                job,
+                reply,
+                attempt: 0,
+                enqueued_at: Instant::now().checked_sub(timeout * 1000).unwrap(),
+                rung,
+                slot,
+            },
+            session,
+            use_cache,
+            mask_ratio,
+            trace_root: 0,
+            admitted_ns: 0,
+        };
+        assert_eq!(server.queue_depth(), 1);
+        requeue_batch(&mut vec![item], &ctx);
+        assert!(matches!(
+            Ticket { rx }.wait(),
+            Err(FlashPsError::JobTimeout)
+        ));
+        assert!(queue_rx.is_empty(), "an expired job must not be enqueued");
+        assert_eq!(server.queue_depth(), 0, "its ledger slot is released");
         server.shutdown();
         let trace = sink.drain().unwrap();
         assert!(

@@ -53,8 +53,13 @@ echo "==> fig_cache_placement --smoke (placement + feedback-routing gates)"
 # seeded slow-disk plan.
 cargo run --release -p fps-bench --bin fig_cache_placement -- --smoke > /dev/null
 
-echo "==> sim-vs-server decision parity (release)"
-cargo test --release -q -p flashps --test integration_control > /dev/null
+echo "==> server lifecycle + sim-vs-server decision parity (release)"
+# Shutdown races and deadline lapses are timing bugs: two of them passed
+# the debug-only run above and lost tickets at release speed.
+# Two invocations: a name filter applies to every target selected, so
+# `server::` beside the `--test` targets would run none of their tests.
+cargo test --release -q -p flashps --lib server:: > /dev/null
+cargo test --release -q -p flashps --test integration_stages --test integration_control > /dev/null
 
 echo "==> benchmark/run.sh --smoke (BENCHMARK.json schema + output checks, ~1 min)"
 # Every workload at a tenth of the run length: each metric BENCHMARK.json

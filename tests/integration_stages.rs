@@ -139,6 +139,138 @@ fn deadline_drop_at_a_stage_boundary_frees_the_batch_slot() {
     server.shutdown();
 }
 
+#[test]
+fn staged_drop_serves_jobs_queued_behind_a_blocked_encode() {
+    // The drain guarantee under head-of-line blocking: the one encode
+    // worker blocks on worker 0's full queue (slow full-canvas edits)
+    // while worker 1's one-token edits are still behind it in the
+    // entry queue. Worker 1 is idle with an empty queue in the
+    // meantime and must not take that for "drained": every ticket
+    // submitted before the drop is served.
+    let cfg = ModelConfig::sdxl_like();
+    let mut sys = FlashPs::new(FlashPsConfig::new(cfg.clone())).unwrap();
+    let img = Image::template(cfg.pixel_h(), cfg.pixel_w(), 0);
+    sys.register_template(0, &img).unwrap();
+    let server = ThreadedServer::start_staged(
+        sys,
+        ServerConfig {
+            workers: 2,
+            max_batch: 1,
+            start_paused: true,
+            ..ServerConfig::default()
+        },
+        StagedServerConfig {
+            encode_workers: 1,
+            decode_workers: 1,
+            stage_queue_capacity: 1,
+        },
+    );
+    // Request-count routing alternates a paused burst: even jobs (the
+    // whole canvas) land on worker 0, odd ones (one token) on worker 1.
+    let tickets: Vec<Ticket> = (0..8u64)
+        .map(|i| {
+            let masked_idx = if i % 2 == 0 {
+                (0..cfg.tokens()).collect()
+            } else {
+                vec![0]
+            };
+            server
+                .submit(EditJob {
+                    template_id: 0,
+                    masked_idx,
+                    prompt: "edit".into(),
+                    seed: i,
+                    guidance: None,
+                })
+                .unwrap()
+        })
+        .collect();
+    drop(server);
+    for (i, t) in tickets.into_iter().enumerate() {
+        let r = t.wait();
+        assert!(
+            r.is_ok(),
+            "job {i} was submitted before shutdown and must be served, got {:?}",
+            r.err()
+        );
+    }
+}
+
+#[test]
+fn every_ticket_resolves_exactly_once_in_both_modes() {
+    // Exactly-once on the wall-clock plane, one body for both modes:
+    // mode × injected panic (with and without a retry budget) ×
+    // deadline × how the server is closed. Every ticket resolves, to
+    // the outcome its configuration predicts; none dangles or reads
+    // ServerClosed for a job submitted before the close; the ledger
+    // returns to zero; and Drop returns.
+    const POISON: u64 = 3;
+    let staged = StagedServerConfig {
+        encode_workers: 1,
+        decode_workers: 1,
+        stage_queue_capacity: 1,
+    };
+    for mode in [None, Some(staged)] {
+        // (chaos hook, attempts): off, panic-then-retry, panic-and-fail.
+        for (chaos_panic_seed, max_job_attempts) in
+            [(None, 3), (Some(POISON), 3), (Some(POISON), 1)]
+        {
+            for job_timeout in [None, Some(std::time::Duration::ZERO)] {
+                for drop_immediately in [false, true] {
+                    let case = format!(
+                        "staged={} chaos={chaos_panic_seed:?} attempts={max_job_attempts} \
+                         timeout={job_timeout:?} drop_immediately={drop_immediately}",
+                        mode.is_some()
+                    );
+                    let config = ServerConfig {
+                        workers: 2,
+                        max_batch: 2,
+                        job_timeout,
+                        max_job_attempts,
+                        chaos_panic_seed,
+                        ..ServerConfig::default()
+                    };
+                    let server = match mode.clone() {
+                        None => ThreadedServer::start(system(2), config),
+                        Some(staged) => ThreadedServer::start_staged(system(2), config, staged),
+                    };
+                    let tickets: Vec<Ticket> = (0..6u64)
+                        .map(|seed| server.submit(job(seed % 2, seed)).unwrap())
+                        .collect();
+                    let mut server = Some(server);
+                    if drop_immediately {
+                        // Returns only once every stage thread joined.
+                        server.take();
+                    }
+                    for (seed, t) in (0..6u64).zip(tickets) {
+                        let out_of_retries = chaos_panic_seed.is_some() && max_job_attempts == 1;
+                        let outcome = t.wait().map(|_| ());
+                        let predicted = match &outcome {
+                            // A zero deadline lapses before any step runs.
+                            _ if job_timeout.is_some() => {
+                                matches!(outcome, Err(FlashPsError::JobTimeout))
+                            }
+                            Ok(()) => !(out_of_retries && seed == POISON),
+                            // The poisoned job's batch mates die with it.
+                            Err(FlashPsError::WorkerPanicked) => out_of_retries,
+                            Err(_) => false,
+                        };
+                        assert!(predicted, "{case}: job {seed} resolved to {outcome:?}");
+                    }
+                    if let Some(server) = server {
+                        // The slot is released just after the reply is
+                        // sent, so the last one may lag its ticket.
+                        while server.queue_depth() > 0 {
+                            std::thread::yield_now();
+                        }
+                        server.shutdown();
+                    }
+                }
+            }
+        }
+    }
+}
+
 fn sim_trace(rps: f64, secs: f64, seed: u64) -> fps_workload::Trace {
     fps_workload::Trace::generate(&TraceConfig {
         rps,
