@@ -52,6 +52,7 @@ fn main() {
 
     let mut table = Table::new(&["system", "SSIM-vs-diffusers", "steps-skipped"]);
     table.row_strs(&["diffusers", "1.000 (reference)", "0"]);
+    let mut scores: Vec<(&'static str, f64)> = Vec::new();
     for sys_kind in [
         SystemKind::FlashPs,
         SystemKind::FlashPsKv,
@@ -69,6 +70,7 @@ fn main() {
             .edit_with_strategy(0, &mask, prompt, seed, &strategy)
             .expect("edit");
         let s = ssim(&out.image, &reference.image).expect("ssim");
+        scores.push((sys_kind.label(), s));
         save_binary_artifact(
             &format!("fig13_{}.ppm", sys_kind.label()),
             &out.image.to_ppm(),
@@ -81,12 +83,38 @@ fn main() {
     }
     let out = format!(
         "Fig. 13 / Fig. 1 reproduction: visual examples (sdxl-like, blob mask {:.0}%)\n\n{}\n\
-         FlashPS sits closest to the reference; naive disregard (Fig. 1-rightmost)\n\
-         distorts the masked region because it generates without template context.\n\
-         PPM images are in the results directory.\n",
+         {}PPM images are in the results directory.\n",
         mask.ratio() * 100.0,
-        table.render()
+        table.render(),
+        verdict(&scores)
     );
     println!("{out}");
     save_artifact("fig13_examples.txt", &out);
+}
+
+/// The closing sentences, derived from the SSIMs in the table: which
+/// system is closest to the reference, how far apart the caching
+/// systems (everything but naive) are, and — only while naive disregard
+/// scores lowest — the Fig. 1-rightmost remark.
+fn verdict(scores: &[(&'static str, f64)]) -> String {
+    let mut ranked = scores.to_vec();
+    ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let (lowest, worst) = *ranked.first().expect("scored systems");
+    let (closest, best) = *ranked.last().expect("scored systems");
+    let naive = SystemKind::Naive.label();
+    ranked.retain(|(label, _)| *label != naive);
+    let (lo, hi) = (ranked[0].1, ranked[ranked.len() - 1].1);
+    let mut out = format!(
+        "{closest} sits closest to the reference (SSIM {best:.3}); the {} caching systems lie\n\
+         within {:.3} of each other ({lo:.3} to {hi:.3}).\n",
+        ranked.len(),
+        hi - lo
+    );
+    if lowest == naive {
+        out.push_str(&format!(
+            "Naive disregard (Fig. 1-rightmost) scores lowest ({worst:.3}): it distorts the masked\n\
+             region because it generates without template context.\n"
+        ));
+    }
+    out
 }

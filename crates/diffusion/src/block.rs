@@ -2,23 +2,33 @@
 //!
 //! A block is `x + SelfAttn(AdaLN(x))`, then `+ CrossAttn(LN(x),
 //! prompt)`, then `+ FFN(AdaLN(x))` — the standard conditioned
-//! transformer block of DiT-style diffusion models (UNet-style models in
-//! this substrate use the same block; their convolutional scaffold is
-//! carried analytically as an overhead factor in `flops`).
+//! transformer block of DiT-style diffusion models. UNet-style models in
+//! this substrate use the same block behind a convolutional scaffold
+//! (`resblock::ResBlock`) that `DiffusionModel` computes in full before
+//! the stack; `flops` additionally models the scaffold's share of a
+//! paper-scale UNet step as an overhead factor.
 //!
-//! Three forward paths exist, matching §3.1 of the paper:
+//! Four forward paths exist, matching §3.1 of the paper. The three
+//! masked ones are the one mask-aware compute path of this repository:
+//! the masked rows are gathered once and stay gathered through AdaLN →
+//! QKV → attention → out-proj → cross-attention → FFN, on the same dense
+//! row kernels the full path uses.
 //!
 //! - [`TransformerBlock::forward_full`] computes every token and returns
 //!   the `K`/`V`/`Y` activations so a priming run can populate the
 //!   template cache (Fig. 5-top).
+//! - [`TransformerBlock::forward_masked_full_kv`] is the Y-cache variant
+//!   (Fig. 5-bottom, `BlockMode::CachedY`): queries come from the masked
+//!   rows only, keys/values are recomputed over the full token matrix,
+//!   whose unmasked rows the previous block replenished from the cache.
+//! - [`TransformerBlock::forward_masked`] with
+//!   [`MaskedContext::CachedKv`] is the K/V-cache variant (Fig. 7,
+//!   `BlockMode::CachedKv`): masked queries attend over full-length
+//!   cached keys/values with the masked rows refreshed.
 //! - [`TransformerBlock::forward_masked`] with
 //!   [`MaskedContext::SelfOnly`] computes only masked tokens, attending
-//!   only among masked tokens (Fig. 5-bottom, the Y-cache variant; also
-//!   the FISEdit-style masked-only mode when no cache replenishes the
-//!   output).
-//! - [`TransformerBlock::forward_masked`] with
-//!   [`MaskedContext::CachedKv`] lets masked queries attend over
-//!   full-length cached keys/values (Fig. 7, the K/V-cache variant).
+//!   only among masked tokens: the FISEdit-style masked-only mode
+//!   (`BlockMode::MaskedOnly`), with no cache replenishing the output.
 
 use fps_tensor::ops::sparse::SparsePlan;
 use fps_tensor::ops::{
@@ -35,8 +45,9 @@ use crate::Result;
 /// Key/value context for a masked-token forward pass.
 #[derive(Debug, Clone, Copy)]
 pub enum MaskedContext<'a> {
-    /// Masked queries attend only among masked tokens (the paper's main
-    /// Y-cache design).
+    /// Masked queries attend only among masked tokens (FISEdit-style
+    /// masked-only editing; the Y-cache variant is
+    /// [`TransformerBlock::forward_masked_full_kv`]).
     SelfOnly,
     /// Masked queries attend over full-length cached K/V with the rows
     /// at `masked_idx` overwritten by freshly computed masked K/V.
@@ -185,8 +196,7 @@ impl TransformerBlock {
     }
 
     /// Multi-head scaled-dot-product attention of `q` rows over `k`/`v`
-    /// rows, before the output projection: the one tiled kernel, on
-    /// every compute path.
+    /// rows, before the output projection: the one tiled kernel.
     fn mha(&self, q: &Tensor, k: &Tensor, v: &Tensor) -> Result<Tensor> {
         Ok(mha_fused(q, k, v, self.heads, self.attn_scale(q))?)
     }

@@ -18,10 +18,10 @@ use crate::Result;
 
 /// Magic prefix of the serialized cache format.
 const CACHE_MAGIC: &[u8; 4] = b"FPSC";
-/// Serialization format version. Version 2 added the optional per-step
-/// UNet scaffold output that the sparse compute path replenishes
-/// uncomputed conv pixels from.
-const CACHE_VERSION: u8 = 2;
+/// Serialization format version. Version 2 carried a per-step flag
+/// byte (and optional UNet scaffold tensor) that version 3 drops, so a
+/// v2 blob parsed as v3 would read shifted: it is rejected by version.
+const CACHE_VERSION: u8 = 3;
 
 /// Cached activations of one transformer block at one denoising step.
 #[derive(Debug, Clone)]
@@ -56,11 +56,6 @@ impl BlockCache {
 pub struct StepCache {
     /// Per-block caches, indexed by block position in the model.
     pub blocks: Vec<BlockCache>,
-    /// UNet conv-scaffold output `[L, C]` on the template latent at
-    /// this step (`None` for DiT models, which have no scaffold). The
-    /// sparse compute path reuses these rows for every grid pixel
-    /// outside the mask's dilation instead of convolving the full grid.
-    pub scaffold: Option<Tensor>,
 }
 
 /// All cached activations for one image template.
@@ -108,12 +103,6 @@ impl TemplateCache {
             .ok_or(DiffusionError::CacheMiss { step, block })
     }
 
-    /// The template's scaffold output at `step`, when one was captured
-    /// (UNet models primed since format version 2).
-    pub fn step_scaffold(&self, step: usize) -> Option<&Tensor> {
-        self.steps.get(step).and_then(|s| s.scaffold.as_ref())
-    }
-
     /// Total bytes of the Y-variant cache across all steps and blocks.
     pub fn bytes_y(&self) -> u64 {
         self.steps
@@ -146,10 +135,6 @@ impl TemplateCache {
         out.extend_from_slice(&(self.steps.len() as u32).to_le_bytes());
         for step in &self.steps {
             out.extend_from_slice(&(step.blocks.len() as u32).to_le_bytes());
-            out.push(u8::from(step.scaffold.is_some()));
-            if let Some(sc) = &step.scaffold {
-                write_tensor(&mut out, sc);
-            }
             for b in &step.blocks {
                 out.push(u8::from(b.k.is_some() && b.v.is_some()));
                 write_tensor(&mut out, &b.y);
@@ -187,9 +172,6 @@ impl TemplateCache {
         for _ in 0..n_steps {
             let n_blocks = r.u32()? as usize;
             let mut step = StepCache::default();
-            if r.take(1)?[0] != 0 {
-                step.scaffold = Some(read_tensor(&mut r)?);
-            }
             for _ in 0..n_blocks {
                 let has_kv = r.take(1)?[0] != 0;
                 let y = read_tensor(&mut r)?;
@@ -301,7 +283,6 @@ mod tests {
         let mut cache = TemplateCache::new(1, 4, 8);
         cache.push_step(StepCache {
             blocks: vec![block(4, 8, false); 2],
-            scaffold: None,
         });
         assert!(cache.get(0, 1).is_ok());
         assert_eq!(
@@ -319,17 +300,32 @@ mod tests {
         let mut cache = TemplateCache::new(1, 4, 8);
         cache.push_step(StepCache {
             blocks: vec![block(4, 8, true); 3],
-            scaffold: None,
         });
         cache.push_step(StepCache {
             blocks: vec![block(4, 8, true); 3],
-            scaffold: None,
         });
         // Y: 2 steps × 3 blocks × 4×8 floats × 4 bytes.
         assert_eq!(cache.bytes_y(), 2 * 3 * 4 * 8 * 4);
         // K/V doubles it, matching the paper's 2× claim.
         assert_eq!(cache.bytes_kv(), 2 * cache.bytes_y());
         assert!(cache.has_kv());
+    }
+
+    /// Asserts `back` holds exactly `cache`'s header and tensors.
+    fn assert_same_cache(cache: &TemplateCache, back: &TemplateCache, blocks: usize) {
+        assert_eq!(back.template_id, cache.template_id);
+        assert_eq!(back.tokens, cache.tokens);
+        assert_eq!(back.hidden, cache.hidden);
+        assert_eq!(back.num_steps(), cache.num_steps());
+        for s in 0..cache.num_steps() {
+            for b in 0..blocks {
+                let a = cache.get(s, b).unwrap();
+                let z = back.get(s, b).unwrap();
+                assert_eq!(a.y, z.y);
+                assert_eq!(a.k, z.k);
+                assert_eq!(a.v, z.v);
+            }
+        }
     }
 
     #[test]
@@ -344,25 +340,25 @@ mod tests {
                     v: (i == 0).then(|| Tensor::randn([4, 8], &mut rng)),
                 })
                 .collect();
-            cache.push_step(StepCache {
-                blocks,
-                scaffold: None,
-            });
+            cache.push_step(StepCache { blocks });
         }
-        let bytes = cache.to_bytes();
-        let back = TemplateCache::from_bytes(&bytes).unwrap();
-        assert_eq!(back.template_id, 42);
-        assert_eq!(back.tokens, 4);
-        assert_eq!(back.hidden, 8);
-        assert_eq!(back.num_steps(), 3);
-        for s in 0..3 {
-            for b in 0..2 {
-                let a = cache.get(s, b).unwrap();
-                let z = back.get(s, b).unwrap();
-                assert_eq!(a.y, z.y);
-                assert_eq!(a.k, z.k);
-                assert_eq!(a.v, z.v);
-            }
+        let back = TemplateCache::from_bytes(&cache.to_bytes()).unwrap();
+        assert_eq!((back.template_id, back.num_steps()), (42, 3));
+        assert_same_cache(&cache, &back, 2);
+
+        // A cache primed by a UNet preset — the case that carried a
+        // scaffold tensor per step under format version 2.
+        let cfg = crate::ModelConfig::sd21_like();
+        let pipe = crate::EditPipeline::new(&cfg).unwrap();
+        let template = crate::Image::template(cfg.pixel_h(), cfg.pixel_w(), 3);
+        for kv in [false, true] {
+            let primed = pipe.prime(&template, 7, kv).unwrap();
+            assert_eq!(primed.has_kv(), kv);
+            let bytes = primed.to_bytes();
+            let back = TemplateCache::from_bytes(&bytes).unwrap();
+            assert_eq!(back.num_steps(), cfg.steps);
+            assert_same_cache(&primed, &back, cfg.blocks);
+            assert_eq!(back.to_bytes(), bytes, "kv {kv}: re-serialization differs");
         }
     }
 
@@ -371,17 +367,37 @@ mod tests {
         let mut cache = TemplateCache::new(1, 2, 2);
         cache.push_step(StepCache {
             blocks: vec![block(2, 2, false)],
-            scaffold: None,
         });
         let good = cache.to_bytes();
         // Bad magic.
         let mut bad = good.clone();
         bad[0] = b'X';
         assert!(TemplateCache::from_bytes(&bad).is_err());
-        // Bad version.
-        let mut bad = good.clone();
-        bad[4] = 99;
-        assert!(TemplateCache::from_bytes(&bad).is_err());
+        // Bad version — 2 and 1 were once valid, and a v2 body read as
+        // v3 would parse shifted, so the version byte alone must reject.
+        let with_version = |v: u8| {
+            let mut blob = good.clone();
+            blob[4] = v;
+            blob
+        };
+        // A blob the v2 writer produced for this cache: v2 put a
+        // scaffold flag byte after each step's block count (offset 37
+        // for the first step; 0 = no scaffold tensor follows).
+        let mut genuine_v2 = with_version(2);
+        genuine_v2.insert(37, 0);
+        for bad in [
+            with_version(99),
+            with_version(2),
+            with_version(1),
+            genuine_v2,
+        ] {
+            assert_eq!(
+                TemplateCache::from_bytes(&bad).unwrap_err(),
+                corrupt("unsupported version"),
+                "version byte {}",
+                bad[4]
+            );
+        }
         // Truncation at every prefix length must error, never panic.
         for cut in [0, 3, 5, 12, good.len() / 2, good.len() - 1] {
             assert!(
@@ -417,10 +433,7 @@ mod tests {
                         v: kv.then(|| Tensor::randn([l, h], &mut rng)),
                     })
                     .collect();
-                cache.push_step(StepCache {
-                    blocks: bs,
-                    scaffold: None,
-                });
+                cache.push_step(StepCache { blocks: bs });
             }
             let back = TemplateCache::from_bytes(&cache.to_bytes()).expect("round trip");
             proptest::prop_assert_eq!(back.num_steps(), steps);
@@ -442,7 +455,6 @@ mod tests {
         let mut cache = TemplateCache::new(1, 4, 8);
         cache.push_step(StepCache {
             blocks: vec![block(4, 8, true), block(4, 8, false)],
-            scaffold: None,
         });
         assert!(!cache.has_kv());
         assert_eq!(cache.num_steps(), 1);

@@ -4,7 +4,7 @@
 use fps_tensor::ops::sparse::SparsePlan;
 use fps_tensor::ops::{gather_rows, layer_norm, matmul, scatter_rows_into};
 use fps_tensor::rng::DetRng;
-use fps_tensor::{pool, Tensor};
+use fps_tensor::Tensor;
 
 use crate::block::{AdaParams, CrossKv, MaskedContext, TransformerBlock};
 use crate::cache::{BlockCache, StepCache, TemplateCache};
@@ -216,11 +216,6 @@ impl DiffusionModel {
         self.check_conds(prompt, step)?;
         let latent = self.apply_scaffold(latent)?;
         let mut captured = StepCache::default();
-        // UNet priming also captures the scaffold output so sparse
-        // edits can replenish uncomputed conv pixels from it.
-        if self.scaffold.is_some() {
-            captured.scaffold = Some(latent.clone());
-        }
         let mut x = matmul(&latent, &self.in_proj)?;
         latent.recycle();
         for (block, (cross, ada)) in self.conditioned(prompt, step) {
@@ -245,11 +240,7 @@ impl DiffusionModel {
     /// Mask-aware noise prediction for one step under a per-block plan.
     ///
     /// `sparse` is the session's mask-derived token plan (built once
-    /// per edit); its active set lists the masked rows. On the
-    /// [`pool::ComputePath::Sparse`] path, a UNet scaffold additionally
-    /// convolves only the plan's dilated mask when the cache carries
-    /// the template's scaffold output for this step — bit-for-bit
-    /// identical to the full scaffold.
+    /// per edit); its active set lists the masked rows.
     ///
     /// Rows of the returned `[L, latent_channels]` prediction at
     /// unmasked positions are only meaningful insofar as the plan
@@ -296,7 +287,7 @@ impl DiffusionModel {
             });
         }
         let masked_idx = sparse.active();
-        let latent = self.apply_scaffold_planned(latent, sparse, cache, step)?;
+        let latent = self.apply_scaffold(latent)?;
         let mut x = matmul(&latent, &self.in_proj)?;
         latent.recycle();
         let blocks = self.conditioned(prompt, cond).zip(&plan.modes);
@@ -402,31 +393,6 @@ impl DiffusionModel {
             Some(rb) => rb.forward(latent),
             None => Ok(latent.clone()),
         }
-    }
-
-    /// Plan-aware scaffold: on the sparse compute path, with a grid
-    /// plan and the template's cached scaffold output for this step,
-    /// convolve only the mask's dilation (bitwise identical — the
-    /// sampler keeps unmasked latent rows template-anchored).
-    /// Otherwise fall back to the full scaffold.
-    fn apply_scaffold_planned(
-        &self,
-        latent: &Tensor,
-        sparse: &SparsePlan,
-        cache: Option<&TemplateCache>,
-        step: usize,
-    ) -> Result<Tensor> {
-        let Some(rb) = &self.scaffold else {
-            return Ok(latent.clone());
-        };
-        if pool::sparse_enabled() && sparse.grid().is_some() && !sparse.is_full() {
-            if let Some(tpl) = cache.and_then(|c| c.step_scaffold(step)) {
-                if tpl.dims() == latent.dims() {
-                    return rb.forward_sparse(latent, sparse, tpl);
-                }
-            }
-        }
-        rb.forward(latent)
     }
 
     fn cache_entry<'a>(

@@ -7,7 +7,7 @@ use fps_tensor::Tensor;
 use fps_trace::{Clock, TraceSink, Track};
 
 use crate::cache::TemplateCache;
-use crate::config::{Architecture, ModelConfig};
+use crate::config::ModelConfig;
 use crate::embedding::embed_prompt;
 use crate::error::DiffusionError;
 use crate::flops;
@@ -112,8 +112,7 @@ pub struct EditSession {
     template_noise: Tensor,
     masked_idx: Vec<usize>,
     /// The mask-derived token plan, built once at `begin` and reused by
-    /// every denoising step (grid-aware for UNet models so the sparse
-    /// compute path can dilate the conv mask).
+    /// every denoising step.
     plan: std::sync::Arc<SparsePlan>,
     strategy: Strategy,
     /// The denoiser passes of one step, each a prompt's per-block
@@ -301,10 +300,11 @@ impl EditPipeline {
             move |ev: &fps_tensor::ktrace::KernelEvent| {
                 let s = sink.instant_ns(ev.start);
                 let e = sink.instant_ns(ev.end);
-                let mut args = vec![("path", fps_json::Json::Str(ev.path.to_string()))];
-                if let Some(r) = ev.mask_ratio {
-                    args.push(("mask_ratio", fps_json::Json::F64(f64::from(r))));
-                }
+                let args = ev
+                    .mask_ratio
+                    .map(|r| ("mask_ratio", fps_json::Json::F64(f64::from(r))))
+                    .into_iter()
+                    .collect();
                 sink.span_at(ev.name, "kernel", track, s, e, 0, args);
             },
         )));
@@ -534,12 +534,8 @@ impl EditPipeline {
             ),
         };
         let flops_per_step = flops_per_pass * passes.len() as u64;
-        // One mask-derived plan per edit, shared by every step. UNet
-        // models get the grid-aware plan (conv dilation sets included).
-        let plan = match cfg.arch {
-            Architecture::UNet => SparsePlan::for_grid(cfg.latent_h, cfg.latent_w, masked_idx)?,
-            Architecture::Dit => SparsePlan::from_mask(cfg.tokens(), masked_idx)?,
-        };
+        // One mask-derived plan per edit, shared by every step.
+        let plan = SparsePlan::from_mask(cfg.tokens(), masked_idx)?;
         Ok(EditSession {
             template: template.clone(),
             z_template,

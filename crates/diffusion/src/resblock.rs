@@ -10,22 +10,11 @@
 //!
 //! `UNet`-arch toy models run one [`ResBlock`] on the latent grid
 //! before the transformer stack; `Dit` models have none.
-//!
-//! Since the sparse compute path landed, "always computes in full" has
-//! an exact exception: when an edit's unmasked latent rows are bitwise
-//! template-anchored (which the inpainting sampler guarantees every
-//! step) and the template's scaffold output for the step is cached,
-//! [`ResBlock::forward_sparse`] convolves only the mask's 1-dilation —
-//! via a halo-dilated gather — and replenishes every other pixel from
-//! the cached template scaffold, bit-for-bit identical to
-//! [`ResBlock::forward`].
 
-use fps_tensor::ops::sparse::SparsePlan;
-use fps_tensor::ops::{conv3x3, gather_rows, group_norm, silu, sparse};
+use fps_tensor::ops::{conv3x3, group_norm, silu};
 use fps_tensor::rng::DetRng;
 use fps_tensor::Tensor;
 
-use crate::error::DiffusionError;
 use crate::Result;
 
 /// Residual gain applied to the conv branch (keeps the scaffold
@@ -82,74 +71,6 @@ impl ResBlock {
             &self.bias,
         )?;
         Ok(x.add(&conv)?)
-    }
-
-    /// Mask-sparse forward: computes `x + conv(silu(group_norm(x)))`
-    /// only at the plan's 1-dilated mask pixels and copies every other
-    /// row from `template` — the template's cached scaffold output at
-    /// this step.
-    ///
-    /// Exactness contract (the caller's responsibility): rows of `x`
-    /// outside the mask must be bitwise equal to the latent the
-    /// template was primed with at this step. GroupNorm and SiLU are
-    /// token-wise and the sparse conv replicates the dense tap order,
-    /// so computed pixels match [`ResBlock::forward`] bit-for-bit, and
-    /// uncomputed pixels — whose full 3×3 neighbourhood is unmasked —
-    /// match the cached template rows bit-for-bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DiffusionError::InvalidPlan`] when the plan carries no
-    /// grid or its dimensions disagree with this block's, and
-    /// propagates shape errors.
-    pub fn forward_sparse(
-        &self,
-        x: &Tensor,
-        plan: &SparsePlan,
-        template: &Tensor,
-    ) -> Result<Tensor> {
-        let grid = plan.grid().ok_or_else(|| DiffusionError::InvalidPlan {
-            reason: "sparse scaffold needs a grid plan (SparsePlan::for_grid)".into(),
-        })?;
-        if grid.h() != self.grid_h || grid.w() != self.grid_w {
-            return Err(DiffusionError::InvalidPlan {
-                reason: format!(
-                    "plan grid {}×{} does not match scaffold grid {}×{}",
-                    grid.h(),
-                    grid.w(),
-                    self.grid_h,
-                    self.grid_w
-                ),
-            });
-        }
-        if template.dims() != x.dims() {
-            return Err(DiffusionError::InvalidPlan {
-                reason: format!(
-                    "scaffold template shape {:?} does not match latent {:?}",
-                    template.dims(),
-                    x.dims()
-                ),
-            });
-        }
-        // The conv's input halo: GroupNorm + SiLU are token-wise, so
-        // computing them only at the 2-dilated mask rows is exact.
-        let halo_x = gather_rows(x, grid.halo())?;
-        let normed = group_norm(&halo_x, self.groups, &self.gn_g, &self.gn_b)?;
-        halo_x.recycle();
-        let activated = silu(&normed);
-        normed.recycle();
-        let conv = sparse::conv3x3(plan, &activated, &self.kernel, &self.bias, None)?;
-        activated.recycle();
-        let mut out = template.clone();
-        for &p in grid.computed() {
-            let xrow = x.row(p)?;
-            let crow = conv.row(p)?;
-            for ((o, &a), &b) in out.row_mut(p)?.iter_mut().zip(xrow).zip(crow) {
-                *o = a + b;
-            }
-        }
-        conv.recycle();
-        Ok(out)
     }
 }
 
@@ -219,43 +140,5 @@ mod tests {
         let (b, _) = block();
         let bad = Tensor::zeros([15, 4]);
         assert!(b.forward(&bad).is_err());
-    }
-
-    #[test]
-    fn sparse_forward_is_bitwise_identical_to_dense() {
-        let mut rng = DetRng::new(9);
-        let b = ResBlock::new(4, 4, 4, &mut rng);
-        // Template latent, and an edit latent that differs only at the
-        // masked rows (the anchoring the inpainting sampler maintains).
-        let xt = Tensor::randn([16, 4], &mut rng);
-        let masked = [5usize, 6];
-        let mut x = xt.clone();
-        for &p in &masked {
-            x.row_mut(p).unwrap().fill(0.75);
-        }
-        let plan = SparsePlan::for_grid(4, 4, &masked).unwrap();
-        let template = b.forward(&xt).unwrap();
-        let dense = b.forward(&x).unwrap();
-        let sparse_out = b.forward_sparse(&x, &plan, &template).unwrap();
-        assert_eq!(sparse_out, dense, "sparse scaffold must be bitwise exact");
-        // Degenerate empty plan: nothing computed, template verbatim.
-        let empty = SparsePlan::for_grid(4, 4, &[]).unwrap();
-        assert_eq!(b.forward_sparse(&xt, &empty, &template).unwrap(), template);
-        // Full plan: everything computed, template ignored.
-        let full = SparsePlan::for_grid(4, 4, &(0..16).collect::<Vec<_>>()).unwrap();
-        assert_eq!(b.forward_sparse(&x, &full, &template).unwrap(), dense);
-    }
-
-    #[test]
-    fn sparse_forward_validates_plan() {
-        let (b, x) = block();
-        let template = b.forward(&x).unwrap();
-        let gridless = SparsePlan::from_mask(16, &[1]).unwrap();
-        assert!(b.forward_sparse(&x, &gridless, &template).is_err());
-        let wrong_grid = SparsePlan::for_grid(2, 8, &[1]).unwrap();
-        assert!(b.forward_sparse(&x, &wrong_grid, &template).is_err());
-        let bad_template = Tensor::zeros([16, 3]);
-        let plan = SparsePlan::for_grid(4, 4, &[1]).unwrap();
-        assert!(b.forward_sparse(&x, &plan, &bad_template).is_err());
     }
 }

@@ -77,7 +77,7 @@ impl PatchVae {
         let pdim = self.patch * self.patch * 3;
         // Parallel over latent tokens; each token's projection is
         // independent and its reduction order matches the serial loop,
-        // so the result is bitwise identical on every compute path.
+        // so the result is bitwise identical serial or pooled.
         pool::for_each_row_chunk(
             &mut out,
             l,

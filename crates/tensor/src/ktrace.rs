@@ -4,14 +4,12 @@
 //! depending on `fps-trace` directly it exposes a process-wide observer
 //! callback: when installed, every kernel entry point (`matmul`,
 //! `softmax_rows`, the fused attention, …) reports a [`KernelEvent`]
-//! carrying its name, the dispatch path it ran on, the mask ratio it
-//! computed at (sparse kernels only), and wall-clock start/end
-//! [`Instant`]s. The diffusion layer installs an observer that forwards
-//! these as `kernel`-category spans into its `TraceSink` (see
+//! carrying its name, the mask ratio it computed at (the plan-taking
+//! `ops::sparse::matmul` only), and wall-clock start/end [`Instant`]s.
+//! The diffusion layer installs an observer that forwards these as
+//! `kernel`-category spans into its `TraceSink` (see
 //! `EditPipeline::trace_kernels`), which is how traced runs attribute
-//! denoise time to individual kernels — and, since the sparse compute
-//! path landed, how flamegraphs and `trace_bubbles` tell sparse kernel
-//! time apart from dense.
+//! denoise time to individual kernels.
 //!
 //! Disabled by default: the cost on the hot path is then a single
 //! relaxed atomic load per kernel call.
@@ -21,19 +19,13 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::pool;
-
 /// One observed kernel execution.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelEvent {
     /// Kernel entry-point name (`"matmul"`, `"mha_fused"`, …).
     pub name: &'static str,
-    /// Label of the calling thread's [`pool::ComputePath`] at span
-    /// start: `"scalar"`, `"parallel"`, `"fused"`, or `"sparse"`.
-    pub path: &'static str,
     /// Fraction of output rows the kernel actually computed — reported
-    /// by the mask-sparse kernels in `ops::sparse`; `None` for dense
-    /// kernels.
+    /// by `ops::sparse::matmul`; `None` for dense kernels.
     pub mask_ratio: Option<f32>,
     /// Wall-clock start of the kernel body.
     pub start: Instant,
@@ -80,28 +72,15 @@ fn span_with(name: &'static str, mask_ratio: Option<f32>) -> Option<KernelSpan> 
     let observer = OBSERVER.lock().clone()?;
     Some(KernelSpan {
         name,
-        path: path_label(pool::compute_path()),
         mask_ratio,
         start: Instant::now(),
         observer,
     })
 }
 
-/// Stable lowercase label of a compute path, as reported in
-/// [`KernelEvent::path`] and trace span args.
-pub fn path_label(path: pool::ComputePath) -> &'static str {
-    match path {
-        pool::ComputePath::Scalar => "scalar",
-        pool::ComputePath::Parallel => "parallel",
-        pool::ComputePath::Fused => "fused",
-        pool::ComputePath::Sparse => "sparse",
-    }
-}
-
 /// RAII guard reporting one kernel execution on drop.
 pub struct KernelSpan {
     name: &'static str,
-    path: &'static str,
     mask_ratio: Option<f32>,
     start: Instant,
     observer: Observer,
@@ -111,7 +90,6 @@ impl Drop for KernelSpan {
     fn drop(&mut self) {
         (self.observer)(&KernelEvent {
             name: self.name,
-            path: self.path,
             mask_ratio: self.mask_ratio,
             start: self.start,
             end: Instant::now(),
@@ -135,7 +113,6 @@ mod tests {
             // Other tests' kernels may fire concurrently; only count
             // our own spans.
             if ev.name == "unit_kernel" && ev.end >= ev.start {
-                assert_eq!(ev.path, "scalar");
                 assert_eq!(ev.mask_ratio, None);
                 h2.fetch_add(1, Ordering::Relaxed);
             }
@@ -145,9 +122,7 @@ mod tests {
             }
         })));
         assert!(enabled());
-        pool::with_compute_path(pool::ComputePath::Scalar, || {
-            drop(span("unit_kernel"));
-        });
+        drop(span("unit_kernel"));
         assert_eq!(hits.load(Ordering::Relaxed), 1);
         drop(span_masked("unit_sparse", 0.25));
         assert_eq!(hits.load(Ordering::Relaxed), 11);
@@ -155,13 +130,5 @@ mod tests {
         assert!(!enabled());
         assert!(span("unit_kernel").is_none());
         assert_eq!(hits.load(Ordering::Relaxed), 11);
-    }
-
-    #[test]
-    fn path_labels_are_stable() {
-        assert_eq!(path_label(pool::ComputePath::Scalar), "scalar");
-        assert_eq!(path_label(pool::ComputePath::Parallel), "parallel");
-        assert_eq!(path_label(pool::ComputePath::Fused), "fused");
-        assert_eq!(path_label(pool::ComputePath::Sparse), "sparse");
     }
 }

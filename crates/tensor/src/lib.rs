@@ -22,7 +22,7 @@
 //! - Kernels run on a deterministic parallel compute plane ([`pool`]):
 //!   row-wise operators chunk over *output rows* across a small shared
 //!   work pool, keeping each row's reduction order — and therefore the
-//!   result, bitwise — identical to the scalar path. Short-lived
+//!   result, bitwise — identical to a serial pass. Short-lived
 //!   intermediates draw storage from a thread-local [`scratch`] pool,
 //!   and [`ktrace`] exposes an opt-in per-kernel timing hook. The two
 //!   `unsafe` impls in [`pool`] (lifetime-erased task dispatch and

@@ -41,8 +41,8 @@ pub fn ada_layer_norm(
     scale: &Tensor,
     shift: &Tensor,
 ) -> Result<Tensor> {
-    let (rows, cols) = check_norm_args("ada_layer_norm", x, gamma, Some(beta))?;
-    check_norm_args("ada_layer_norm", x, scale, Some(shift))?;
+    let (rows, cols) = check_norm_args("ada_layer_norm", x, gamma, beta)?;
+    check_norm_args("ada_layer_norm", x, scale, shift)?;
     let _span = ktrace::span("ada_layer_norm");
     let mut out = scratch::take(rows * cols);
     let xd = x.data();
@@ -461,7 +461,7 @@ fn rank2_dims(op: &'static str, t: &Tensor) -> Result<(usize, usize)> {
 mod tests {
     use super::*;
     use crate::ops::{layer_norm, matmul, matmul_bt, modulate, softmax_rows};
-    use crate::pool::{with_compute_path, with_min_parallel_work, ComputePath};
+    use crate::pool::with_min_parallel_work;
     use crate::rng::DetRng;
 
     fn bits(t: &Tensor) -> Vec<u32> {
@@ -505,15 +505,11 @@ mod tests {
         let s = Tensor::randn([16], &mut rng);
         let sh = Tensor::randn([16], &mut rng);
         let composed = modulate(&layer_norm(&x, &g, &b).unwrap(), &s, &sh).unwrap();
-        for path in [
-            ComputePath::Scalar,
-            ComputePath::Parallel,
-            ComputePath::Fused,
-        ] {
-            let fused = with_compute_path(path, || {
-                with_min_parallel_work(0, || ada_layer_norm(&x, &g, &b, &s, &sh).unwrap())
-            });
-            assert_eq!(bits(&fused), bits(&composed), "path {path:?}");
+        // Serial, then forced-pooled.
+        for min_work in [usize::MAX, 0] {
+            let fused =
+                with_min_parallel_work(min_work, || ada_layer_norm(&x, &g, &b, &s, &sh).unwrap());
+            assert_eq!(bits(&fused), bits(&composed), "min_work {min_work}");
         }
     }
 

@@ -4,8 +4,7 @@
 //! the rows of the token matrix that correspond to masked tokens, runs
 //! the transformer block on that reduced matrix, and then *replenishes*
 //! the unmasked rows from the activation cache. [`gather_rows`] performs
-//! the extraction and [`scatter_rows`] / [`scatter_rows_into`] the
-//! replenishment.
+//! the extraction and [`scatter_rows_into`] the replenishment.
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;
@@ -38,20 +37,6 @@ pub fn gather_rows(x: &Tensor, idx: &[usize]) -> Result<Tensor> {
         out.extend_from_slice(&x.data()[i * cols..(i + 1) * cols]);
     }
     Tensor::from_vec(out, [idx.len(), cols])
-}
-
-/// Scatters rows of `src` into a zero tensor of `[total_rows, h]`, where
-/// `src` row `k` lands at row `idx[k]`.
-///
-/// # Errors
-///
-/// Returns an error when `src` is not rank-2, `idx.len()` differs from
-/// `src`'s row count, or an index is out of bounds.
-pub fn scatter_rows(src: &Tensor, idx: &[usize], total_rows: usize) -> Result<Tensor> {
-    let cols = check_scatter_args("scatter_rows", src, idx, total_rows)?;
-    let mut out = Tensor::zeros([total_rows, cols]);
-    scatter_rows_into(&mut out, src, idx)?;
-    Ok(out)
 }
 
 /// Scatters rows of `src` into an existing destination, overwriting the
@@ -142,7 +127,8 @@ mod tests {
     #[test]
     fn scatter_places_rows() {
         let src = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], [2, 2]).unwrap();
-        let out = scatter_rows(&src, &[2, 0], 3).unwrap();
+        let mut out = Tensor::zeros([3, 2]);
+        scatter_rows_into(&mut out, &src, &[2, 0]).unwrap();
         assert_eq!(out.row(2).unwrap(), &[1.0, 2.0]);
         assert_eq!(out.row(0).unwrap(), &[3.0, 4.0]);
         assert_eq!(out.row(1).unwrap(), &[0.0, 0.0]);
@@ -161,8 +147,15 @@ mod tests {
     #[test]
     fn scatter_validates_arguments() {
         let src = Tensor::zeros([2, 2]);
-        assert!(scatter_rows(&src, &[0], 3).is_err(), "idx length mismatch");
-        assert!(scatter_rows(&src, &[0, 5], 3).is_err(), "index oob");
+        let mut dst = Tensor::zeros([3, 2]);
+        assert!(
+            scatter_rows_into(&mut dst, &src, &[0]).is_err(),
+            "idx length mismatch"
+        );
+        assert!(
+            scatter_rows_into(&mut dst, &src, &[0, 5]).is_err(),
+            "index oob"
+        );
         let mut narrow = Tensor::zeros([3, 1]);
         assert!(
             scatter_rows_into(&mut narrow, &src, &[0, 1]).is_err(),
@@ -176,7 +169,8 @@ mod tests {
         let x = Tensor::randn([5, 3], &mut rng);
         let perm = [4usize, 2, 0, 3, 1];
         let g = gather_rows(&x, &perm).unwrap();
-        let back = scatter_rows(&g, &perm, 5).unwrap();
+        let mut back = Tensor::zeros([5, 3]);
+        scatter_rows_into(&mut back, &g, &perm).unwrap();
         assert_eq!(back, x);
     }
 

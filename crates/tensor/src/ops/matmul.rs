@@ -22,8 +22,8 @@
 //! committed artifacts, chaos reproducibility) is preserved.
 //!
 //! All kernels parallelize over *output rows* through [`crate::pool`]:
-//! each row's reduction runs in the same order on every path, so
-//! parallel results are bitwise identical to scalar ones.
+//! each row's reduction runs in the same order whichever thread
+//! computes it, so pooled results are bitwise identical to serial ones.
 //!
 //! Earlier revisions skipped inner-product terms whose `A` element was
 //! exactly `0.0`. That branch is gone: it made measured kernel time
@@ -330,14 +330,7 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// still a single ascending-`k` sum, so the unroll is bitwise
 /// invisible.
 #[inline]
-pub(crate) fn matmul_bt_rows(
-    chunk: &mut [f32],
-    r0: usize,
-    ad: &[f32],
-    bd: &[f32],
-    k: usize,
-    n: usize,
-) {
+fn matmul_bt_rows(chunk: &mut [f32], r0: usize, ad: &[f32], bd: &[f32], k: usize, n: usize) {
     for (ri, orow) in chunk.chunks_exact_mut(n).enumerate() {
         let i = r0 + ri;
         let arow = &ad[i * k..(i + 1) * k];
@@ -369,56 +362,6 @@ pub(crate) fn matmul_bt_rows(
             *o = acc;
         }
     }
-}
-
-/// Computes `Aᵀ · B` for `A: [k, m]` and `B: [k, n]` without
-/// materializing the transpose.
-///
-/// # Errors
-///
-/// Returns an error if either operand is not rank-2 or the shared
-/// dimension disagrees.
-pub fn matmul_tb(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    check_rank2("matmul_tb", a)?;
-    check_rank2("matmul_tb", b)?;
-    let (k, m) = (a.dims()[0], a.dims()[1]);
-    let (k2, n) = (b.dims()[0], b.dims()[1]);
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_tb",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    let _span = ktrace::span("matmul_tb");
-    let mut out = scratch::take(m * n);
-    let ad = a.data();
-    let bd = b.data();
-    pool::for_each_row_chunk(
-        &mut out,
-        m,
-        n,
-        2 * k * n,
-        pool::KernelClass::Gemm,
-        |r0, chunk| {
-            // Per output row `i`, the accumulation still walks `p`
-            // ascending — the same reduction order as the historical
-            // `p`-outer loop — so row-chunking leaves every element
-            // bit-for-bit unchanged. Only the read of `A` (stride `m`)
-            // differs from the dense kernels above.
-            for (ri, orow) in chunk.chunks_exact_mut(n).enumerate() {
-                let i = r0 + ri;
-                for p in 0..k {
-                    let av = ad[p * m + i];
-                    let brow = &bd[p * n..(p + 1) * n];
-                    for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                        *o += av * bv;
-                    }
-                }
-            }
-        },
-    );
-    Tensor::from_vec(out, [m, n])
 }
 
 fn check_rank2(op: &'static str, t: &Tensor) -> Result<()> {
@@ -468,7 +411,6 @@ mod tests {
         let b = Tensor::zeros([4, 2]);
         assert!(matmul(&a, &b).is_err());
         assert!(matmul_bt(&a, &b).is_err());
-        assert!(matmul_tb(&a, &b).is_err());
         assert!(matmul_naive(&a, &b).is_err());
     }
 
@@ -480,16 +422,6 @@ mod tests {
         let via_bt = matmul_bt(&a, &b).unwrap();
         let via_t = matmul(&a, &b.transpose().unwrap()).unwrap();
         assert!(via_bt.max_abs_diff(&via_t).unwrap() < 1e-5);
-    }
-
-    #[test]
-    fn tb_matches_explicit_transpose() {
-        let mut rng = DetRng::new(4);
-        let a = Tensor::randn([7, 5], &mut rng);
-        let b = Tensor::randn([7, 6], &mut rng);
-        let via_tb = matmul_tb(&a, &b).unwrap();
-        let via_t = matmul(&a.transpose().unwrap(), &b).unwrap();
-        assert!(via_tb.max_abs_diff(&via_t).unwrap() < 1e-5);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Normalization layers: LayerNorm, RMSNorm, and AdaLN-style modulation.
+//! Normalization layers: LayerNorm, GroupNorm, and AdaLN-style modulation.
 //!
 //! All of these are token-wise operations — each row (token) is
 //! normalized independently — which is exactly the property §3.1 of the
@@ -21,7 +21,7 @@ pub const NORM_EPS: f32 = 1e-5;
 /// Returns an error when `x` is not rank-2 or the parameter vectors do
 /// not match the feature dimension.
 pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> Result<Tensor> {
-    let (rows, cols) = check_norm_args("layer_norm", x, gamma, Some(beta))?;
+    let (rows, cols) = check_norm_args("layer_norm", x, gamma, beta)?;
     let _span = ktrace::span("layer_norm");
     let mut out = scratch::take(rows * cols);
     let xd = x.data();
@@ -56,27 +56,6 @@ pub(crate) fn layer_norm_row(row: &[f32], orow: &mut [f32], gamma: &[f32], beta:
     }
 }
 
-/// Applies RMSNorm over the last axis of a rank-2 tensor.
-///
-/// # Errors
-///
-/// Returns an error when `x` is not rank-2 or `gamma` does not match the
-/// feature dimension.
-pub fn rms_norm(x: &Tensor, gamma: &Tensor) -> Result<Tensor> {
-    let (rows, cols) = check_norm_args("rms_norm", x, gamma, None)?;
-    let mut out = vec![0.0f32; rows * cols];
-    for r in 0..rows {
-        let row = &x.data()[r * cols..(r + 1) * cols];
-        let orow = &mut out[r * cols..(r + 1) * cols];
-        let ms = row.iter().map(|&v| v * v).sum::<f32>() / cols as f32;
-        let inv = 1.0 / (ms + NORM_EPS).sqrt();
-        for (c, o) in orow.iter_mut().enumerate() {
-            *o = row[c] * inv * gamma.data()[c];
-        }
-    }
-    Tensor::from_vec(out, [rows, cols])
-}
-
 /// AdaLN-style modulation: `x * (1 + scale) + shift`, broadcast over
 /// rows.
 ///
@@ -89,7 +68,7 @@ pub fn rms_norm(x: &Tensor, gamma: &Tensor) -> Result<Tensor> {
 /// Returns an error when `x` is not rank-2 or the modulation vectors do
 /// not match the feature dimension.
 pub fn modulate(x: &Tensor, scale: &Tensor, shift: &Tensor) -> Result<Tensor> {
-    let (rows, cols) = check_norm_args("modulate", x, scale, Some(shift))?;
+    let (rows, cols) = check_norm_args("modulate", x, scale, shift)?;
     let mut out = scratch::take(rows * cols);
     out.copy_from_slice(x.data());
     for orow in out.chunks_exact_mut(cols.max(1)) {
@@ -117,7 +96,7 @@ pub(crate) fn modulate_row_inplace(orow: &mut [f32], scale: &[f32], shift: &[f32
 /// Returns an error when `x` is not rank-2, `groups` does not divide
 /// the feature dimension, or parameter vectors mismatch.
 pub fn group_norm(x: &Tensor, groups: usize, gamma: &Tensor, beta: &Tensor) -> Result<Tensor> {
-    let (rows, cols) = check_norm_args("group_norm", x, gamma, Some(beta))?;
+    let (rows, cols) = check_norm_args("group_norm", x, gamma, beta)?;
     if groups == 0 || cols % groups != 0 {
         return Err(TensorError::ShapeMismatch {
             op: "group_norm",
@@ -151,7 +130,7 @@ pub(crate) fn check_norm_args(
     op: &'static str,
     x: &Tensor,
     a: &Tensor,
-    b: Option<&Tensor>,
+    b: &Tensor,
 ) -> Result<(usize, usize)> {
     if x.rank() != 2 {
         return Err(TensorError::RankMismatch {
@@ -161,7 +140,7 @@ pub(crate) fn check_norm_args(
         });
     }
     let (rows, cols) = (x.dims()[0], x.dims()[1]);
-    if a.numel() != cols || b.is_some_and(|b| b.numel() != cols) {
+    if a.numel() != cols || b.numel() != cols {
         return Err(TensorError::ShapeMismatch {
             op,
             lhs: x.dims().to_vec(),
@@ -205,19 +184,6 @@ mod tests {
         // Normalized row is ±1 (up to eps), so output is 5 ± 2.
         assert!((y.data()[0] - 7.0).abs() < 1e-2);
         assert!((y.data()[1] - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn rms_norm_unit_rms() {
-        let mut rng = DetRng::new(2);
-        let x = Tensor::randn([3, 32], &mut rng).scale(10.0);
-        let g = Tensor::full([32], 1.0);
-        let y = rms_norm(&x, &g).unwrap();
-        for r in 0..3 {
-            let row = y.row(r).unwrap();
-            let ms = row.iter().map(|&v| v * v).sum::<f32>() / 32.0;
-            assert!((ms - 1.0).abs() < 1e-2, "ms {ms}");
-        }
     }
 
     #[test]
@@ -273,7 +239,6 @@ mod tests {
         let x = Tensor::zeros([2, 4]);
         let (g, b) = unit_params(3);
         assert!(layer_norm(&x, &g, &b).is_err());
-        assert!(rms_norm(&x, &g).is_err());
         assert!(modulate(&x, &g, &b).is_err());
         let bad = Tensor::zeros([2, 4, 1]);
         let (g4, b4) = unit_params(4);

@@ -98,7 +98,7 @@ fn lane_max(row: &[f32]) -> f32 {
 /// the tree `((l₀+l₄) + (l₂+l₆)) + ((l₁+l₅) + (l₃+l₇))`, and the
 /// remaining `len % LANES` elements are added in ascending order. The
 /// order is a function of the row length alone — not of the pool size,
-/// the compute path or the host — so the sum's bits are too.
+/// the dispatch decision or the host — so the sum's bits are too.
 #[inline]
 fn lane_sum(row: &[f32]) -> f32 {
     let mut lanes = [0.0f32; LANES];

@@ -1,95 +1,57 @@
-//! Mask-sparse kernels: gather → dense compute → scatter.
+//! The mask plan, and the one plan-taking kernel measured against it.
 //!
 //! FlashPS's central claim is that editing cost tracks the *mask
-//! ratio*. Until this module landed, sparsity lived only in the cost
-//! model (`fps-diffusion::flops`): kernels computed full tensors and
-//! masking happened afterwards, so measured wall time never moved with
-//! the mask. Following SIGE's recipe ("Efficient Spatially Sparse
-//! Inference for Conditional GANs and Diffusion Models"), each kernel
-//! here takes a [`SparsePlan`] — a mask-derived token-index plan built
-//! once per edit — gathers the active rows into a dense scratch
-//! buffer, runs the *same dense row kernels* as the full-tensor path
-//! on them, and scatters the results back, filling the inactive region
-//! from a caller-supplied template tensor. FLOPs (and measured wall
-//! time — see `bench_kernels`' sparse arm) now scale with
-//! `plan.mask_ratio()`.
+//! ratio*. A [`SparsePlan`] is the mask-derived token-index plan an
+//! edit session builds once and every denoising step reuses: the served
+//! mask-aware path (`TransformerBlock::forward_masked{,_full_kv}` in
+//! `fps-diffusion`) gathers the plan's active rows once per block and
+//! keeps them gathered through AdaLN → QKV → attention → out-proj →
+//! cross-attention → FFN — the "activations stay in gathered form" half
+//! of SIGE ("Efficient Spatially Sparse Inference for Conditional GANs
+//! and Diffusion Models") — on the ordinary dense row kernels.
+//!
+//! [`matmul`] is the per-op form of the same idea (gather → dense row
+//! kernel → scatter, inactive rows filled from a template). No served
+//! edit calls it; it is kept because it is what the wall-clock
+//! measurements of "cost tracks the mask" time: `bench_kernels`' sparse
+//! gate (≥ 3× dense at a 10% mask) and the benchmark's
+//! `tensor.gemm_sparse_us`. Why there is no per-op family beside it (and
+//! no sparse conv for the UNet scaffold) is measured in DESIGN.md, "One
+//! mask-aware path".
 //!
 //! Identity contract, property-tested in `tests/sparse_identity.rs`:
 //!
-//! - **Computed rows** (the plan's active set — for [`conv3x3`], its
-//!   1-dilation, since a 3×3 conv widens the footprint of a masked
-//!   pixel by one ring) are bit-for-bit identical to what the dense
-//!   kernel produces, because they run the identical scalar row code
-//!   on gathered data.
+//! - **Computed rows** (the plan's active set) are bit-for-bit identical
+//!   to what the dense kernel produces, because they run the identical
+//!   scalar row code on gathered data.
 //! - **Template rows** (everything else) are bit-for-bit the template
 //!   tensor's rows (or zero when no template is supplied).
 //!
 //! Degenerate plans are first-class: an empty mask computes nothing
 //! and returns the template (or zeros), a full mask computes every row
 //! — neither panics.
-//!
-//! Convolution is the one spatially-mixing op, so its plan carries a
-//! [`GridPlan`]: the computed set is `dilate(mask)`, the gathered
-//! *input* halo is `dilate²(mask)`, and a per-pixel tap map indexes
-//! the gathered halo buffer directly (with an explicit zero-pad
-//! sentinel), so the kernel never touches un-gathered rows.
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;
 use crate::{ktrace, scratch, Result};
 
-use super::activation::gelu_scalar;
-use super::matmul::{matmul_bt_rows, matmul_rows};
-use super::norm::{check_norm_args, layer_norm_row, modulate_row_inplace};
+use super::matmul::matmul_rows;
 
-/// Tap-map sentinel: this tap reads the zero padding outside the grid.
-pub const PAD: u32 = u32::MAX;
-
-/// Kernel tap offsets in kernel-row order — identical to the dense
-/// [`super::conv::conv3x3`] taps.
-const TAPS: [(i64, i64); 9] = [
-    (-1, -1),
-    (-1, 0),
-    (-1, 1),
-    (0, -1),
-    (0, 0),
-    (0, 1),
-    (1, -1),
-    (1, 0),
-    (1, 1),
-];
+/// Name [`matmul`] reports in errors and kernel spans.
+const OP: &str = "sparse_matmul";
 
 /// A mask-derived token-index plan: which rows of a `[total_rows, ·]`
 /// token matrix an edit actually touches.
 ///
-/// Built once per edit ([`SparsePlan::from_mask`], or
-/// [`SparsePlan::for_grid`] when the token matrix is a 2-D latent grid
-/// and convolution is in play) and reused across every denoising step;
-/// the scratch buffers the kernels gather into come from the
-/// thread-local [`scratch`] pool, so steady-state sparse steps
-/// allocate nothing.
+/// Built once per edit ([`SparsePlan::from_mask`]) and reused across
+/// every denoising step; the scratch buffers [`matmul`] gathers into
+/// come from the thread-local [`scratch`] pool, so steady-state sparse
+/// steps allocate nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparsePlan {
     total_rows: usize,
     /// Active (masked) row indices, sorted and deduplicated.
     active: Vec<usize>,
-    grid: Option<GridPlan>,
-}
-
-/// The spatial half of a plan: conv-specific index sets on an
-/// `h × w` grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GridPlan {
-    h: usize,
-    w: usize,
-    /// Pixels whose conv *output* changes: the 1-dilation of the mask.
-    out_idx: Vec<usize>,
-    /// Pixels needed as conv *input* for `out_idx`: the 2-dilation of
-    /// the mask. The gathered halo buffer holds these rows, in order.
-    gather_idx: Vec<usize>,
-    /// `out_idx.len() × 9` entries: for each computed pixel and tap,
-    /// the row of the gathered halo buffer to read, or [`PAD`].
-    tap_map: Vec<u32>,
 }
 
 impl SparsePlan {
@@ -99,60 +61,8 @@ impl SparsePlan {
     ///
     /// Returns an error when an index is out of bounds.
     pub fn from_mask(total_rows: usize, masked: &[usize]) -> Result<Self> {
-        let active = checked_sorted(total_rows, masked, "sparse_plan")?;
-        Ok(Self {
-            total_rows,
-            active,
-            grid: None,
-        })
-    }
-
-    /// Builds a plan for an `h × w` latent grid, additionally deriving
-    /// the conv dilation sets and tap map.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when an index is out of bounds for the grid.
-    pub fn for_grid(h: usize, w: usize, masked: &[usize]) -> Result<Self> {
-        let total = h * w;
-        let active = checked_sorted(total, masked, "sparse_plan")?;
-        let mut is_active = vec![false; total];
-        for &i in &active {
-            is_active[i] = true;
-        }
-        let out_set = dilate(&is_active, h, w);
-        let gather_set = dilate(&out_set, h, w);
-        let out_idx: Vec<usize> = (0..total).filter(|&i| out_set[i]).collect();
-        let gather_idx: Vec<usize> = (0..total).filter(|&i| gather_set[i]).collect();
-        let mut pos = vec![PAD; total];
-        for (gi, &i) in gather_idx.iter().enumerate() {
-            pos[i] = gi as u32;
-        }
-        let mut tap_map = Vec::with_capacity(out_idx.len() * 9);
-        for &oi in &out_idx {
-            let (y, x) = ((oi / w) as i64, (oi % w) as i64);
-            for (dy, dx) in TAPS {
-                let (py, px) = (y + dy, x + dx);
-                if py < 0 || px < 0 || py >= h as i64 || px >= w as i64 {
-                    tap_map.push(PAD);
-                } else {
-                    // In-grid neighbours of out_idx are in dilate² by
-                    // construction, so `pos` is always set here.
-                    tap_map.push(pos[py as usize * w + px as usize]);
-                }
-            }
-        }
-        Ok(Self {
-            total_rows: total,
-            active,
-            grid: Some(GridPlan {
-                h,
-                w,
-                out_idx,
-                gather_idx,
-                tap_map,
-            }),
-        })
+        let active = checked_sorted(total_rows, masked)?;
+        Ok(Self { total_rows, active })
     }
 
     /// Rows of the token matrix this plan addresses.
@@ -183,58 +93,12 @@ impl SparsePlan {
     pub fn is_full(&self) -> bool {
         self.active.len() == self.total_rows
     }
-
-    /// The spatial half of the plan, present for grid plans.
-    pub fn grid(&self) -> Option<&GridPlan> {
-        self.grid.as_ref()
-    }
 }
 
-impl GridPlan {
-    /// Grid height.
-    pub fn h(&self) -> usize {
-        self.h
-    }
-
-    /// Grid width.
-    pub fn w(&self) -> usize {
-        self.w
-    }
-
-    /// Pixels the sparse conv computes: the mask's 1-dilation.
-    pub fn computed(&self) -> &[usize] {
-        &self.out_idx
-    }
-
-    /// Pixels the sparse conv needs as input: the mask's 2-dilation.
-    /// Row `i` of the gathered halo buffer is grid pixel `halo()[i]`.
-    pub fn halo(&self) -> &[usize] {
-        &self.gather_idx
-    }
-}
-
-/// 1-dilation of a boolean grid mask under the 3×3 structuring
-/// element (clipped at the grid edge).
-fn dilate(mask: &[bool], h: usize, w: usize) -> Vec<bool> {
-    let mut out = vec![false; mask.len()];
-    for (i, o) in out.iter_mut().enumerate() {
-        let (y, x) = ((i / w.max(1)) as i64, (i % w.max(1)) as i64);
-        *o = TAPS.iter().any(|(dy, dx)| {
-            let (py, px) = (y + dy, x + dx);
-            py >= 0
-                && px >= 0
-                && py < h as i64
-                && px < w as i64
-                && mask[py as usize * w + px as usize]
-        });
-    }
-    out
-}
-
-fn checked_sorted(total: usize, masked: &[usize], op: &'static str) -> Result<Vec<usize>> {
+fn checked_sorted(total: usize, masked: &[usize]) -> Result<Vec<usize>> {
     if let Some(&bad) = masked.iter().find(|&&i| i >= total) {
         return Err(TensorError::IndexOutOfBounds {
-            op,
+            op: "sparse_plan",
             index: bad,
             bound: total,
         });
@@ -248,7 +112,6 @@ fn checked_sorted(total: usize, masked: &[usize], op: &'static str) -> Result<Ve
 /// Fills `out` (`total_rows × cols`, zero-filled from scratch) with the
 /// template's rows. With no template, rows stay zero.
 fn seed_from_template(
-    op: &'static str,
     out: &mut [f32],
     rows: usize,
     cols: usize,
@@ -259,7 +122,7 @@ fn seed_from_template(
     };
     if t.rank() != 2 || t.dims() != [rows, cols] {
         return Err(TensorError::ShapeMismatch {
-            op,
+            op: OP,
             lhs: t.dims().to_vec(),
             rhs: vec![rows, cols],
         });
@@ -285,17 +148,17 @@ fn scatter_from_scratch(out: &mut [f32], src: &[f32], idx: &[usize], cols: usize
     }
 }
 
-fn check_a(op: &'static str, plan: &SparsePlan, a: &Tensor) -> Result<(usize, usize)> {
+fn check_a(plan: &SparsePlan, a: &Tensor) -> Result<(usize, usize)> {
     if a.rank() != 2 {
         return Err(TensorError::RankMismatch {
-            op,
+            op: OP,
             expected: 2,
             actual: a.rank(),
         });
     }
     if a.dims()[0] != plan.total_rows {
         return Err(TensorError::ShapeMismatch {
-            op,
+            op: OP,
             lhs: a.dims().to_vec(),
             rhs: vec![plan.total_rows],
         });
@@ -316,18 +179,18 @@ pub fn matmul(
     b: &Tensor,
     template: Option<&Tensor>,
 ) -> Result<Tensor> {
-    let (m, k) = check_a("sparse_matmul", plan, a)?;
+    let (m, k) = check_a(plan, a)?;
     if b.rank() != 2 || b.dims()[0] != k {
         return Err(TensorError::ShapeMismatch {
-            op: "sparse_matmul",
+            op: OP,
             lhs: a.dims().to_vec(),
             rhs: b.dims().to_vec(),
         });
     }
     let n = b.dims()[1];
-    let _span = ktrace::span_masked("sparse_matmul", plan.mask_ratio());
+    let _span = ktrace::span_masked(OP, plan.mask_ratio());
     let mut out = scratch::take(m * n);
-    seed_from_template("sparse_matmul", &mut out, m, n, template)?;
+    seed_from_template(&mut out, m, n, template)?;
     if !plan.active.is_empty() && n > 0 {
         let ga = gather_into_scratch(a.data(), &plan.active, k);
         let mut gout = scratch::take(plan.active.len() * n);
@@ -337,223 +200,11 @@ pub fn matmul(
         scratch::give(ga);
     }
     Tensor::from_vec(out, [m, n])
-}
-
-/// Sparse `A · Bᵀ`: active rows computed, the rest from `template`.
-///
-/// # Errors
-///
-/// Returns an error on rank/shape mismatches.
-pub fn matmul_bt(
-    plan: &SparsePlan,
-    a: &Tensor,
-    b: &Tensor,
-    template: Option<&Tensor>,
-) -> Result<Tensor> {
-    let (m, k) = check_a("sparse_matmul_bt", plan, a)?;
-    if b.rank() != 2 || b.dims()[1] != k {
-        return Err(TensorError::ShapeMismatch {
-            op: "sparse_matmul_bt",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    let n = b.dims()[0];
-    let _span = ktrace::span_masked("sparse_matmul_bt", plan.mask_ratio());
-    let mut out = scratch::take(m * n);
-    seed_from_template("sparse_matmul_bt", &mut out, m, n, template)?;
-    if !plan.active.is_empty() && n > 0 {
-        let ga = gather_into_scratch(a.data(), &plan.active, k);
-        let mut gout = scratch::take(plan.active.len() * n);
-        matmul_bt_rows(&mut gout, 0, &ga, b.data(), k, n);
-        scatter_from_scratch(&mut out, &gout, &plan.active, n);
-        scratch::give(gout);
-        scratch::give(ga);
-    }
-    Tensor::from_vec(out, [m, n])
-}
-
-/// Sparse fused FFN GEMM: `gelu(A · B)` on the active rows, the rest
-/// from `template`.
-///
-/// # Errors
-///
-/// Returns an error on rank/shape mismatches.
-pub fn matmul_gelu(
-    plan: &SparsePlan,
-    a: &Tensor,
-    b: &Tensor,
-    template: Option<&Tensor>,
-) -> Result<Tensor> {
-    let (m, k) = check_a("sparse_matmul_gelu", plan, a)?;
-    if b.rank() != 2 || b.dims()[0] != k {
-        return Err(TensorError::ShapeMismatch {
-            op: "sparse_matmul_gelu",
-            lhs: a.dims().to_vec(),
-            rhs: b.dims().to_vec(),
-        });
-    }
-    let n = b.dims()[1];
-    let _span = ktrace::span_masked("sparse_matmul_gelu", plan.mask_ratio());
-    let mut out = scratch::take(m * n);
-    seed_from_template("sparse_matmul_gelu", &mut out, m, n, template)?;
-    if !plan.active.is_empty() && n > 0 {
-        let ga = gather_into_scratch(a.data(), &plan.active, k);
-        let mut gout = scratch::take(plan.active.len() * n);
-        matmul_rows(&mut gout, 0, &ga, b.data(), k, n);
-        for o in gout.iter_mut() {
-            *o = gelu_scalar(*o);
-        }
-        scatter_from_scratch(&mut out, &gout, &plan.active, n);
-        scratch::give(gout);
-        scratch::give(ga);
-    }
-    Tensor::from_vec(out, [m, n])
-}
-
-/// Sparse LayerNorm: row-wise, so active rows are normalized straight
-/// from `x` (no gather needed), the rest come from `template`.
-///
-/// # Errors
-///
-/// Returns an error on rank/shape mismatches.
-pub fn layer_norm(
-    plan: &SparsePlan,
-    x: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    template: Option<&Tensor>,
-) -> Result<Tensor> {
-    let (rows, cols) = check_norm_args("sparse_layer_norm", x, gamma, Some(beta))?;
-    check_a("sparse_layer_norm", plan, x)?;
-    let _span = ktrace::span_masked("sparse_layer_norm", plan.mask_ratio());
-    let mut out = scratch::take(rows * cols);
-    seed_from_template("sparse_layer_norm", &mut out, rows, cols, template)?;
-    let xd = x.data();
-    for &i in &plan.active {
-        let (xrow, orow) = (
-            &xd[i * cols..(i + 1) * cols],
-            &mut out[i * cols..(i + 1) * cols],
-        );
-        layer_norm_row(xrow, orow, gamma.data(), beta.data());
-    }
-    Tensor::from_vec(out, [rows, cols])
-}
-
-/// Sparse fused AdaLN: LayerNorm + modulate on the active rows, the
-/// rest from `template`.
-///
-/// # Errors
-///
-/// Returns an error on rank/shape mismatches.
-pub fn ada_layer_norm(
-    plan: &SparsePlan,
-    x: &Tensor,
-    gamma: &Tensor,
-    beta: &Tensor,
-    scale: &Tensor,
-    shift: &Tensor,
-    template: Option<&Tensor>,
-) -> Result<Tensor> {
-    let (rows, cols) = check_norm_args("sparse_ada_layer_norm", x, gamma, Some(beta))?;
-    check_norm_args("sparse_ada_layer_norm", x, scale, Some(shift))?;
-    check_a("sparse_ada_layer_norm", plan, x)?;
-    let _span = ktrace::span_masked("sparse_ada_layer_norm", plan.mask_ratio());
-    let mut out = scratch::take(rows * cols);
-    seed_from_template("sparse_ada_layer_norm", &mut out, rows, cols, template)?;
-    let xd = x.data();
-    for &i in &plan.active {
-        let (xrow, orow) = (
-            &xd[i * cols..(i + 1) * cols],
-            &mut out[i * cols..(i + 1) * cols],
-        );
-        layer_norm_row(xrow, orow, gamma.data(), beta.data());
-        modulate_row_inplace(orow, scale.data(), shift.data());
-    }
-    Tensor::from_vec(out, [rows, cols])
-}
-
-/// Sparse 3×3 convolution over the plan's grid.
-///
-/// `halo` is the gathered input: row `i` holds grid pixel
-/// `plan.grid().halo()[i]` of the (conceptual) full input — usually
-/// produced by computing a row-wise preamble (GroupNorm + SiLU in the
-/// UNet scaffold) only at the halo pixels. Computed pixels are the
-/// mask's 1-dilation ([`GridPlan::computed`]); every other pixel comes
-/// from `template` (or zero). Tap/channel accumulation order is
-/// identical to the dense [`super::conv::conv3x3`], so computed pixels
-/// are bitwise equal to a dense pass over the full input.
-///
-/// # Errors
-///
-/// Returns an error when the plan carries no [`GridPlan`] or on
-/// rank/shape mismatches.
-pub fn conv3x3(
-    plan: &SparsePlan,
-    halo: &Tensor,
-    kernel: &Tensor,
-    bias: &Tensor,
-    template: Option<&Tensor>,
-) -> Result<Tensor> {
-    let Some(grid) = plan.grid() else {
-        return Err(TensorError::Numeric {
-            op: "sparse_conv3x3",
-            reason: "plan has no grid (built with from_mask, not for_grid)",
-        });
-    };
-    if halo.rank() != 2 || halo.dims()[0] != grid.gather_idx.len() {
-        return Err(TensorError::ShapeMismatch {
-            op: "sparse_conv3x3",
-            lhs: halo.dims().to_vec(),
-            rhs: vec![grid.gather_idx.len()],
-        });
-    }
-    let c_in = halo.dims()[1];
-    if kernel.rank() != 2 || kernel.dims()[0] != 9 * c_in {
-        return Err(TensorError::ShapeMismatch {
-            op: "sparse_conv3x3",
-            lhs: kernel.dims().to_vec(),
-            rhs: vec![9 * c_in],
-        });
-    }
-    let c_out = kernel.dims()[1];
-    if bias.numel() != c_out {
-        return Err(TensorError::ShapeMismatch {
-            op: "sparse_conv3x3",
-            lhs: bias.dims().to_vec(),
-            rhs: vec![c_out],
-        });
-    }
-    let _span = ktrace::span_masked("sparse_conv3x3", plan.mask_ratio());
-    let total = plan.total_rows;
-    let mut out = scratch::take(total * c_out);
-    seed_from_template("sparse_conv3x3", &mut out, total, c_out, template)?;
-    let hd = halo.data();
-    let kd = kernel.data();
-    let bd = bias.data();
-    for (o, &oi) in grid.out_idx.iter().enumerate() {
-        let orow = &mut out[oi * c_out..(oi + 1) * c_out];
-        orow.copy_from_slice(bd);
-        for (tap, &gi) in grid.tap_map[o * 9..(o + 1) * 9].iter().enumerate() {
-            if gi == PAD {
-                continue; // Zero padding, same as the dense kernel.
-            }
-            let src = &hd[gi as usize * c_in..(gi as usize + 1) * c_in];
-            for (ci, &v) in src.iter().enumerate() {
-                let krow = &kd[(tap * c_in + ci) * c_out..(tap * c_in + ci + 1) * c_out];
-                for (o, &k) in orow.iter_mut().zip(krow.iter()) {
-                    *o += v * k;
-                }
-            }
-        }
-    }
-    Tensor::from_vec(out, [total, c_out])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::gather_rows;
     use crate::rng::DetRng;
 
     #[test]
@@ -565,22 +216,6 @@ mod tests {
         assert!(!p.is_empty() && !p.is_full());
         assert!(SparsePlan::from_mask(8, &[8]).is_err());
         assert!(SparsePlan::from_mask(0, &[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn grid_plan_dilates_once_for_output_twice_for_halo() {
-        // Mask the centre of a 5×5 grid: output set is the 3×3 ring
-        // around it, halo the full 5×5.
-        let p = SparsePlan::for_grid(5, 5, &[12]).unwrap();
-        let g = p.grid().unwrap();
-        assert_eq!(g.computed().len(), 9);
-        assert_eq!(g.halo().len(), 25);
-        assert_eq!((g.h(), g.w()), (5, 5));
-        // Corner mask: output 2×2, halo 3×3.
-        let p = SparsePlan::for_grid(5, 5, &[0]).unwrap();
-        let g = p.grid().unwrap();
-        assert_eq!(g.computed(), &[0, 1, 5, 6]);
-        assert_eq!(g.halo().len(), 9);
     }
 
     #[test]
@@ -601,45 +236,6 @@ mod tests {
         let dense = crate::ops::matmul(&a, &b).unwrap();
         let out = matmul(&full, &a, &b, None).unwrap();
         assert_eq!(out, dense, "full plan equals the dense kernel");
-    }
-
-    #[test]
-    fn sparse_conv_matches_dense_on_computed_pixels() {
-        let (h, w, c) = (4, 5, 3);
-        let mut rng = DetRng::new(7);
-        let x = Tensor::randn([h * w, c], &mut rng);
-        let kern = Tensor::randn([9 * c, 2], &mut rng);
-        let bias = Tensor::randn([2], &mut rng);
-        let dense = crate::ops::conv3x3(&x, h, w, &kern, &bias).unwrap();
-        let tmpl = Tensor::randn([h * w, 2], &mut rng);
-
-        let plan = SparsePlan::for_grid(h, w, &[7, 13]).unwrap();
-        let grid = plan.grid().unwrap();
-        let halo = gather_rows(&x, grid.halo()).unwrap();
-        let out = conv3x3(&plan, &halo, &kern, &bias, Some(&tmpl)).unwrap();
-        let computed: std::collections::HashSet<usize> = grid.computed().iter().copied().collect();
-        for r in 0..h * w {
-            let want = if computed.contains(&r) {
-                dense.row(r).unwrap()
-            } else {
-                tmpl.row(r).unwrap()
-            };
-            assert_eq!(out.row(r).unwrap(), want, "row {r}");
-        }
-    }
-
-    #[test]
-    fn conv_requires_grid_plan_and_matching_halo() {
-        let plan = SparsePlan::from_mask(6, &[1]).unwrap();
-        let halo = Tensor::zeros([1, 2]);
-        let kern = Tensor::zeros([18, 2]);
-        let bias = Tensor::zeros([2]);
-        assert!(conv3x3(&plan, &halo, &kern, &bias, None).is_err());
-        let plan = SparsePlan::for_grid(2, 3, &[1]).unwrap();
-        assert!(
-            conv3x3(&plan, &halo, &kern, &bias, None).is_err(),
-            "halo rows"
-        );
     }
 
     #[test]

@@ -20,14 +20,13 @@
 //!   pool degenerates gracefully: with one thread every `run` call is
 //!   an ordinary serial loop, and nested `run` calls cannot deadlock
 //!   (the nested caller drains its own region itself).
-//! - Kernel dispatch is controlled per-thread via [`ComputePath`]:
-//!   `Scalar` forces the serial path, `Parallel` and `Fused` (the
-//!   default) enable pooled row-chunking, and `Sparse` further enables
-//!   mask-sparse gather→compute→scatter execution in layers that hold
-//!   a `SparsePlan` (`ops::sparse`). Every path runs the same kernels
-//!   (the fused ones in `ops::fused` included). Benchmarks and
-//!   identity tests switch paths with [`with_compute_path`] and
-//!   compare outputs.
+//! - There is one kernel family and one dispatch rule: whether a row
+//!   kernel fans out is decided per call by [`for_each_row_chunk`]
+//!   from the work estimate and the class's calibrated threshold. The
+//!   one per-thread override is [`with_min_parallel_work`], which the
+//!   identity tests and `bench_kernels` use to compare two executions
+//!   of the same kernels: `usize::MAX` forces the serial reference,
+//!   `0` forces pooled row-chunking on any shape.
 //! - Row-chunking only pays off once the serial work dwarfs the cost
 //!   of waking workers, and that break-even point differs per kernel
 //!   family, so thresholds are *calibrated*: [`calibration`] measures
@@ -45,29 +44,7 @@ use std::sync::{Arc, OnceLock};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
-/// Which kernel implementation the current thread dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ComputePath {
-    /// Single-threaded reference kernels only.
-    Scalar,
-    /// Pooled row-chunked kernels (bitwise identical to `Scalar`).
-    Parallel,
-    /// The default. Dispatches exactly like `Parallel` — no layer
-    /// switches between a fused kernel and its composition any more —
-    /// and differs only in its trace label.
-    Fused,
-    /// Everything `Fused` enables, plus mask-sparse execution where a
-    /// [`SparsePlan`](crate::ops::sparse::SparsePlan) is available:
-    /// layers that hold a plan (the diffusion scaffold, the sparse
-    /// kernel entry points in `ops::sparse`) gather the active rows,
-    /// run the dense kernels on them, and scatter back, filling the
-    /// inactive region from a caller-supplied template. Dense kernels
-    /// without a plan behave exactly like `Fused`.
-    Sparse,
-}
-
 thread_local! {
-    static PATH: Cell<ComputePath> = const { Cell::new(ComputePath::Fused) };
     static MIN_WORK: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
@@ -83,30 +60,13 @@ const MAX_MIN_PARALLEL_WORK: usize = 64 * 1024 * 1024;
 /// least this factor before row-chunking is worth attempting.
 const DISPATCH_HEADROOM: f64 = 8.0;
 
-/// Returns the calling thread's current kernel dispatch path.
-pub fn compute_path() -> ComputePath {
-    PATH.with(Cell::get)
-}
-
-/// Runs `f` with the calling thread's dispatch path set to `path`,
-/// restoring the previous path afterwards (also on panic-free early
-/// returns; the previous value is restored by an RAII guard so unwind
-/// restores it too).
-pub fn with_compute_path<T>(path: ComputePath, f: impl FnOnce() -> T) -> T {
-    struct Restore(ComputePath);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PATH.with(|p| p.set(self.0));
-        }
-    }
-    let _restore = Restore(PATH.with(|p| p.replace(path)));
-    f()
-}
-
 /// Runs `f` with the parallel-dispatch work threshold pinned to `work`
 /// for every kernel class, overriding the calibrated per-class
-/// thresholds (0 parallelizes everything — used by identity tests to
-/// exercise the pooled path on tiny shapes).
+/// thresholds, restoring the previous setting afterwards (by an RAII
+/// guard, so unwind restores it too). `0` parallelizes everything —
+/// identity tests use it to exercise the pooled path on tiny shapes —
+/// and `usize::MAX` keeps every kernel on the calling thread: the
+/// serial reference those tests compare against.
 pub fn with_min_parallel_work<T>(work: usize, f: impl FnOnce() -> T) -> T {
     struct Restore(Option<usize>);
     impl Drop for Restore {
@@ -116,12 +76,6 @@ pub fn with_min_parallel_work<T>(work: usize, f: impl FnOnce() -> T) -> T {
     }
     let _restore = Restore(MIN_WORK.with(|p| p.replace(Some(work))));
     f()
-}
-
-/// True when the calling thread's path enables mask-sparse execution
-/// in plan-holding layers.
-pub fn sparse_enabled() -> bool {
-    compute_path() == ComputePath::Sparse
 }
 
 /// Kernel families whose parallel-dispatch thresholds are calibrated
@@ -526,12 +480,12 @@ fn default_threads() -> usize {
 }
 
 /// Dispatches a row-wise kernel: serial on the calling thread when the
-/// path is [`ComputePath::Scalar`], the estimated work is below the
-/// class's calibrated threshold, or the global pool is serial; pooled
-/// row chunks otherwise. `f(first_row, chunk)` must fill `chunk` (rows
-/// `first_row..`) using the scalar per-row kernel; `work_per_row` is a
-/// rough per-row flop count used only for the dispatch decision,
-/// compared against [`min_parallel_work`] for `class`.
+/// estimated work is below the class's threshold or the global pool is
+/// serial; pooled row chunks otherwise. `f(first_row, chunk)` must fill
+/// `chunk` (rows `first_row..`) using the scalar per-row kernel;
+/// `work_per_row` is a rough per-row flop count used only for the
+/// dispatch decision, compared against [`min_parallel_work`] for
+/// `class`.
 pub fn for_each_row_chunk<F>(
     out: &mut [f32],
     rows: usize,
@@ -546,8 +500,7 @@ pub fn for_each_row_chunk<F>(
         return;
     }
     let pool = global();
-    let serial = compute_path() == ComputePath::Scalar
-        || pool.threads() <= 1
+    let serial = pool.threads() <= 1
         || rows < 2
         || rows.saturating_mul(work_per_row) < min_parallel_work(class);
     if serial {
@@ -652,25 +605,39 @@ mod tests {
     }
 
     #[test]
-    fn compute_path_is_scoped_and_restored() {
-        assert_eq!(compute_path(), ComputePath::Fused);
-        let seen = with_compute_path(ComputePath::Scalar, || {
-            let inner = with_compute_path(ComputePath::Parallel, compute_path);
-            (compute_path(), inner)
-        });
-        assert_eq!(seen, (ComputePath::Scalar, ComputePath::Parallel));
-        assert_eq!(compute_path(), ComputePath::Fused);
-    }
-
-    #[test]
     fn min_work_threshold_is_scoped() {
         let base = MIN_WORK.with(Cell::get);
         with_min_parallel_work(0, || {
             assert_eq!(MIN_WORK.with(Cell::get), Some(0));
             assert_eq!(min_parallel_work(KernelClass::Gemm), 0);
             assert_eq!(min_parallel_work(KernelClass::RowWise), 0);
+            // A nested override restores the enclosing one.
+            with_min_parallel_work(usize::MAX, || {
+                assert_eq!(min_parallel_work(KernelClass::Conv), usize::MAX);
+            });
+            assert_eq!(MIN_WORK.with(Cell::get), Some(0));
         });
         assert_eq!(MIN_WORK.with(Cell::get), base);
+    }
+
+    #[test]
+    fn override_extremes_force_serial_and_pooled() {
+        // The identity tests compare these two executions; they are
+        // only different executions if the dispatch really differs.
+        let chunks = |work| {
+            let calls = AtomicU32::new(0);
+            let mut out = vec![0.0f32; 16 * 4];
+            with_min_parallel_work(work, || {
+                for_each_row_chunk(&mut out, 16, 4, 1, KernelClass::Gemm, |_, _| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                });
+            });
+            calls.into_inner()
+        };
+        assert_eq!(chunks(usize::MAX), 1, "usize::MAX must stay serial");
+        if global().threads() > 1 {
+            assert!(chunks(0) > 1, "0 must row-chunk over the pool");
+        }
     }
 
     #[test]
@@ -689,12 +656,6 @@ mod tests {
             min_parallel_work(KernelClass::Conv),
             cal.min_work[KernelClass::Conv as usize]
         );
-    }
-
-    #[test]
-    fn only_the_sparse_path_enables_sparse_execution() {
-        with_compute_path(ComputePath::Sparse, || assert!(sparse_enabled()));
-        with_compute_path(ComputePath::Fused, || assert!(!sparse_enabled()));
     }
 
     #[test]

@@ -1,19 +1,16 @@
-//! Bitwise-identity guarantees of the mask-sparse kernels.
+//! Bitwise-identity guarantees of the plan-taking GEMM.
 //!
-//! The sparse path's contract mirrors the parallel plane's: for every
-//! kernel with a sparse variant, rows the plan computes are
-//! **bit-for-bit identical** to the dense kernel's rows (the sparse
-//! path runs the same row code on gathered data), and every other row
-//! is the caller's template verbatim (or exact zeros with no
-//! template). These proptests check that split on arbitrary shapes and
-//! arbitrary — unsorted, duplicated — mask index lists, and pin down
-//! the degenerate empty/full plans.
+//! `ops::sparse::matmul`'s contract mirrors the parallel plane's: rows
+//! the plan computes are **bit-for-bit identical** to the dense
+//! kernel's rows (it runs the same row code on gathered data), and
+//! every other row is the caller's template verbatim (or exact zeros
+//! with no template). These proptests check that split on arbitrary
+//! shapes and arbitrary — unsorted, duplicated — mask index lists, and
+//! pin down the degenerate empty/full plans.
 
+use fps_tensor::ops::matmul;
 use fps_tensor::ops::sparse::{self, SparsePlan};
-use fps_tensor::ops::{
-    ada_layer_norm, conv3x3, gather_rows, layer_norm, matmul, matmul_bt, matmul_gelu,
-};
-use fps_tensor::pool::{with_compute_path, ComputePath};
+use fps_tensor::pool::with_min_parallel_work;
 use fps_tensor::rng::DetRng;
 use fps_tensor::Tensor;
 use proptest::prelude::*;
@@ -72,82 +69,12 @@ proptest! {
         let mut rng = DetRng::new(seed);
         let a = Tensor::randn([m, k], &mut rng);
         let b = Tensor::randn([k, n], &mut rng);
-        let bt = Tensor::randn([n, k], &mut rng);
         let tpl = Tensor::randn([m, n], &mut rng);
-        let (dense, dense_bt, dense_gelu) = with_compute_path(ComputePath::Scalar, || {
-            (
-                matmul(&a, &b).unwrap(),
-                matmul_bt(&a, &bt).unwrap(),
-                matmul_gelu(&a, &b).unwrap(),
-            )
-        });
+        // Serial dense reference.
+        let dense = with_min_parallel_work(usize::MAX, || matmul(&a, &b).unwrap());
         for template in [None, Some(&tpl)] {
             let s = sparse::matmul(&plan, &a, &b, template).unwrap();
             assert_row_split("matmul", &s, &dense, plan.active(), template);
-            let s = sparse::matmul_bt(&plan, &a, &bt, template).unwrap();
-            assert_row_split("matmul_bt", &s, &dense_bt, plan.active(), template);
-            let s = sparse::matmul_gelu(&plan, &a, &b, template).unwrap();
-            assert_row_split("matmul_gelu", &s, &dense_gelu, plan.active(), template);
-        }
-    }
-
-    #[test]
-    fn prop_sparse_norms_bitwise(
-        m in 1usize..12,
-        cols in 1usize..10,
-        mask in proptest::collection::vec(0usize..64, 0..16),
-        seed in 0u64..1_000_000,
-    ) {
-        let masked: Vec<usize> = mask.iter().map(|&i| i % m).collect();
-        let plan = SparsePlan::from_mask(m, &masked).unwrap();
-        let mut rng = DetRng::new(seed);
-        let x = Tensor::randn([m, cols], &mut rng).scale(2.0);
-        let g = Tensor::randn([cols], &mut rng);
-        let b = Tensor::randn([cols], &mut rng);
-        let sc = Tensor::randn([cols], &mut rng);
-        let sh = Tensor::randn([cols], &mut rng);
-        let tpl = Tensor::randn([m, cols], &mut rng);
-        let (dense_ln, dense_ada) = with_compute_path(ComputePath::Scalar, || {
-            (
-                layer_norm(&x, &g, &b).unwrap(),
-                ada_layer_norm(&x, &g, &b, &sc, &sh).unwrap(),
-            )
-        });
-        for template in [None, Some(&tpl)] {
-            let s = sparse::layer_norm(&plan, &x, &g, &b, template).unwrap();
-            assert_row_split("layer_norm", &s, &dense_ln, plan.active(), template);
-            let s = sparse::ada_layer_norm(&plan, &x, &g, &b, &sc, &sh, template).unwrap();
-            assert_row_split("ada_layer_norm", &s, &dense_ada, plan.active(), template);
-        }
-    }
-
-    #[test]
-    fn prop_sparse_conv_bitwise(
-        h in 1usize..6,
-        w in 1usize..6,
-        c_in in 1usize..4,
-        c_out in 1usize..4,
-        mask in proptest::collection::vec(0usize..64, 0..12),
-        seed in 0u64..1_000_000,
-    ) {
-        let tokens = h * w;
-        let masked: Vec<usize> = mask.iter().map(|&i| i % tokens).collect();
-        let plan = SparsePlan::for_grid(h, w, &masked).unwrap();
-        let grid = plan.grid().unwrap();
-        let mut rng = DetRng::new(seed);
-        let x = Tensor::randn([tokens, c_in], &mut rng);
-        let kern = Tensor::randn([9 * c_in, c_out], &mut rng);
-        let bias = Tensor::randn([c_out], &mut rng);
-        let tpl = Tensor::randn([tokens, c_out], &mut rng);
-        let dense = with_compute_path(ComputePath::Scalar, || {
-            conv3x3(&x, h, w, &kern, &bias).unwrap()
-        });
-        // The sparse conv reads only the halo rows, gathered by the
-        // caller exactly as the scaffold does.
-        let halo = gather_rows(&x, grid.halo()).unwrap();
-        for template in [None, Some(&tpl)] {
-            let s = sparse::conv3x3(&plan, &halo, &kern, &bias, template).unwrap();
-            assert_row_split("conv3x3", &s, &dense, grid.computed(), template);
         }
     }
 }
@@ -180,11 +107,4 @@ fn degenerate_plans_do_not_panic() {
     assert_eq!(zero.mask_ratio(), 0.0);
     let out = sparse::matmul(&zero, &Tensor::zeros([0, k]), &b, None).unwrap();
     assert_eq!(out.dims(), &[0, n]);
-
-    // Empty grid plan: the conv computes nothing and needs no halo.
-    let empty_grid = SparsePlan::for_grid(3, 3, &[]).unwrap();
-    let kern = Tensor::randn([9 * 2, 2], &mut rng);
-    let halo = Tensor::zeros([0, 2]);
-    let out = sparse::conv3x3(&empty_grid, &halo, &kern, &Tensor::zeros([2]), None).unwrap();
-    assert_eq!(out, Tensor::zeros([9, 2]));
 }
