@@ -15,8 +15,10 @@
 //!    serial, so the ratio does not depend on core count) the tiled
 //!    GEMM on the largest shape (the flux-like FFN GEMM) is at least
 //!    1.3× faster, measured wall, than the frozen pre-tiling kernel
-//!    (`matmul_naive`, kept in-tree as the baseline oracle); this host
-//!    measures ≈ 1.5×. Beside it, reported and no longer a pass/fail, is
+//!    (`matmul_naive`, kept in-tree as the baseline oracle, and never
+//!    built for AVX2); the bench host measures ≈ 2.7× with the AVX2
+//!    kernel build and ≈ 1.5× with the baseline one. Which build ran is
+//!    recorded as `isa`. Beside it, reported and no longer a pass/fail, is
 //!    the *modeled* pooled speedup: each row chunk of the pool's actual
 //!    decomposition ([`pool::chunk_rows_for`]) is timed for real,
 //!    serially, with the tiled kernel, and the makespan on 4 virtual
@@ -79,6 +81,18 @@ const GELU_GATE_SPEEDUP: f64 = 4.0;
 
 /// Virtual lanes of the modeled pooled speedup.
 const MODEL_LANES: usize = 4;
+
+/// The build of the hot row kernels this host runs: `fps-tensor`
+/// compiles them for the baseline and for AVX2 (both give the same
+/// bits; the timings differ). This must mirror the rule in
+/// `fps_tensor::pool::with_wide_isa`, which is crate-private.
+fn isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "baseline"
+}
 
 /// Runs `f` with every kernel pinned to the calling thread.
 fn serial<T>(f: impl FnOnce() -> T) -> T {
@@ -558,9 +572,10 @@ fn main() {
             format!("{:.2}x", r.libm_ns / r.ns),
         ]);
     }
-    let mut out = String::from(
+    let mut out = format!(
         "Compute-plane baseline: serial vs pooled (calibrated default dispatch) kernels, bitwise \
-         identical\n\n",
+         identical\nKernel build (isa): {}\n\n",
+        isa()
     );
     out.push_str(&table.render());
     out.push_str(&format!(
@@ -572,7 +587,10 @@ fn main() {
     out.push_str(&sparse_table.render());
     out.push_str(&format!(
         "\nSparse gate: {:.2}x dense at {:.1}% mask (threshold {SPARSE_GATE_SPEEDUP}x, measured \
-         wall).\n\nTranscendentals, one thread, beside bench-local f32::exp / f32::tanh loops (gate: \
+         wall). Both\nsides run the same row kernel, so a faster kernel build lowers this ratio \
+         without\nthe sparse GEMM slowing: the AVX2 build speeds the dense reference more \
+         than the\nsparse GEMM, whose template fill and B packing are memory traffic \
+         (6.4x with the\nbaseline build).\n\nTranscendentals, one thread, beside bench-local f32::exp / f32::tanh loops (gate: \
          gelu >= {GELU_GATE_SPEEDUP}x,\nfull runs only; softmax reported, not gated):\n\n",
         at_10.speedup,
         at_10.ratio * 100.0,
@@ -623,6 +641,7 @@ fn main() {
             .collect();
         let json = Json::object()
             .with("bench", "kernels")
+            .with("isa", isa())
             .with(
                 "host",
                 Json::object()

@@ -24,9 +24,14 @@
 //!   work pool, keeping each row's reduction order — and therefore the
 //!   result, bitwise — identical to a serial pass. Short-lived
 //!   intermediates draw storage from a thread-local [`scratch`] pool,
-//!   and [`ktrace`] exposes an opt-in per-kernel timing hook. The two
-//!   `unsafe` impls in [`pool`] (lifetime-erased task dispatch and
-//!   disjoint row-chunk slicing) are the only unsafe code in the crate.
+//!   and [`ktrace`] exposes an opt-in per-kernel timing hook.
+//! - The hot row kernels (the GEMM rows, the GeLU epilogue, the
+//!   attention stages) are one source compiled twice, for the
+//!   target's baseline and for AVX2, and the AVX2 build runs where a
+//!   runtime check finds it; both give the same bits.
+//! - All of the crate's `unsafe` is in [`pool`]: lifetime-erased task
+//!   dispatch, disjoint row-chunk slicing, and the call into the AVX2
+//!   build behind its feature check.
 
 pub mod error;
 pub mod ktrace;

@@ -34,7 +34,7 @@ pub const EXP_HI: f32 = 88.7;
 /// Edge contract: NaN → NaN; `x ≤ EXP_LO` (including `−∞`) → `+0.0`;
 /// `x ≥ EXP_HI` (including `+∞`) → `+∞`. The three cases are selects
 /// on `x`, not clamps, so a NaN is not swallowed.
-#[inline]
+#[inline(always)]
 pub fn exp_f32(x: f32) -> f32 {
     const LOG2E: f32 = std::f32::consts::LOG2_E;
     /// `355 / 512`: nine significant bits, so `n · LN2_HI` is exact
@@ -73,7 +73,7 @@ pub fn exp_f32(x: f32) -> f32 {
 /// implementation in its sigmoid form: `½x(1 + tanh u) = x / (1 +
 /// e⁻²ᵘ)` with `u = √(2/π)(x + 0.044715x³)` — one [`exp_f32`] and one
 /// divide. Within 4.8e-7 of the tanh form on `[−12, 12]`.
-#[inline]
+#[inline(always)]
 pub fn gelu_scalar(x: f32) -> f32 {
     const SQRT_2_OVER_PI: f32 = 0.797_884_6;
     let u = SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x);

@@ -24,7 +24,7 @@ use crate::tensor::Tensor;
 use crate::{ktrace, pool, scratch, Result};
 
 use super::activation::gelu_scalar;
-use super::matmul::matmul_rows;
+use super::matmul::matmul_rows_body;
 use super::norm::{check_norm_args, layer_norm_row, modulate_row_inplace};
 use super::softmax::softmax_row_inplace;
 
@@ -85,22 +85,35 @@ pub fn matmul_gelu(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let mut out = scratch::take(m * n);
     let ad = a.data();
     let bd = b.data();
-    // The GeLU epilogue measures 1.8 ns per element, about 50 of the
-    // Gemm class's units (≈ 0.035 ns per multiply or add).
+    // The GeLU epilogue measures 0.9–1.2 ns per element in its AVX2
+    // build, about 30 of the Gemm class's calibrated units (≈ 0.03 ns
+    // per multiply or add, also under AVX2).
     pool::for_each_row_chunk(
         &mut out,
         m,
         n,
-        2 * k * n + 50 * n,
+        2 * k * n + 30 * n,
         pool::KernelClass::Gemm,
         |r0, chunk| {
-            matmul_rows(chunk, r0, ad, bd, k, n);
-            for o in chunk.iter_mut() {
-                *o = gelu_scalar(*o);
-            }
+            pool::with_wide_isa(
+                #[inline(always)]
+                || {
+                    matmul_rows_body(chunk, r0, ad, bd, k, n);
+                    gelu_rows_body(chunk);
+                },
+            );
         },
     );
     Tensor::from_vec(out, [m, n])
+}
+
+/// [`matmul_gelu`]'s epilogue: [`gelu_scalar`] over a slice in place,
+/// one body for both instruction-set builds.
+#[inline(always)]
+fn gelu_rows_body(xs: &mut [f32]) {
+    for o in xs.iter_mut() {
+        *o = gelu_scalar(*o);
+    }
 }
 
 /// Query rows the attention kernel advances together: their score
@@ -219,11 +232,14 @@ fn mha(
     // same panels.
     let panels = AttnPanels::pack(k.data(), v.data(), fresh, l, h, dh);
     let qd = q.data();
+    // A query row costs 0.21–0.33 ns per `h·l` in the AVX2 build (the
+    // two matmul stages' 4·h·l multiply-adds plus the softmax), about 8
+    // of the Gemm class's calibrated units.
     pool::for_each_row_chunk(
         &mut out,
         n,
         h,
-        4 * h * l,
+        8 * h * l,
         pool::KernelClass::Gemm,
         |r0, chunk| {
             let mut probs = scratch::take(QB * l);
@@ -302,20 +318,42 @@ impl AttnPanels {
 
     /// Attention of `R` query rows (`q`, stride `h`) over every head,
     /// written to `out` (`R` rows of stride `h`). `probs` is `QB · l`
-    /// scratch.
+    /// scratch. Each of the three stages runs its AVX2 build where the
+    /// host has one.
     fn attend<const R: usize>(&self, out: &mut [f32], q: &[f32], probs: &mut [f32], scale: f32) {
         let (l, h, dh) = (self.l, self.h, self.dh);
         let probs = &mut probs[..R * l];
         for off in (0..h).step_by(dh) {
             let kt = &self.kt[off * l..(off + dh) * l];
             let vp = &self.vp[off * l..(off + dh) * l];
-            score_rows::<R>(probs, &q[off..], h, kt, l, scale);
-            for prow in probs.chunks_exact_mut(l) {
-                softmax_row_inplace(prow);
-            }
-            context_rows::<R>(&mut out[off..], h, probs, l, vp, dh);
+            out_of_line(
+                #[inline(always)]
+                || score_rows::<R>(probs, &q[off..], h, kt, l, scale),
+            );
+            pool::with_wide_isa(
+                #[inline(always)]
+                || {
+                    for prow in probs.chunks_exact_mut(l) {
+                        softmax_row_inplace(prow);
+                    }
+                },
+            );
+            out_of_line(
+                #[inline(always)]
+                || context_rows::<R>(&mut out[off..], h, probs, l, vp, dh),
+            );
         }
     }
+}
+
+/// Runs one matmul-like attention stage ([`score_rows`] or
+/// [`context_rows`]) through [`pool::with_wide_isa`], kept out of line
+/// in both builds: inlined into `attend` the two stages and the softmax
+/// share one register allocation and the tile loops spill their row
+/// pointers (measured ≈ 10% slower in the baseline build).
+#[inline(never)]
+fn out_of_line(stage: impl FnOnce()) {
+    pool::with_wide_isa(stage);
 }
 
 /// Writes key row `j` into the transposed panel.
@@ -333,12 +371,9 @@ fn put_v(vp: &mut [f32], l: usize, dh: usize, j: usize, vrow: &[f32]) {
 }
 
 /// Scaled score rows `out[r][j] = (Σ_d q[r][d]·kt[d][j]) · scale` of `R`
-/// queries, in key tiles of [`KB`], then 4, then 1.
-///
-/// Kept out of line, like [`context_rows`]: inlined into `attend` the
-/// two stages and the softmax share one register allocation and the
-/// tile loops spill their row pointers (measured ≈ 10% slower).
-#[inline(never)]
+/// queries, in key tiles of [`KB`], then 4, then 1. One body for both
+/// instruction-set builds; see [`out_of_line`].
+#[inline(always)]
 fn score_rows<const R: usize>(
     out: &mut [f32],
     q: &[f32],
@@ -363,8 +398,9 @@ fn score_rows<const R: usize>(
 }
 
 /// Context `probs·V_g` of `R` queries for one head, in column tiles of
-/// 8, then 4, then 1.
-#[inline(never)]
+/// 8, then 4, then 1. One body for both instruction-set builds; see
+/// [`out_of_line`].
+#[inline(always)]
 fn context_rows<const R: usize>(
     out: &mut [f32],
     h: usize,
@@ -578,6 +614,117 @@ mod tests {
                 bits(&split),
                 bits(&mha_composed(&q, &k_full, &v_full, heads, scale))
             );
+        }
+    }
+
+    /// The GeLU epilogue's AVX2 build (`gelu_rows_body` through
+    /// `with_wide_isa`, on this host) is bitwise its baseline build
+    /// (called directly) over every `exp_f32` region its argument `−2u`
+    /// can reach: a fine grid over [−12, 12], where `−2u` crosses
+    /// `EXP_HI` (x ≈ −10.05) and `EXP_LO` (x ≈ 10.0); a stride through
+    /// all 2³² bit patterns (every sign, exponent, denormal and NaN
+    /// class); and ±0, ±∞, NaN.
+    #[test]
+    fn gelu_epilogue_wide_build_is_bitwise_the_baseline() {
+        if !pool::wide_isa_or_skip("gelu_epilogue_wide_build_is_bitwise_the_baseline") {
+            return;
+        }
+        let mut xs: Vec<f32> = (0..=240_000).map(|i| -12.0 + i as f32 * 1e-4).collect();
+        xs.extend((0..=u32::MAX).step_by(4093).map(f32::from_bits));
+        xs.extend([0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
+        let mut base = xs.clone();
+        gelu_rows_body(&mut base);
+        let mut wide = xs.clone();
+        pool::with_wide_isa(
+            #[inline(always)]
+            || gelu_rows_body(&mut wide),
+        );
+        for ((&x, b), w) in xs.iter().zip(base).zip(wide) {
+            assert_eq!(
+                b.to_bits(),
+                w.to_bits(),
+                "gelu({x:e}): AVX2 {w:e} != baseline {b:e}"
+            );
+        }
+    }
+
+    /// `R` query rows of `AttnPanels::attend` as bit patterns, from the
+    /// baseline build (its three stages called directly, not through
+    /// `with_wide_isa`) and as served (the AVX2 build on this host).
+    fn attend_both_builds<const R: usize>(
+        p: &AttnPanels,
+        q: &[f32],
+        scale: f32,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let (l, h, dh) = (p.l, p.h, p.dh);
+        let mut probs = vec![0.0f32; R * l];
+        let mut base = vec![0.0f32; R * h];
+        for off in (0..h).step_by(dh) {
+            score_rows::<R>(
+                &mut probs,
+                &q[off..],
+                h,
+                &p.kt[off * l..][..dh * l],
+                l,
+                scale,
+            );
+            for prow in probs.chunks_exact_mut(l) {
+                softmax_row_inplace(prow);
+            }
+            context_rows::<R>(
+                &mut base[off..],
+                h,
+                &probs,
+                l,
+                &p.vp[off * l..][..dh * l],
+                dh,
+            );
+        }
+        let mut wide = vec![0.0f32; R * h];
+        p.attend::<R>(&mut wide, q, &mut probs, scale);
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect();
+        (bits(base), bits(wide))
+    }
+
+    // The attention compute stage's AVX2 build is bitwise its baseline
+    // build: the `R = 4` block and the `R = 1` remainder, `dh` over the
+    // tile remainders, key counts off the 8-key tile, panels packed
+    // with and without a fresh split source, and scales large enough
+    // that the softmax flushes some `exp` to zero.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_attention_stage_wide_build_is_bitwise_the_baseline(
+            four in proptest::bool::ANY,
+            heads in 1usize..4,
+            dh_idx in 0usize..5,
+            l8 in 0usize..4,
+            l_rem in 1usize..8,
+            split in proptest::bool::ANY,
+            scale_mul in 1.0f32..50.0,
+            seed in 0u64..1_000_000,
+        ) {
+            if pool::wide_isa_or_skip("prop_attention_stage_wide_build_is_bitwise_the_baseline") {
+                let (dh, l) = ([1, 3, 4, 8, 12][dh_idx], 8 * l8 + l_rem);
+                let h = heads * dh;
+                let mut rng = DetRng::new(seed);
+                let q = Tensor::randn([QB, h], &mut rng);
+                let k = Tensor::randn([l, h], &mut rng);
+                let v = Tensor::randn([l, h], &mut rng);
+                let rows: Vec<usize> = (0..l).filter(|j| j % 3 == 1).collect();
+                let fk = Tensor::randn([rows.len(), h], &mut rng);
+                let fv = Tensor::randn([rows.len(), h], &mut rng);
+                let fresh = split.then_some(FreshKv { k: &fk, v: &fv, rows: &rows });
+                let panels = AttnPanels::pack(k.data(), v.data(), fresh, l, h, dh);
+                let scale = scale_mul / (dh as f32).sqrt();
+                let (base, wide) = if four {
+                    attend_both_builds::<QB>(&panels, q.data(), scale)
+                } else {
+                    attend_both_builds::<1>(&panels, q.data(), scale)
+                };
+                proptest::prop_assert_eq!(base, wide);
+            }
         }
     }
 

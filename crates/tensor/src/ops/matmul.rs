@@ -144,17 +144,37 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, [m, n])
 }
 
+/// Output rows `r0..` of `A · B` into `chunk` (which arrives
+/// zero-filled from the scratch pool), through the AVX2 build of
+/// [`matmul_rows_body`] where the host has one — the same bits either
+/// way (see [`pool::with_wide_isa`]).
+pub(crate) fn matmul_rows(
+    chunk: &mut [f32],
+    r0: usize,
+    ad: &[f32],
+    bd: &[f32],
+    k: usize,
+    n: usize,
+) {
+    pool::with_wide_isa(
+        #[inline(always)]
+        || matmul_rows_body(chunk, r0, ad, bd, k, n),
+    );
+}
+
 /// Blocked scalar kernel for output rows `r0..` of `A · B`, written
-/// into `chunk` (which arrives zero-filled from the scratch pool).
+/// into `chunk`.
 ///
 /// Loop nest: `KC` strips of `k` (ascending, partial sums parked in
 /// the output between strips), `NC` panels of columns with the `B`
 /// sub-block packed contiguous, then `MR`×`NR` register tiles over the
 /// chunk's rows. Each output element accumulates in ascending-`p`
 /// order throughout — see the module docs for why that is the one
-/// property this kernel must not trade away.
-#[inline]
-pub(crate) fn matmul_rows(
+/// property this kernel must not trade away. Always inlined, micro-
+/// kernels included, so each instruction-set build of a caller
+/// ([`matmul_rows`], `matmul_gelu`) compiles the whole nest.
+#[inline(always)]
+pub(crate) fn matmul_rows_body(
     chunk: &mut [f32],
     r0: usize,
     ad: &[f32],
@@ -204,7 +224,7 @@ pub(crate) fn matmul_rows(
 
 /// 4-row micro-kernel: advances rows `r..r+4` of the output by one
 /// packed panel, `NR` columns of register accumulators at a time.
-#[inline]
+#[inline(always)]
 fn micro_kernel_4(
     chunk: &mut [f32],
     r: usize,
@@ -252,7 +272,7 @@ fn micro_kernel_4(
 
 /// Single-row edition of the micro-kernel for the chunk's row
 /// remainder.
-#[inline]
+#[inline(always)]
 fn micro_kernel_1(
     chunk: &mut [f32],
     r: usize,
@@ -433,25 +453,27 @@ mod tests {
         assert_eq!(c.dims(), &[3, 2]);
     }
 
-    /// The blocked kernel must be bit-for-bit the naive `ikj` loop at
-    /// every shape class the blocking distinguishes: micro-kernel
+    /// Every shape class the blocking distinguishes: micro-kernel
     /// remainders in rows and columns, single/partial/multiple KC
     /// strips and NC panels.
+    const SHAPE_CLASSES: [(usize, usize, usize); 9] = [
+        (1, 1, 1),
+        (3, 5, 7),
+        (4, 8, 8),
+        (5, 9, 11),
+        (MR, KC, NR),
+        (MR + 1, KC + 3, NR + 1),
+        (7, KC * 2 + 5, NC + 9),
+        (16, 64, NC * 2 + 3),
+        (33, 130, 17),
+    ];
+
+    /// The blocked kernel must be bit-for-bit the naive `ikj` loop at
+    /// every shape class.
     #[test]
     fn tiled_kernel_is_bitwise_identical_to_naive() {
         let mut rng = DetRng::new(0x7A11);
-        let shapes = [
-            (1, 1, 1),
-            (3, 5, 7),
-            (4, 8, 8),
-            (5, 9, 11),
-            (MR, KC, NR),
-            (MR + 1, KC + 3, NR + 1),
-            (7, KC * 2 + 5, NC + 9),
-            (16, 64, NC * 2 + 3),
-            (33, 130, 17),
-        ];
-        for &(m, k, n) in &shapes {
+        for &(m, k, n) in &SHAPE_CLASSES {
             let a = Tensor::randn([m, k], &mut rng);
             let b = Tensor::randn([k, n], &mut rng);
             let tiled = matmul(&a, &b).unwrap();
@@ -459,6 +481,49 @@ mod tests {
             let tb: Vec<u32> = tiled.data().iter().map(|v| v.to_bits()).collect();
             let nb: Vec<u32> = naive.data().iter().map(|v| v.to_bits()).collect();
             assert_eq!(tb, nb, "[{m}x{k}]x[{k}x{n}] tiled != naive");
+        }
+    }
+
+    /// Output rows `r0..m` of `[m, k] · [k, n]` from the baseline build
+    /// (`matmul_rows_body` called directly) and from `matmul_rows`,
+    /// which runs the AVX2 build on this host, as bit patterns.
+    fn both_builds(m: usize, k: usize, n: usize, r0: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
+        let mut rng = DetRng::new(seed);
+        let a = Tensor::randn([m, k], &mut rng);
+        let b = Tensor::randn([k, n], &mut rng);
+        let (mut base, mut wide) = (vec![0.0f32; (m - r0) * n], vec![0.0f32; (m - r0) * n]);
+        matmul_rows_body(&mut base, r0, a.data(), b.data(), k, n);
+        matmul_rows(&mut wide, r0, a.data(), b.data(), k, n);
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect();
+        (bits(base), bits(wide))
+    }
+
+    #[test]
+    fn wide_build_is_bitwise_the_baseline_at_every_shape_class() {
+        if !pool::wide_isa_or_skip("wide_build_is_bitwise_the_baseline_at_every_shape_class") {
+            return;
+        }
+        for (i, &(m, k, n)) in SHAPE_CLASSES.iter().enumerate() {
+            let (base, wide) = both_builds(m, k, n, 0, 0xA5A0 + i as u64);
+            assert_eq!(base, wide, "[{m}x{k}]x[{k}x{n}] AVX2 != baseline");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prop_wide_build_is_bitwise_the_baseline(
+            m in 1usize..40,
+            k in 1usize..300,
+            n in 1usize..300,
+            r0_pct in 0usize..100,
+            seed in 0u64..1_000_000,
+        ) {
+            if pool::wide_isa_or_skip("prop_wide_build_is_bitwise_the_baseline") {
+                let (base, wide) = both_builds(m, k, n, m * r0_pct / 100, seed);
+                proptest::prop_assert_eq!(base, wide);
+            }
         }
     }
 

@@ -29,9 +29,10 @@ pub fn softmax_rows(x: &Tensor) -> Result<Tensor> {
     let _span = ktrace::span("softmax_rows");
     let mut out = scratch::take(rows * cols);
     let xd = x.data();
-    // Measured 1.7–2.3 ns per element against 0.16 ns per unit of the
-    // RowWise calibration loop; the factor only places the
-    // parallel-dispatch threshold.
+    // Measured 1.6–2.3 ns per element against 0.17–0.24 ns per unit of
+    // the RowWise calibration loop (8–12 units; this kernel and that
+    // loop run the baseline build on every host); the factor only
+    // places the parallel-dispatch threshold.
     pool::for_each_row_chunk(
         &mut out,
         rows,
@@ -61,7 +62,7 @@ const LANES: usize = 8;
 /// Three passes, each a loop LLVM vectorises: the row maximum, the
 /// in-tree [`exp_f32`] of the shifted logits, and their sum — then the
 /// scale by its reciprocal.
-#[inline]
+#[inline(always)]
 pub(crate) fn softmax_row_inplace(row: &mut [f32]) {
     let max = lane_max(row);
     for v in row.iter_mut() {
@@ -76,7 +77,7 @@ pub(crate) fn softmax_row_inplace(row: &mut [f32]) {
 /// Maximum of `row`, ignoring NaNs (`−∞` when empty), over [`LANES`]
 /// running maxima. A maximum is exact, so the lane split cannot change
 /// its value.
-#[inline]
+#[inline(always)]
 fn lane_max(row: &[f32]) -> f32 {
     let pick = |m: f32, v: f32| if v > m { v } else { m };
     let mut lanes = [f32::NEG_INFINITY; LANES];
@@ -99,7 +100,7 @@ fn lane_max(row: &[f32]) -> f32 {
 /// remaining `len % LANES` elements are added in ascending order. The
 /// order is a function of the row length alone — not of the pool size,
 /// the dispatch decision or the host — so the sum's bits are too.
-#[inline]
+#[inline(always)]
 fn lane_sum(row: &[f32]) -> f32 {
     let mut lanes = [0.0f32; LANES];
     let chunks = row.chunks_exact(LANES);

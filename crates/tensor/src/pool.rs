@@ -479,6 +479,63 @@ fn default_threads() -> usize {
         .max(2)
 }
 
+/// Runs `body` compiled for AVX2 when the host has it, else as built
+/// for the target's baseline.
+///
+/// The hot row kernels (the GEMM rows with their GeLU epilogue, and
+/// each of attention's score, softmax and context stages) call this
+/// around an `#[inline(always)]` closure over an `#[inline(always)]`
+/// body, so that one source is instantiated twice: inlined into `wide`
+/// (its loops auto-vectorised eight lanes wide) and inlined into the
+/// fallback call below (the baseline build, which stays the reference
+/// and the only build on other hosts and architectures).
+///
+/// Both builds compute bitwise the same values: `vmulps`/`vaddps` are
+/// the same lane-wise IEEE operations as `mulps`/`addps`, `avx2` does
+/// not imply `fma` (and Rust never contracts `a*b + c`), LLVM does not
+/// reassociate floating-point arithmetic, and every reduction order is
+/// fixed by the source. `fma` and `avx512*` are never enabled here
+/// (`scripts/check.sh` fails if any `target_feature` under `crates/`
+/// does).
+#[inline(always)]
+pub(crate) fn with_wide_isa(body: impl FnOnce()) {
+    if has_wide_isa() {
+        // SAFETY: `wide` enables `avx2` only, and `has_wide_isa` just
+        // found `avx2` on the executing CPU.
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { wide(body) };
+    }
+    body();
+}
+
+/// The AVX2 instantiation of whatever `body` inlines.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn wide(body: impl FnOnce()) {
+    body();
+}
+
+/// Whether the executing CPU runs [`with_wide_isa`]'s AVX2 build.
+#[inline(always)]
+fn has_wide_isa() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// Whether [`with_wide_isa`] runs an AVX2 build on this host, for the
+/// differential tests: without one it runs the baseline build, and
+/// comparing that with itself would prove nothing, so `test` logs a
+/// skip note instead.
+#[cfg(test)]
+pub(crate) fn wide_isa_or_skip(test: &str) -> bool {
+    if !has_wide_isa() {
+        eprintln!("{test}: skipped, no AVX2 on this host (only the baseline build runs here)");
+    }
+    has_wide_isa()
+}
+
 /// Dispatches a row-wise kernel: serial on the calling thread when the
 /// estimated work is below the class's threshold or the global pool is
 /// serial; pooled row chunks otherwise. `f(first_row, chunk)` must fill

@@ -5,6 +5,22 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "==> kernel ISA rules (no fma / avx512 target features, no intrinsics in fps-tensor)"
+# fps-tensor compiles its hot row kernels twice, for the baseline and
+# for AVX2 (pool::with_wide_isa), and both builds must produce the same
+# bits. That holds only while no build may fuse a multiply-add or pick a
+# different vector width than the source's 8-lane reductions, and while
+# the kernels stay plain Rust that LLVM vectorises (clippy.toml bans
+# mul_add in fps-tensor).
+if grep -rnE 'target_feature *\( *enable *= *"[^"]*(fma|avx512)' crates/; then
+    echo "error: a target_feature above enables fma or avx512*" >&2
+    exit 1
+fi
+if grep -rnE 'core::arch|std::arch::(x86|x86_64|aarch64|arm)\b' crates/tensor/; then
+    echo "error: fps-tensor imports architecture intrinsics (above)" >&2
+    exit 1
+fi
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
@@ -16,6 +32,11 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+echo "==> fps-tensor tests in release (AVX2 build vs baseline build, bitwise)"
+# Unoptimised, both builds are the same scalar code; the differential
+# tests only compare two vectorised builds when compiled with -O.
+cargo test --release -q -p fps-tensor
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
