@@ -65,22 +65,6 @@ cargo run --release -p fps-bench --bin bench_routing -- --smoke > /dev/null
 echo "==> bench_simtime --smoke (calendar >= 3x heap gate)"
 cargo run --release -p fps-bench --bin bench_simtime -- --smoke > /dev/null
 
-echo "==> fig16_fleet --smoke (affinity routing gates)"
-cargo run --release -p fps-bench --bin fig16_fleet -- --smoke > /dev/null
-
-echo "==> fig_chaos_fleet --smoke (fleet fault-tolerance gates)"
-cargo run --release -p fps-bench --bin fig_chaos_fleet -- --smoke > /dev/null
-
-echo "==> fig_stagegraph --smoke (stage-graph disaggregation gates)"
-cargo run --release -p fps-bench --bin fig_stagegraph -- --smoke > /dev/null
-
-echo "==> fig_cache_placement --smoke (placement + feedback-routing gates)"
-# Asserts the legacy fingerprint (ring-order == pre-refactor store),
-# popularity > ring-order on effective hit rate at Zipf(1.0), and
-# feedback routing < blind affinity on cache-fetch p95 under the
-# seeded slow-disk plan.
-cargo run --release -p fps-bench --bin fig_cache_placement -- --smoke > /dev/null
-
 echo "==> server lifecycle + sim-vs-server decision parity (release)"
 # Shutdown races and deadline lapses are timing bugs: two of them passed
 # the debug-only run above and lost tickets at release speed.
@@ -95,8 +79,25 @@ echo "==> benchmark/run.sh --smoke (BENCHMARK.json schema + output checks, ~1 mi
 # byte-checked. A schema and correctness check, not a measurement.
 benchmark/run.sh --smoke > /dev/null
 
-echo "==> fig12_e2e --quick replays the committed artifact byte-identically"
+echo "==> virtual-time artifacts replay byte-identically (~3 s)"
+# Every virtual-time bench is seeded and deterministic, so a rerun must
+# reproduce its committed results/ files to the byte. A refactor that
+# moves one number fails here; a deliberate change commits the new
+# files. The full runs also assert each bin's own gates: the affinity
+# and chaos-recovery wins, the stage-graph disaggregation win, the
+# placement legacy fingerprint and the feedback-routing fetch-p95 win.
+for bin in fig16_fleet fig_chaos_fleet fig_cache_placement fig_stagegraph \
+    fig16_balance fig16_batching fig4_motivation ablation_cb_baselines fig9_pipeline; do
+    cargo run --release -q -p fps-bench --bin "$bin" > /dev/null
+done
 cargo run --release -q -p fps-bench --bin fig12_e2e -- --quick > /dev/null
-git diff --exit-code -- results/fig12_e2e.json results/fig12_e2e.txt
+git diff --exit-code -- \
+    results/fig16_fleet.txt results/fig16_fleet.json \
+    results/fig_chaos_fleet.txt results/fig_chaos_fleet.json \
+    results/fig_cache_placement.txt results/fig_cache_placement.json \
+    results/fig_stagegraph.txt results/fig_stagegraph.json \
+    results/fig16_balance.txt results/fig16_batching.txt \
+    results/fig4_motivation.txt results/ablation_cb_baselines.txt \
+    results/fig9_pipeline.txt results/fig12_e2e.txt results/fig12_e2e.json
 
 echo "All checks passed."
