@@ -23,7 +23,7 @@
 //! after churn, a wipe, or a budget-refused admission it does not, and
 //! the measured costs say so.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use fps_metrics::{CacheFeedback, FetchOutcome};
 use fps_serving::{Router, WorkerView};
@@ -80,6 +80,48 @@ impl RouteStrategy {
     }
 }
 
+/// The bounded-load preference walk every affinity policy shares.
+///
+/// Walks `ring`'s preference list for `template_id` and keeps the
+/// candidates under their load bound: `load_factor ×` their lanes in
+/// outstanding requests, at least one so an empty pool still admits.
+/// `load` reports `(outstanding, lanes)` for a listed id, or `None` for
+/// an id the caller cannot place on. Without `feedback` the first
+/// candidate under its bound wins; with it, the candidate with the
+/// lowest [`CacheFeedback::routing_key`] (pair cost, then shard churn),
+/// ties to the earlier preference rank — so with no observations the
+/// keys tie and this is the blind walk. Returns the winner and its
+/// rank, or `None` when every listed candidate is at its bound — each
+/// caller then falls back on its own least-loaded rule.
+fn bounded_walk(
+    ring: &HashRing,
+    template_id: u64,
+    load_factor: f64,
+    load: impl Fn(u32) -> Option<(usize, usize)>,
+    feedback: Option<&CacheFeedback>,
+) -> Option<(u32, usize)> {
+    let mut best: Option<((f64, f64), u32, usize)> = None;
+    for (rank, id) in ring.preference(template_id).into_iter().enumerate() {
+        let Some((outstanding, lanes)) = load(id) else {
+            continue;
+        };
+        let cap = ((load_factor * lanes as f64).ceil() as usize).max(1);
+        if outstanding >= cap {
+            continue;
+        }
+        let Some(feedback) = feedback else {
+            return Some((id, rank));
+        };
+        let key = feedback.routing_key(id, template_id);
+        let cheaper =
+            best.is_none_or(|(b, _, _)| key.0.total_cmp(&b.0).then(key.1.total_cmp(&b.1)).is_lt());
+        if cheaper {
+            best = Some((key, id, rank));
+        }
+    }
+    best.map(|(_, id, rank)| (id, rank))
+}
+
 /// Routing outcome: the chosen shard, and whether affinity had to
 /// spill past the key's primary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,8 +176,8 @@ impl FleetRouter {
     /// Chooses a shard for `template_id` given current per-shard load.
     /// `shards` must be non-empty and list every live shard.
     /// `feedback` is consulted only by
-    /// [`RouteStrategy::FeedbackAffinity`]; pass `None` (or anything)
-    /// for the blind strategies.
+    /// [`RouteStrategy::FeedbackAffinity`]; the blind strategies ignore
+    /// it, so pass `None` or anything.
     pub fn choose(
         &mut self,
         request_id: u64,
@@ -165,81 +207,49 @@ impl FleetRouter {
                 }
             }
             RouteStrategy::Affinity { load_factor } => {
-                let pref = self.ring.preference(template_id);
-                for (i, s) in pref.iter().enumerate() {
-                    if let Some(load) = shards.iter().find(|l| l.shard == *s) {
-                        // Capacity-proportional bound, ≥ 1 so an empty
-                        // fleet still admits.
-                        let cap = ((load_factor * load.lanes as f64).ceil() as usize).max(1);
-                        if load.outstanding < cap {
-                            return ShardChoice {
-                                shard: *s,
-                                spilled: i > 0,
-                            };
-                        }
-                    }
-                }
-                // Every listed shard is at its bound (or the ring is
-                // out of sync): fall back to least-relative-load, ties
-                // by shard id for determinism.
-                let s = shards
-                    .iter()
-                    .min_by_key(|l| (l.outstanding.saturating_mul(1024) / l.lanes.max(1), l.shard))
-                    .expect("non-empty")
-                    .shard;
-                ShardChoice {
-                    shard: s,
-                    spilled: true,
-                }
+                self.affinity(template_id, shards, load_factor, None)
             }
             RouteStrategy::FeedbackAffinity { load_factor } => {
-                // Same candidate set as blind affinity — the walk down
-                // the preference list, load-bounded — but candidates
-                // rank by the feedback routing key: pair cost first,
-                // shard churn to break ties, preference rank last (so
-                // with no signal this degrades to exactly blind
-                // affinity).
-                let pref = self.ring.preference(template_id);
-                let mut best: Option<((f64, f64), usize, u32)> = None;
-                for (i, s) in pref.iter().enumerate() {
-                    if let Some(load) = shards.iter().find(|l| l.shard == *s) {
-                        let cap = ((load_factor * load.lanes as f64).ceil() as usize).max(1);
-                        if load.outstanding < cap {
-                            let key = feedback
-                                .map(|f| f.routing_key(*s, template_id))
-                                .unwrap_or((0.0, 0.0));
-                            let better = match best {
-                                None => true,
-                                Some((bk, bi, _)) => {
-                                    match key.0.total_cmp(&bk.0).then(key.1.total_cmp(&bk.1)) {
-                                        std::cmp::Ordering::Less => true,
-                                        std::cmp::Ordering::Equal => i < bi,
-                                        std::cmp::Ordering::Greater => false,
-                                    }
-                                }
-                            };
-                            if better {
-                                best = Some((key, i, *s));
-                            }
-                        }
-                    }
-                }
-                if let Some((_, rank, shard)) = best {
-                    return ShardChoice {
-                        shard,
-                        spilled: rank > 0,
-                    };
-                }
-                let s = shards
-                    .iter()
-                    .min_by_key(|l| (l.outstanding.saturating_mul(1024) / l.lanes.max(1), l.shard))
-                    .expect("non-empty")
-                    .shard;
-                ShardChoice {
-                    shard: s,
-                    spilled: true,
-                }
+                self.affinity(template_id, shards, load_factor, feedback)
             }
+        }
+    }
+
+    /// Bounded-load affinity over `shards`: a pick past the key's
+    /// primary is a spill. When every listed shard is at its bound (or
+    /// the ring is out of sync), falls back to least relative load,
+    /// ties by shard id for determinism.
+    fn affinity(
+        &self,
+        template_id: u64,
+        shards: &[ShardLoad],
+        load_factor: f64,
+        feedback: Option<&CacheFeedback>,
+    ) -> ShardChoice {
+        let load = |id: u32| {
+            shards
+                .iter()
+                .find(|l| l.shard == id)
+                .map(|l| (l.outstanding, l.lanes))
+        };
+        if let Some((shard, rank)) =
+            bounded_walk(&self.ring, template_id, load_factor, load, feedback)
+        {
+            return ShardChoice {
+                shard,
+                spilled: rank > 0,
+            };
+        }
+        // `choose` requires a non-empty slice: FleetSim parks a
+        // request instead of routing it when no shard is routable.
+        let shard = shards
+            .iter()
+            .min_by_key(|l| (l.outstanding.saturating_mul(1024) / l.lanes.max(1), l.shard))
+            .expect("choose is never called without a shard")
+            .shard;
+        ShardChoice {
+            shard,
+            spilled: true,
         }
     }
 }
@@ -302,11 +312,12 @@ impl TemplateAffinityRouter {
         template_id: u64,
         outcome: FetchOutcome,
     ) {
-        feedback.lock().expect("feedback lock poisoned").observe(
-            worker as u32,
-            template_id,
-            outcome,
-        );
+        // The feedback is plain counters and EWMAs, valid after any
+        // interrupted update: a panic elsewhere must not stop routing.
+        feedback
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .observe(worker as u32, template_id, outcome);
     }
 
     fn sync_ring(&mut self, workers: &[WorkerView]) {
@@ -327,66 +338,32 @@ impl Default for TemplateAffinityRouter {
 
 impl Router for TemplateAffinityRouter {
     fn route(&mut self, req: &RequestSpec, workers: &[WorkerView], _now: SimTime) -> usize {
-        if workers.is_empty() {
-            return 0;
-        }
         self.sync_ring(workers);
-        match self.feedback.as_ref() {
-            None => {
-                for s in self.ring.preference(req.template_id) {
-                    if let Some(w) = workers.iter().find(|w| w.id == s as usize) {
-                        let cap =
-                            ((self.load_factor * w.max_batch.max(1) as f64).ceil() as usize).max(1);
-                        if w.outstanding.len() < cap {
-                            return w.id;
-                        }
-                    }
-                }
-            }
-            Some(feedback) => {
-                // Rank under-bound preference candidates by the
-                // feedback routing key (pair cost, then shard churn);
-                // with no observations the keys tie and the preference
-                // rank decides, degrading to blind affinity.
-                let fb = feedback.lock().expect("feedback lock poisoned");
-                let mut best: Option<((f64, f64), usize, usize)> = None;
-                for (i, s) in self
-                    .ring
-                    .preference(req.template_id)
-                    .into_iter()
-                    .enumerate()
-                {
-                    if let Some(w) = workers.iter().find(|w| w.id == s as usize) {
-                        let cap =
-                            ((self.load_factor * w.max_batch.max(1) as f64).ceil() as usize).max(1);
-                        if w.outstanding.len() < cap {
-                            let key = fb.routing_key(s, req.template_id);
-                            let better = match best {
-                                None => true,
-                                Some((bk, bi, _)) => {
-                                    match key.0.total_cmp(&bk.0).then(key.1.total_cmp(&bk.1)) {
-                                        std::cmp::Ordering::Less => true,
-                                        std::cmp::Ordering::Equal => i < bi,
-                                        std::cmp::Ordering::Greater => false,
-                                    }
-                                }
-                            };
-                            if better {
-                                best = Some((key, i, w.id));
-                            }
-                        }
-                    }
-                }
-                if let Some((_, _, id)) = best {
-                    return id;
-                }
-            }
+        let load = |id: u32| {
+            workers
+                .iter()
+                .find(|w| w.id == id as usize)
+                .map(|w| (w.outstanding.len(), w.max_batch.max(1)))
+        };
+        let feedback = self
+            .feedback
+            .as_ref()
+            .map(|f| f.lock().unwrap_or_else(PoisonError::into_inner));
+        match bounded_walk(
+            &self.ring,
+            req.template_id,
+            self.load_factor,
+            load,
+            feedback.as_deref(),
+        ) {
+            Some((id, _)) => id as usize,
+            // All at their bound: least outstanding, ties by id. An
+            // empty slice routes to 0, which the plane clamps.
+            None => workers
+                .iter()
+                .min_by_key(|w| (w.outstanding.len(), w.id))
+                .map_or(0, |w| w.id),
         }
-        workers
-            .iter()
-            .min_by_key(|w| (w.outstanding.len(), w.id))
-            .map(|w| w.id)
-            .expect("non-empty")
     }
 
     fn name(&self) -> &'static str {
@@ -519,24 +496,141 @@ mod tests {
         }
     }
 
+    /// Seeded splitmix64 stream, `next(n)` uniform in `0..n`.
+    fn stream(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed;
+        move |n| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut x = state;
+            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (x ^ (x >> 31)) % n
+        }
+    }
+
     #[test]
     fn feedback_affinity_without_signal_matches_blind_affinity() {
-        let ls = loads(&[0, 0, 0, 0]);
+        // A sweep over templates × load vectors × sparse shard subsets
+        // where the load bound binds: each shard's outstanding count
+        // straddles its cap, and one case in four puts every listed
+        // shard over it (the fallback). Blind affinity must equal
+        // feedback affinity without a signal, ignore a signal it is
+        // handed, match a first-fit reference walk, and agree with the
+        // worker-level router on views whose `max_batch` is the lanes.
+        const SHARDS: u32 = 8;
+        const LOAD_FACTOR: f64 = 1.25;
+        let ring = HashRing::with_shards(SHARDS);
         let mut blind = FleetRouter::new(
-            RouteStrategy::Affinity { load_factor: 1.25 },
-            HashRing::with_shards(4),
+            RouteStrategy::Affinity {
+                load_factor: LOAD_FACTOR,
+            },
+            ring.clone(),
         );
-        let mut fb = FleetRouter::new(
-            RouteStrategy::FeedbackAffinity { load_factor: 1.25 },
-            HashRing::with_shards(4),
+        let mut unsignalled = FleetRouter::new(
+            RouteStrategy::FeedbackAffinity {
+                load_factor: LOAD_FACTOR,
+            },
+            ring.clone(),
         );
-        for template in 0..32u64 {
-            assert_eq!(
-                fb.choose(template, template, &ls, None),
-                blind.choose(template, template, &ls, None),
-                "no feedback signal must degrade to blind affinity"
-            );
+        let mut workers = TemplateAffinityRouter::with_load_factor(LOAD_FACTOR);
+        let all: Vec<WorkerView> = (0..SHARDS as usize).map(|id| view(id, 0)).collect();
+        workers.route(&spec(0, 0), &all, SimTime::ZERO);
+        // A live, uneven cost signal that blind affinity must not read.
+        let mut noise = CacheFeedback::new(SHARDS, 0.3, 5.0);
+        let mut next = stream(0xAFF1);
+        for t in 0..64u64 {
+            for s in 0..SHARDS {
+                let cost_secs = next(50) as f64 / 10.0;
+                noise.observe(s, t, FetchOutcome::Failover { cost_secs });
+            }
         }
+        let (mut fallbacks, mut spills) = (0, 0);
+        for case in 0..2000u64 {
+            let template = next(64);
+            let all_over = next(4) == 0;
+            let loads: Vec<ShardLoad> = (0..SHARDS)
+                .filter_map(|shard| {
+                    if next(3) == 0 {
+                        return None;
+                    }
+                    let lanes = 1 + next(8) as usize;
+                    let cap = ((LOAD_FACTOR * lanes as f64).ceil() as usize).max(1);
+                    let outstanding = if all_over {
+                        cap + next(3) as usize
+                    } else {
+                        next(cap as u64 + 2) as usize
+                    };
+                    Some(ShardLoad {
+                        shard,
+                        outstanding,
+                        lanes,
+                    })
+                })
+                .collect();
+            if loads.is_empty() {
+                continue;
+            }
+            let got = blind.choose(case, template, &loads, Some(&noise));
+            assert_eq!(
+                got,
+                unsignalled.choose(case, template, &loads, None),
+                "case {case}: no feedback signal must degrade to blind affinity"
+            );
+            assert_eq!(got, blind.choose(case, template, &loads, None));
+            // Reference: the first listed shard under its cap in
+            // preference order, else least relative load.
+            let pref = blind.ring().preference(template);
+            let first_fit = pref.into_iter().enumerate().find_map(|(rank, s)| {
+                let l = loads.iter().find(|l| l.shard == s)?;
+                let cap = ((LOAD_FACTOR * l.lanes as f64).ceil() as usize).max(1);
+                (l.outstanding < cap).then_some((s, rank))
+            });
+            let want = match first_fit {
+                Some((shard, rank)) => ShardChoice {
+                    shard,
+                    spilled: rank > 0,
+                },
+                None => ShardChoice {
+                    shard: loads
+                        .iter()
+                        .min_by_key(|l| (l.outstanding * 1024 / l.lanes, l.shard))
+                        .unwrap()
+                        .shard,
+                    spilled: true,
+                },
+            };
+            assert_eq!(got, want, "case {case}");
+            // The worker router walks the same preference list; its own
+            // fallback is fewest outstanding, ties by id.
+            let views: Vec<WorkerView> = loads
+                .iter()
+                .map(|l| WorkerView {
+                    max_batch: l.lanes,
+                    ..view(l.shard as usize, l.outstanding)
+                })
+                .collect();
+            let worker_want = match first_fit {
+                Some((shard, _)) => shard as usize,
+                None => {
+                    let l = loads
+                        .iter()
+                        .min_by_key(|l| (l.outstanding, l.shard))
+                        .unwrap();
+                    l.shard as usize
+                }
+            };
+            assert_eq!(
+                workers.route(&spec(case, template), &views, SimTime::ZERO),
+                worker_want,
+                "case {case}: worker router left the shared walk"
+            );
+            fallbacks += u32::from(first_fit.is_none());
+            spills += u32::from(first_fit.is_some_and(|(_, rank)| rank > 0));
+        }
+        assert!(
+            fallbacks > 200 && spills > 200,
+            "{fallbacks} fallbacks, {spills} spills"
+        );
     }
 
     #[test]

@@ -48,13 +48,12 @@ use fps_json::{Json, ToJson};
 use fps_maskcache::{PlacementSpec, ReplicaFetch, ReplicatedStore, StoreConfig};
 use fps_metrics::{
     CacheFeedback, FetchOutcome, FleetCacheCounters, FleetRecoveryReport, FleetSloReport,
-    GoodputTimeline, Histogram, PopularityHistogram, ShardSloReport, SloReport,
+    GoodputTimeline, Histogram, PopularityHistogram, ScaleWindow, ShardSloReport, SloLedger,
 };
 use fps_overload::BreakerConfig;
 use fps_serving::cost::BatchItem;
 use fps_serving::{
-    Assessment, ControlPlane, CostModel, EngineKind, GpuSpec, LeastLoadedRouter, OverloadConfig,
-    OverloadState, TimeSource, TraceSink, Track,
+    Assessment, ControlPlane, CostModel, EngineKind, GpuSpec, LeastLoadedRouter, TraceSink, Track,
 };
 use fps_simtime::{
     CalendarQueue, EventHandler, EventQueue, EventScheduler, MultiResource, SimDuration, SimTime,
@@ -278,49 +277,16 @@ impl ToJson for FleetReport {
     }
 }
 
-/// Windowed counters feeding the autoscaler, reset every scale tick.
-#[derive(Debug, Default)]
-struct Window {
-    submitted: u64,
-    turned_away: u64,
-    queue_waits: Vec<f64>,
-}
-
-impl Window {
-    fn signal(&mut self, utilization: f64, cache_miss_rate: f64) -> crate::autoscaler::ShardSignal {
-        let shed_rate = if self.submitted == 0 {
-            0.0
-        } else {
-            self.turned_away as f64 / self.submitted as f64
-        };
-        self.queue_waits
-            .sort_by(|a, b| a.partial_cmp(b).expect("finite waits"));
-        let p95 = if self.queue_waits.is_empty() {
-            0.0
-        } else {
-            let ix = ((self.queue_waits.len() as f64 * 0.95).ceil() as usize)
-                .clamp(1, self.queue_waits.len());
-            self.queue_waits[ix - 1]
-        };
-        let s = crate::autoscaler::ShardSignal {
-            shed_rate,
-            queue_wait_p95_secs: p95,
-            utilization,
-            cache_miss_rate,
-        };
-        *self = Self::default();
-        s
-    }
-}
-
 /// One shard's live state.
 struct Shard {
     plane: ControlPlane<LeastLoadedRouter>,
-    /// One k-server pool per worker (`max_batch` lanes each).
+    /// One k-server pool per worker (`max_batch` lanes each). Never
+    /// empty: built and restarted with at least one worker, and never
+    /// scaled below one.
     pools: Vec<MultiResource>,
     scaler: Option<Autoscaler>,
     outstanding: usize,
-    window: Window,
+    window: ScaleWindow,
     // Liveness.
     /// Not crashed and not departed.
     alive: bool,
@@ -331,18 +297,10 @@ struct Shard {
     /// Gray-failure service-time multiplier while `now < slow_until`.
     slow_factor: f64,
     slow_until: SimTime,
-    // Accounting.
-    submitted: u64,
-    served: u64,
-    served_within_deadline: u64,
-    shed: u64,
-    deadline_rejected: u64,
-    /// In-flight attempts killed by a crash (each resubmitted or
-    /// counted failed at the fleet level).
-    other_rejected: u64,
-    rung_served: Vec<(&'static str, u64)>,
-    latency_hist: Histogram,
-    queue_wait_hist: Histogram,
+    /// Every attempt routed here and how it ended; a crash-killed
+    /// attempt counts as `other_rejected` (it is resubmitted, or
+    /// counted failed, at the fleet level).
+    ledger: SloLedger,
 }
 
 impl Shard {
@@ -662,7 +620,7 @@ impl World<'_> {
             ],
         );
         let shard = &mut self.shards[sx];
-        shard.submitted += 1;
+        shard.ledger.submitted += 1;
         shard.window.submitted += 1;
         let capacity = shard.pools.len() * self.config.max_batch;
         let assessment = shard
@@ -670,7 +628,7 @@ impl World<'_> {
             .assess(req.id, now, shard.outstanding, capacity, false);
         let (rung, steps) = match assessment {
             Assessment::Shed(_) => {
-                shard.shed += 1;
+                shard.ledger.shed += 1;
                 shard.window.turned_away += 1;
                 return;
             }
@@ -683,9 +641,9 @@ impl World<'_> {
             .iter()
             .map(MultiResource::earliest_free)
             .min()
-            .expect("at least one worker");
+            .expect("pools are never empty");
         if free.max(now).since(arrival) > self.deadline {
-            shard.deadline_rejected += 1;
+            shard.ledger.deadline_rejected += 1;
             shard.window.turned_away += 1;
             return;
         }
@@ -795,7 +753,7 @@ impl World<'_> {
             .iter()
             .enumerate()
             .min_by_key(|(ix, p)| (p.earliest_free(), *ix))
-            .expect("non-empty")
+            .expect("pools are never empty")
             .0;
         let (start, finish) = shard.pools[px].acquire(compute_from.max(now), dur);
         let wait_secs = start.since(now).as_secs_f64();
@@ -846,7 +804,7 @@ impl World<'_> {
                 }
                 self.shards[sx].alive = false;
                 self.shards[sx].joined = false;
-                self.shards[sx].window = Window::default();
+                self.shards[sx].window = ScaleWindow::default();
                 self.router.remove_shard(shard);
                 self.store.wipe(shard);
                 self.rebalance();
@@ -861,10 +819,12 @@ impl World<'_> {
                     .collect();
                 victims.sort_unstable();
                 for seq in victims {
-                    let inf = self.registry.remove(&seq).expect("victim exists");
+                    // Resubmission only registers new seqs, so every
+                    // collected victim is still registered.
+                    let inf = self.registry.remove(&seq).expect("victim is registered");
                     let s = &mut self.shards[sx];
                     s.outstanding = s.outstanding.saturating_sub(1);
-                    s.other_rejected += 1;
+                    s.ledger.other_rejected += 1;
                     self.inflight -= 1;
                     if inf.attempt < self.config.retry_budget {
                         self.rerouted += 1;
@@ -889,7 +849,7 @@ impl World<'_> {
                     .map(|_| MultiResource::new(self.config.max_batch))
                     .collect();
                 s.outstanding = 0;
-                s.window = Window::default();
+                s.window = ScaleWindow::default();
                 self.router.add_shard(shard);
                 self.store.ensure_shard(shard);
                 self.rebalance();
@@ -956,20 +916,12 @@ impl<Q: EventScheduler<FleetEv>> EventHandler<FleetEv, Q> for World<'_> {
                 let s = &mut self.shards[shard as usize];
                 s.outstanding = s.outstanding.saturating_sub(1);
                 self.inflight -= 1;
-                s.served += 1;
-                let e2e = inf.finish.since(inf.arrival);
-                if e2e <= self.deadline {
-                    s.served_within_deadline += 1;
+                if s.ledger
+                    .serve(inf.finish.since(inf.arrival), inf.rung_label)
+                {
                     self.timeline.record(inf.finish.as_secs_f64());
                 }
-                if let Some(label) = inf.rung_label {
-                    match s.rung_served.iter_mut().find(|(l, _)| *l == label) {
-                        Some((_, c)) => *c += 1,
-                        None => s.rung_served.push((label, 1)),
-                    }
-                }
-                s.latency_hist.record(e2e.as_secs_f64());
-                s.queue_wait_hist.record(inf.wait_secs);
+                s.ledger.record_queue_wait(inf.wait_secs);
             }
             FleetEv::ScaleTick => {
                 let routable = self.shards.iter().filter(|s| s.routable()).count();
@@ -1113,56 +1065,29 @@ impl FleetSim {
         let engine = EngineKind::FlashPs { kv: true };
         let deadline = SimDuration::from_secs_f64(config.deadline_secs);
         let full_steps = cost.model.steps;
-        let hist_hi = (config.deadline_secs * 4.0).max(1.0);
+        // Seconds one request of `ratio` occupies a lane: this
+        // simulator's pools are k independent lanes, each serving one
+        // request at the single-item step latency.
+        let typical_secs = |ratio: f64| {
+            engine
+                .step_latency(&cost, &[BatchItem { mask_ratio: ratio }])
+                .as_secs_f64()
+                * full_steps as f64
+        };
         let ring = HashRing::with_shards(initial_shards);
         let shards: Vec<Shard> = (0..total_slots)
             .map(|sx| {
-                let mut overload_cfg = OverloadConfig::for_cluster(
+                let plane = ControlPlane::for_pool(
                     &cost,
-                    config.workers_per_shard,
                     config.max_batch,
                     config.mean_mask_ratio,
-                    deadline,
-                );
-                // `for_cluster` sizes the admission rate from the
-                // batching server's wave model, where a slot turns over
-                // once per full-batch wave. This simulator's pools are
-                // k independent lanes, each serving one request at the
-                // single-item step latency — noticeably faster — so an
-                // admission bucket sized from waves sheds traffic the
-                // shard could actually serve. Resize it from the
-                // per-request service time the simulator charges.
-                let per_req_secs = engine
-                    .step_latency(
-                        &cost,
-                        &[BatchItem {
-                            mask_ratio: config.mean_mask_ratio,
-                        }],
-                    )
-                    .as_secs_f64()
-                    * full_steps as f64;
-                overload_cfg.admission = fps_overload::AdmissionConfig::for_capacity(
-                    config.workers_per_shard.max(1) * config.max_batch,
-                    per_req_secs,
                     config.deadline_secs,
-                );
-                if !config.allow_degradation {
-                    // Unreachable enter thresholds pin the ladder at
-                    // the premium rung: admission still sheds, but
-                    // every served request gets full quality.
-                    overload_cfg.ladder.enter = [f64::INFINITY; 4];
-                }
-                let state = OverloadState::new(
-                    overload_cfg,
-                    &cost,
-                    config.max_batch,
-                    config.mean_mask_ratio,
-                );
-                let plane =
-                    ControlPlane::new(LeastLoadedRouter, TimeSource::virtual_clock(), full_steps)
-                        .with_overload(Some(state))
-                        .with_trace(config.trace.clone())
-                        .with_control_track(Track::new(1, sx));
+                    config.workers_per_shard.max(1) * config.max_batch,
+                    typical_secs(config.mean_mask_ratio),
+                    config.allow_degradation,
+                )
+                .with_trace(config.trace.clone())
+                .with_control_track(Track::new(1, sx));
                 Shard {
                     plane,
                     pools: (0..config.workers_per_shard.max(1))
@@ -1170,21 +1095,13 @@ impl FleetSim {
                         .collect(),
                     scaler: config.autoscaler.clone().map(Autoscaler::new),
                     outstanding: 0,
-                    window: Window::default(),
+                    window: ScaleWindow::default(),
                     alive: sx < initial_shards,
                     joined: sx < initial_shards,
                     partitioned: false,
                     slow_factor: 1.0,
                     slow_until: SimTime::ZERO,
-                    submitted: 0,
-                    served: 0,
-                    served_within_deadline: 0,
-                    shed: 0,
-                    deadline_rejected: 0,
-                    other_rejected: 0,
-                    rung_served: Vec::new(),
-                    latency_hist: Histogram::new(0.0, hist_hi, 512).expect("valid geometry"),
-                    queue_wait_hist: Histogram::new(0.0, hist_hi, 512).expect("valid geometry"),
+                    ledger: SloLedger::new(config.deadline_secs),
                 }
             })
             .collect();
@@ -1244,12 +1161,6 @@ impl FleetSim {
         // between two oversubscribed owners measures the same promote
         // cost the prior quotes, and the churn tie-break can diffuse
         // it to a quiet non-owner where the copy actually sticks.
-        let typical_secs = |ratio: f64| {
-            engine
-                .step_latency(&cost, &[BatchItem { mask_ratio: ratio }])
-                .as_secs_f64()
-                * full_steps as f64
-        };
         let cold_prior_secs = (typical_secs(1.0) - typical_secs(config.mean_mask_ratio)).max(0.0);
         let miss_prior_secs = if config.replicas >= 2 {
             (config.template_bytes as f64 / store_config.disk_read_bw).min(cold_prior_secs)
@@ -1258,7 +1169,7 @@ impl FleetSim {
         };
         let feedback = CacheFeedback::new(total_slots, 0.3, miss_prior_secs);
         let scale_interval = SimDuration::from_secs_f64(config.scale_interval_secs.max(0.001));
-        let deadline_secs = config.deadline_secs;
+        let cache_fetch_hist = SloLedger::histogram(config.deadline_secs);
         let timeline = GoodputTimeline::new(config.recovery_window_secs);
         let first_fault_secs = config.faults.first_fault_at().map(|t| t.as_secs_f64());
         let arrivals_end_secs = trace
@@ -1291,7 +1202,7 @@ impl FleetSim {
             re_primed: 0,
             feedback,
             live_popularity: HashMap::new(),
-            cache_fetch_hist: Histogram::new(0.0, hist_hi, 512).expect("valid geometry"),
+            cache_fetch_hist,
             replans: 0,
             last_completion: SimTime::ZERO,
             inflight: 0,
@@ -1324,13 +1235,20 @@ impl FleetSim {
         // routable shard: terminal, and accounted.
         let parked_failed = world.parked.len() as u64;
         world.parked.clear();
-        // Conservation: every trace request must be accounted exactly
-        // once — completed, shed, rejected, crash-failed, or parked.
-        let served_total: u64 = world.shards.iter().map(|s| s.served).sum();
-        let shed_total: u64 = world.shards.iter().map(|s| s.shed).sum();
-        let dr_total: u64 = world.shards.iter().map(|s| s.deadline_rejected).sum();
+        // Conservation: every attempt a shard took ended there, and
+        // every trace request is accounted exactly once — completed,
+        // shed, rejected, crash-failed, or parked.
+        for (sx, s) in world.shards.iter().enumerate() {
+            assert_eq!(s.ledger.lost(), 0, "shard {sx} lost requests");
+        }
+        let total =
+            |f: fn(&SloLedger) -> u64| world.shards.iter().map(|s| f(&s.ledger)).sum::<u64>();
         assert_eq!(
-            served_total + shed_total + dr_total + world.crash_failed + parked_failed,
+            total(|l| l.served)
+                + total(|l| l.shed)
+                + total(|l| l.deadline_rejected)
+                + world.crash_failed
+                + parked_failed,
             trace.trace.len() as u64,
             "fleet dropped requests silently during churn"
         );
@@ -1343,29 +1261,8 @@ impl FleetSim {
             .enumerate()
             .map(|(sx, s)| ShardSloReport {
                 shard: sx as u32,
-                report: SloReport {
-                    label: format!("shard-{sx}"),
-                    deadline_secs,
-                    submitted: s.submitted,
-                    served: s.served,
-                    served_within_deadline: s.served_within_deadline,
-                    shed: s.shed,
-                    deadline_rejected: s.deadline_rejected,
-                    other_rejected: s.other_rejected,
-                    goodput_rps: s.served as f64 / window_secs,
-                    goodput_at_deadline_rps: s.served_within_deadline as f64 / window_secs,
-                    p95_latency_secs: s.latency_hist.percentile(0.95),
-                    mean_latency_secs: s.latency_hist.mean(),
-                    rungs: s
-                        .rung_served
-                        .iter()
-                        .map(|&(label, served)| fps_metrics::RungServed::new(label, served, None))
-                        .collect(),
-                    stages: Vec::new(),
-                    bubble_fraction: None,
-                },
-                latency_hist: s.latency_hist.clone(),
-                queue_wait_hist: s.queue_wait_hist.clone(),
+                report: s.ledger.report(&format!("shard-{sx}"), window_secs),
+                ledger: s.ledger.clone(),
             })
             .collect();
         let store_stats = world.store.stats();
@@ -1383,8 +1280,11 @@ impl FleetSim {
             .iter()
             .map(|&t| (t, world.live_popularity.get(&t).copied().unwrap_or(0)))
             .collect();
+        // Every shard ledger was built for the one run deadline, and
+        // the table always holds at least one shard: merge cannot
+        // refuse.
         let fleet = FleetSloReport::merge("fleet", window_secs, &shard_reports)
-            .expect("uniform histogram geometry")
+            .expect("one deadline, at least one shard")
             .with_cache(cache_counters)
             .with_popularity(PopularityHistogram::from_counts(&counts, 16));
         let recovery = first_fault_secs.and_then(|fault_at| {
@@ -1608,6 +1508,39 @@ mod tests {
             dup.effective_hit_rate(),
             solo.effective_hit_rate()
         );
+    }
+
+    #[test]
+    fn crash_storm_balances_every_shard_ledger() {
+        let trace = small_trace();
+        let mut cfg = config(RouteStrategy::Affinity { load_factor: 1.25 });
+        cfg.faults = FleetFaultProfile::CrashStorm.plan(7, secs(120.0), 4);
+        let r = FleetSim::run(cfg, &trace);
+        assert!(r.rerouted > 0, "the storm must kill in-flight attempts");
+        for s in &r.shard_reports {
+            let l = &s.ledger;
+            assert_eq!(l.lost(), 0, "shard {} lost requests", s.shard);
+            assert_eq!(
+                l.submitted,
+                l.served + l.shed + l.deadline_rejected + l.other_rejected,
+                "shard {} resolved an attempt twice",
+                s.shard
+            );
+            assert_eq!(s.report.lost(), 0);
+        }
+        let killed: u64 = r
+            .shard_reports
+            .iter()
+            .map(|s| s.ledger.other_rejected)
+            .sum();
+        assert_eq!(killed, r.rerouted + r.crash_failed);
+        // The rollup is the report of the merged shard ledgers.
+        let mut merged = r.shard_reports[0].ledger.clone();
+        for s in &r.shard_reports[1..] {
+            assert!(merged.merge(&s.ledger));
+        }
+        let window = r.makespan_secs.max(1e-9);
+        assert_eq!(r.fleet.fleet, merged.report("fleet", window));
     }
 
     #[test]

@@ -81,6 +81,45 @@ pub struct ShardSignal {
     pub cache_miss_rate: f64,
 }
 
+/// One pool's open observation window: what happened since the last
+/// scale tick. [`ScaleWindow::signal`] closes it into a
+/// [`ShardSignal`] and starts the next.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ScaleWindow {
+    /// Submissions this window.
+    pub submitted: u64,
+    /// Submissions turned away (shed or rejected) this window.
+    pub turned_away: u64,
+    /// Queue waits of work that started service this window, seconds.
+    pub queue_waits: Vec<f64>,
+}
+
+impl ScaleWindow {
+    /// Closes the window: shed rate and nearest-rank queue-wait p95
+    /// from the counts, beside the caller's `utilization` and
+    /// `cache_miss_rate` for the same window. Resets for the next one.
+    pub fn signal(&mut self, utilization: f64, cache_miss_rate: f64) -> ShardSignal {
+        let shed_rate = if self.submitted == 0 {
+            0.0
+        } else {
+            self.turned_away as f64 / self.submitted as f64
+        };
+        let waits = &mut self.queue_waits;
+        waits.sort_unstable_by(f64::total_cmp);
+        let queue_wait_p95_secs = match waits.len() {
+            0 => 0.0,
+            n => waits[((n as f64 * 0.95).ceil() as usize).clamp(1, n) - 1],
+        };
+        *self = Self::default();
+        ShardSignal {
+            shed_rate,
+            queue_wait_p95_secs,
+            utilization,
+            cache_miss_rate,
+        }
+    }
+}
+
 /// What the scaler wants done to the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleDecision {
@@ -439,6 +478,34 @@ mod tests {
             }
         }
         assert!(workers > 2, "sustained miss pressure grows the pool");
+    }
+
+    #[test]
+    fn window_signal_is_nearest_rank_and_resets() {
+        let mut w = ScaleWindow::default();
+        assert_eq!(
+            w.signal(0.4, 0.1),
+            ShardSignal {
+                utilization: 0.4,
+                cache_miss_rate: 0.1,
+                ..Default::default()
+            }
+        );
+        w.submitted = 8;
+        w.turned_away = 2;
+        // Twenty waits 1..=20 s, out of order: the nearest-rank p95 is
+        // the 19th smallest.
+        w.queue_waits = (1..=20).rev().map(f64::from).collect();
+        let s = w.signal(1.0, 0.0);
+        assert_eq!(s.shed_rate, 0.25);
+        assert_eq!(s.queue_wait_p95_secs, 19.0);
+        assert_eq!(
+            w,
+            ScaleWindow::default(),
+            "closing a window opens an empty one"
+        );
+        w.queue_waits.push(3.5);
+        assert_eq!(w.signal(0.0, 0.0).queue_wait_p95_secs, 3.5);
     }
 
     #[test]

@@ -1,33 +1,30 @@
 //! Cross-shard SLO aggregation.
 //!
-//! A fleet run produces one [`SloReport`] per shard plus the latency
-//! and queue-wait histograms those reports were derived from. Folding
-//! them into a fleet-level view is mostly addition — counts sum,
-//! goodput is total served over the common window — with one trap:
-//! **percentiles do not average**. The mean of ten per-shard p95s says
-//! nothing about the fleet p95 (one slow shard dominates the pooled
-//! tail while barely moving the average). The merge here carries the
-//! per-shard histograms and takes percentiles of the *merged* counts,
-//! which is exact up to bucket resolution.
+//! A fleet run keeps one [`SloLedger`] per shard. Folding them into a
+//! fleet-level view is mostly addition — counts sum, goodput is total
+//! served over the common window — with one trap: **percentiles do not
+//! average**. The mean of ten per-shard p95s says nothing about the
+//! fleet p95 (one slow shard dominates the pooled tail while barely
+//! moving the average). The rollup here is the report of the *merged*
+//! ledger, whose percentiles come from pooled histogram counts — exact
+//! up to bucket resolution.
 
 use crate::feedback::PopularityHistogram;
-use crate::histogram::Histogram;
-use crate::slo::{RungServed, SloReport, StageQueueStats};
+use crate::slo::{SloLedger, SloReport, StageQueueStats};
 use fps_json::{Json, ToJson};
 
-/// One shard's contribution to a fleet report: its SLO accounting plus
-/// the histograms that make cross-shard percentiles mergeable.
+/// One shard's contribution to a fleet report: its SLO report and the
+/// ledger it was derived from, whose histograms make cross-shard
+/// percentiles mergeable.
 #[derive(Debug, Clone)]
 pub struct ShardSloReport {
     /// Shard id within the fleet.
     pub shard: u32,
     /// The shard's own SLO accounting.
     pub report: SloReport,
-    /// End-to-end latency of served requests, seconds.
-    pub latency_hist: Histogram,
-    /// Queue wait (arrival → service start) of served requests,
-    /// seconds.
-    pub queue_wait_hist: Histogram,
+    /// The shard's ledger: end-to-end latency and queue wait
+    /// (arrival → service start) of its served requests.
+    pub ledger: SloLedger,
 }
 
 impl ToJson for ShardSloReport {
@@ -35,9 +32,12 @@ impl ToJson for ShardSloReport {
         Json::object()
             .with("shard", self.shard as u64)
             .with("report", self.report.to_json())
-            .with("latency_p50_secs", self.latency_hist.percentile(0.50))
-            .with("latency_p95_secs", self.latency_hist.percentile(0.95))
-            .with("queue_wait_p95_secs", self.queue_wait_hist.percentile(0.95))
+            .with("latency_p50_secs", self.ledger.latency().percentile(0.50))
+            .with("latency_p95_secs", self.ledger.latency().percentile(0.95))
+            .with(
+                "queue_wait_p95_secs",
+                self.ledger.queue_wait().percentile(0.95),
+            )
     }
 }
 
@@ -92,17 +92,15 @@ impl ToJson for FleetCacheCounters {
     }
 }
 
-/// A fleet-level rollup: the merged [`SloReport`] plus the pooled
-/// histograms it was derived from.
+/// A fleet-level rollup: the report of the merged shard ledgers.
 #[derive(Debug, Clone)]
 pub struct FleetSloReport {
     /// Merged fleet-wide accounting; percentiles come from the pooled
-    /// histograms below, not from averaging shard percentiles.
+    /// histograms of the ledger below, not from averaging shard
+    /// percentiles.
     pub fleet: SloReport,
-    /// Pooled end-to-end latency across all shards.
-    pub latency_hist: Histogram,
-    /// Pooled queue wait across all shards.
-    pub queue_wait_hist: Histogram,
+    /// The shard ledgers merged in shard order.
+    pub ledger: SloLedger,
     /// Shards that contributed.
     pub shards: u32,
     /// Cache/failover counters, when the run collected them.
@@ -115,68 +113,25 @@ pub struct FleetSloReport {
 impl FleetSloReport {
     /// Merges per-shard reports over a common serving window of
     /// `window_secs` virtual seconds. Returns `None` when `shards` is
-    /// empty or the histograms have mismatched geometry (which would
+    /// empty or their histograms have mismatched geometry (which would
     /// make the pooled percentiles meaningless).
     pub fn merge(label: &str, window_secs: f64, shards: &[ShardSloReport]) -> Option<Self> {
-        let first = shards.first()?;
-        let mut latency_hist = first.latency_hist.clone();
-        let mut queue_wait_hist = first.queue_wait_hist.clone();
-        let mut fleet = SloReport {
-            label: label.to_string(),
-            deadline_secs: first.report.deadline_secs,
-            submitted: 0,
-            served: 0,
-            served_within_deadline: 0,
-            shed: 0,
-            deadline_rejected: 0,
-            other_rejected: 0,
-            goodput_rps: 0.0,
-            goodput_at_deadline_rps: 0.0,
-            p95_latency_secs: 0.0,
-            mean_latency_secs: 0.0,
-            rungs: Vec::new(),
-            stages: Vec::new(),
-            bubble_fraction: None,
-        };
+        let (first, rest) = shards.split_first()?;
+        let mut ledger = first.ledger.clone();
+        for s in rest {
+            if !ledger.merge(&s.ledger) {
+                return None;
+            }
+        }
+        let mut fleet = ledger.report(label, window_secs);
         // Per-stage queue stats pool across shards exactly like the
-        // latency histograms: merged counts, recomputed percentiles.
+        // ledgers: merged counts, recomputed percentiles.
         let stage_groups: Vec<&[StageQueueStats]> =
             shards.iter().map(|s| s.report.stages.as_slice()).collect();
         fleet.stages = StageQueueStats::pool(&stage_groups)?;
-        for (i, s) in shards.iter().enumerate() {
-            if i > 0
-                && (!latency_hist.merge(&s.latency_hist)
-                    || !queue_wait_hist.merge(&s.queue_wait_hist))
-            {
-                return None;
-            }
-            fleet.submitted += s.report.submitted;
-            fleet.served += s.report.served;
-            fleet.served_within_deadline += s.report.served_within_deadline;
-            fleet.shed += s.report.shed;
-            fleet.deadline_rejected += s.report.deadline_rejected;
-            fleet.other_rejected += s.report.other_rejected;
-            for rung in &s.report.rungs {
-                match fleet.rungs.iter_mut().find(|r| r.label == rung.label) {
-                    Some(r) => r.served += rung.served,
-                    None => fleet.rungs.push(RungServed::new(
-                        rung.label.clone(),
-                        rung.served,
-                        rung.quality,
-                    )),
-                }
-            }
-        }
-        if window_secs > 0.0 {
-            fleet.goodput_rps = fleet.served as f64 / window_secs;
-            fleet.goodput_at_deadline_rps = fleet.served_within_deadline as f64 / window_secs;
-        }
-        fleet.p95_latency_secs = latency_hist.percentile(0.95);
-        fleet.mean_latency_secs = latency_hist.mean();
         Some(Self {
             fleet,
-            latency_hist,
-            queue_wait_hist,
+            ledger,
             shards: shards.len() as u32,
             cache: None,
             popularity: None,
@@ -197,7 +152,7 @@ impl FleetSloReport {
 
     /// Pooled queue-wait p95 across the fleet, seconds.
     pub fn queue_wait_p95_secs(&self) -> f64 {
-        self.queue_wait_hist.percentile(0.95)
+        self.ledger.queue_wait().percentile(0.95)
     }
 }
 
@@ -220,42 +175,34 @@ impl ToJson for FleetSloReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fps_simtime::SimDuration;
 
-    fn shard(id: u32, served: u64, latencies: &[f64]) -> ShardSloReport {
-        let mut latency_hist = Histogram::new(0.0, 60.0, 600).unwrap();
-        let mut queue_wait_hist = Histogram::new(0.0, 60.0, 600).unwrap();
+    fn secs(s: f64) -> SimDuration {
+        SimDuration::from_secs_f64(s)
+    }
+
+    /// A shard that served one request per latency at the premium rung
+    /// and shed ten more.
+    fn shard(id: u32, latencies: &[f64]) -> ShardSloReport {
+        let mut ledger = SloLedger::new(15.0);
         for &l in latencies {
-            latency_hist.record(l);
-            queue_wait_hist.record(l / 2.0);
+            ledger.submitted += 1;
+            ledger.serve(secs(l), Some("flashps-kv"));
+            ledger.record_queue_wait(l / 2.0);
         }
+        ledger.submitted += 10;
+        ledger.shed += 10;
         ShardSloReport {
             shard: id,
-            report: SloReport {
-                label: format!("shard-{id}"),
-                deadline_secs: 30.0,
-                submitted: served + 10,
-                served,
-                served_within_deadline: served.saturating_sub(1),
-                shed: 10,
-                deadline_rejected: 0,
-                other_rejected: 0,
-                goodput_rps: 0.0,
-                goodput_at_deadline_rps: 0.0,
-                p95_latency_secs: latency_hist.percentile(0.95),
-                mean_latency_secs: latency_hist.mean(),
-                rungs: vec![RungServed::new("flashps-kv", served, Some(1.0))],
-                stages: Vec::new(),
-                bubble_fraction: None,
-            },
-            latency_hist,
-            queue_wait_hist,
+            report: ledger.report(&format!("shard-{id}"), 0.0),
+            ledger,
         }
     }
 
     #[test]
     fn counts_sum_and_rungs_merge_by_label() {
-        let a = shard(0, 100, &[1.0; 100]);
-        let b = shard(1, 50, &[2.0; 50]);
+        let a = shard(0, &[1.0; 100]);
+        let b = shard(1, &[2.0; 50]);
         let f = FleetSloReport::merge("fleet", 100.0, &[a, b]).unwrap();
         assert_eq!(f.fleet.submitted, 170);
         assert_eq!(f.fleet.served, 150);
@@ -274,8 +221,8 @@ mod tests {
         // per-shard p95s does not.
         let fast: Vec<f64> = (0..900).map(|i| 1.0 + (i % 10) as f64 * 0.01).collect();
         let slow: Vec<f64> = (0..100).map(|i| 40.0 + (i % 10) as f64 * 0.01).collect();
-        let a = shard(0, 900, &fast);
-        let b = shard(1, 100, &slow);
+        let a = shard(0, &fast);
+        let b = shard(1, &slow);
         let naive = (a.report.p95_latency_secs + b.report.p95_latency_secs) / 2.0;
         let f = FleetSloReport::merge("fleet", 100.0, &[a, b]).unwrap();
         assert!(
@@ -288,15 +235,15 @@ mod tests {
     #[test]
     fn mismatched_geometry_and_empty_input_refuse() {
         assert!(FleetSloReport::merge("fleet", 1.0, &[]).is_none());
-        let a = shard(0, 10, &[1.0]);
-        let mut b = shard(1, 10, &[1.0]);
-        b.latency_hist = Histogram::new(0.0, 10.0, 10).unwrap();
+        let a = shard(0, &[1.0]);
+        let mut b = shard(1, &[1.0]);
+        b.ledger = SloLedger::new(2.0);
         assert!(FleetSloReport::merge("fleet", 1.0, &[a, b]).is_none());
     }
 
     #[test]
     fn serializes_round_trip() {
-        let f = FleetSloReport::merge("fleet", 10.0, &[shard(0, 10, &[1.0; 10])]).unwrap();
+        let f = FleetSloReport::merge("fleet", 10.0, &[shard(0, &[1.0; 10])]).unwrap();
         let j = f.to_json();
         assert_eq!(j.get("shards").and_then(Json::as_u64), Some(1));
         let back = Json::parse(&j.to_string_compact()).unwrap();
@@ -306,5 +253,88 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(10)
         );
+    }
+
+    #[test]
+    fn merge_is_the_report_of_the_merged_ledgers_to_the_bit() {
+        const RUNGS: [&str; 4] = ["flashps-kv", "flashps", "teacache-0.6", "reduced-steps"];
+        let mut state = 0x5EED_u64;
+        let mut next = move |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut x = state;
+            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (x ^ (x >> 31)) % n
+        };
+        for _ in 0..50 {
+            let n_shards = 1 + next(5) as u32;
+            // One ledger that saw every shard's samples directly: the
+            // pooled reference the merged histogram must match.
+            let mut pooled = SloLedger::new(8.0);
+            let mut expected_rungs: Vec<&str> = Vec::new();
+            let shards: Vec<ShardSloReport> = (0..n_shards)
+                .map(|id| {
+                    let mut ledger = SloLedger::new(8.0);
+                    for _ in 0..next(200) {
+                        ledger.submitted += 1;
+                        match next(10) {
+                            0 => ledger.shed += 1,
+                            1 => ledger.deadline_rejected += 1,
+                            2 => ledger.other_rejected += 1,
+                            _ => {
+                                let e2e = SimDuration::from_nanos(next(40_000_000_000));
+                                let rung = RUNGS[next(4) as usize];
+                                if !expected_rungs.contains(&rung) {
+                                    expected_rungs.push(rung);
+                                }
+                                ledger.serve(e2e, Some(rung));
+                                pooled.serve(e2e, Some(rung));
+                            }
+                        }
+                    }
+                    ShardSloReport {
+                        shard: id,
+                        report: ledger.report(&format!("shard-{id}"), 60.0),
+                        ledger,
+                    }
+                })
+                .collect();
+            let rollup = FleetSloReport::merge("fleet", 60.0, &shards).unwrap();
+            let mut merged = shards[0].ledger.clone();
+            for s in &shards[1..] {
+                assert!(merged.merge(&s.ledger));
+            }
+            assert_eq!(rollup.fleet, merged.report("fleet", 60.0));
+            assert_eq!(rollup.ledger, merged);
+            // Counts are the shard sums; rungs keep first-served order
+            // across shards in shard order.
+            let sum = |f: fn(&SloReport) -> u64| shards.iter().map(|s| f(&s.report)).sum::<u64>();
+            assert_eq!(rollup.fleet.submitted, sum(|r| r.submitted));
+            assert_eq!(rollup.fleet.served, sum(|r| r.served));
+            assert_eq!(
+                rollup.fleet.served_within_deadline,
+                sum(|r| r.served_within_deadline)
+            );
+            assert_eq!(rollup.fleet.shed, sum(|r| r.shed));
+            assert_eq!(rollup.fleet.deadline_rejected, sum(|r| r.deadline_rejected));
+            assert_eq!(rollup.fleet.other_rejected, sum(|r| r.other_rejected));
+            assert_eq!(rollup.fleet.lost(), 0);
+            let order: Vec<&str> = rollup
+                .fleet
+                .rungs
+                .iter()
+                .map(|r| r.label.as_str())
+                .collect();
+            assert_eq!(order, expected_rungs);
+            assert_eq!(
+                rollup.fleet.rungs.iter().map(|r| r.served).sum::<u64>(),
+                rollup.fleet.served
+            );
+            // Percentiles depend only on the pooled counts.
+            assert_eq!(
+                rollup.fleet.p95_latency_secs.to_bits(),
+                pooled.latency().percentile(0.95).to_bits()
+            );
+        }
     }
 }

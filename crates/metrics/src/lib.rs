@@ -11,7 +11,8 @@
 //! - [`degradation`] — resilience accounting (goodput, retries,
 //!   fallback rate, lost-request conservation) under fault injection.
 //! - [`slo`] — SLO-attainment accounting (goodput at deadline, shed
-//!   rate, per-rung quality) for overload-controlled runs.
+//!   rate, per-rung quality) for overload-controlled runs, and the
+//!   mergeable per-unit ledger both simulators derive it from.
 //! - [`fleet`] — cross-shard SLO aggregation with histogram-merged
 //!   percentiles (fleet p95 is pooled, never averaged).
 //! - [`recovery`] — goodput timelines and time-to-recover / dip-area
@@ -38,7 +39,9 @@ pub mod slo;
 pub mod stats;
 pub mod throughput;
 
-pub use autoscaler::{Autoscaler, AutoscalerConfig, ScaleDecision, ScaleGuard, ShardSignal};
+pub use autoscaler::{
+    Autoscaler, AutoscalerConfig, ScaleDecision, ScaleGuard, ScaleWindow, ShardSignal,
+};
 pub use degradation::DegradationReport;
 pub use feedback::{CacheFeedback, FetchOutcome, PopularityHistogram};
 pub use fleet::{FleetCacheCounters, FleetSloReport, ShardSloReport};
@@ -48,6 +51,6 @@ pub use plot::{line_plot, Series};
 pub use recovery::{FleetRecoveryReport, GoodputTimeline};
 pub use regression::LinearRegression;
 pub use report::Table;
-pub use slo::{RungServed, SloReport, StageQueueStats};
+pub use slo::{RungServed, SloLedger, SloReport, StageQueueStats};
 pub use stats::Summary;
 pub use throughput::ThroughputCounter;

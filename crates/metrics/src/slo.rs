@@ -7,9 +7,11 @@
 //! against a deadline: goodput *at the deadline*, the split between
 //! admission sheds and in-queue deadline rejections, and — when the
 //! degradation ladder was active — how much work each rung served and
-//! at what output quality.
+//! at what output quality. A simulated serving unit accumulates one in
+//! an [`SloLedger`] and derives the report from it.
 
 use fps_json::{Json, ToJson};
+use fps_simtime::SimDuration;
 
 use crate::histogram::Histogram;
 
@@ -225,6 +227,166 @@ impl SloReport {
     }
 }
 
+/// One serving unit's request ledger: how every submission ended, the
+/// rungs served work ran at, and the latency and queue-wait histograms
+/// the unit's [`SloReport`] derives from.
+///
+/// The fleet simulator keeps one per shard and the stage-graph
+/// simulator one per run. Ledgers [`merge`](SloLedger::merge) by adding
+/// counts and pooling histograms, so a fleet rollup is the report of
+/// the merged shard ledgers, with its p95 taken over pooled counts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SloLedger {
+    /// Requests submitted to the unit.
+    pub submitted: u64,
+    /// Requests served to completion, at any latency (counted by
+    /// [`SloLedger::serve`]).
+    pub served: u64,
+    /// Served requests that completed within the deadline.
+    pub served_within_deadline: u64,
+    /// Requests shed at admission.
+    pub shed: u64,
+    /// Requests rejected because their deadline had passed or could
+    /// no longer be met.
+    pub deadline_rejected: u64,
+    /// Requests ended for any other reason (a crash-killed attempt).
+    pub other_rejected: u64,
+    deadline_secs: f64,
+    deadline: SimDuration,
+    /// Served work per rung, in first-served order.
+    rungs: Vec<RungServed>,
+    latency: Histogram,
+    queue_wait: Histogram,
+}
+
+impl SloLedger {
+    /// An empty ledger judging service against `deadline_secs`.
+    pub fn new(deadline_secs: f64) -> Self {
+        Self {
+            submitted: 0,
+            served: 0,
+            served_within_deadline: 0,
+            shed: 0,
+            deadline_rejected: 0,
+            other_rejected: 0,
+            deadline_secs,
+            deadline: SimDuration::from_secs_f64(deadline_secs),
+            rungs: Vec::new(),
+            latency: Self::histogram(deadline_secs),
+            queue_wait: Self::histogram(deadline_secs),
+        }
+    }
+
+    /// An empty histogram in the ledger's geometry for `deadline_secs`:
+    /// 512 buckets over `[0, 4 × deadline)`, at least `[0, 1)` s. Other
+    /// per-request seconds a unit records (cache-fetch cost) use it too.
+    pub fn histogram(deadline_secs: f64) -> Histogram {
+        // The upper edge is finite and >= 1 for every input (`max`
+        // maps NaN to 1), so `new` always accepts the geometry.
+        let hi = (deadline_secs * 4.0).max(1.0);
+        let hi = if hi.is_finite() { hi } else { f64::MAX };
+        Histogram::new(0.0, hi, 512).expect("finite range, non-zero buckets")
+    }
+
+    /// Records one served request, `e2e` from its arrival to its
+    /// completion, at `rung` (`None` without overload control).
+    /// Returns whether it met the deadline.
+    pub fn serve(&mut self, e2e: SimDuration, rung: Option<&str>) -> bool {
+        self.served += 1;
+        let within = e2e <= self.deadline;
+        if within {
+            self.served_within_deadline += 1;
+        }
+        if let Some(label) = rung {
+            self.tally_rung(label, 1, None);
+        }
+        self.latency.record(e2e.as_secs_f64());
+        within
+    }
+
+    /// Records one served request's queue wait, seconds.
+    pub fn record_queue_wait(&mut self, secs: f64) {
+        self.queue_wait.record(secs);
+    }
+
+    fn tally_rung(&mut self, label: &str, served: u64, quality: Option<f64>) {
+        match self.rungs.iter_mut().find(|r| r.label == label) {
+            Some(r) => r.served += served,
+            None => self.rungs.push(RungServed::new(label, served, quality)),
+        }
+    }
+
+    /// End-to-end latency of served requests, seconds.
+    pub fn latency(&self) -> &Histogram {
+        &self.latency
+    }
+
+    /// Queue wait of served requests, seconds.
+    pub fn queue_wait(&self) -> &Histogram {
+        &self.queue_wait
+    }
+
+    /// Submitted requests with no outcome; zero once a run has drained.
+    pub fn lost(&self) -> u64 {
+        self.submitted
+            .saturating_sub(self.served + self.shed + self.deadline_rejected + self.other_rejected)
+    }
+
+    /// Folds `other` into this ledger: counts add, rungs merge by label
+    /// (this ledger's first), histograms pool, and this ledger's
+    /// deadline stays. Returns `false` and changes nothing when the
+    /// histogram geometries differ, which pooling would misbin.
+    pub fn merge(&mut self, other: &SloLedger) -> bool {
+        if !self.latency.merge(&other.latency) {
+            return false;
+        }
+        // A ledger's two histograms are built for one deadline, so the
+        // latency check above covers this merge too.
+        let pooled = self.queue_wait.merge(&other.queue_wait);
+        debug_assert!(pooled, "a ledger's histograms share one geometry");
+        self.submitted += other.submitted;
+        self.served += other.served;
+        self.served_within_deadline += other.served_within_deadline;
+        self.shed += other.shed;
+        self.deadline_rejected += other.deadline_rejected;
+        self.other_rejected += other.other_rejected;
+        for r in &other.rungs {
+            self.tally_rung(&r.label, r.served, r.quality);
+        }
+        true
+    }
+
+    /// The unit's report over a serving window of `window_secs` virtual
+    /// seconds (goodput 0 for an empty window). `stages` and
+    /// `bubble_fraction` are left for the caller to attach.
+    pub fn report(&self, label: &str, window_secs: f64) -> SloReport {
+        let per_sec = |n: u64| {
+            if window_secs > 0.0 {
+                n as f64 / window_secs
+            } else {
+                0.0
+            }
+        };
+        SloReport {
+            label: label.to_string(),
+            deadline_secs: self.deadline_secs,
+            submitted: self.submitted,
+            served: self.served,
+            served_within_deadline: self.served_within_deadline,
+            shed: self.shed,
+            deadline_rejected: self.deadline_rejected,
+            other_rejected: self.other_rejected,
+            goodput_rps: per_sec(self.served),
+            goodput_at_deadline_rps: per_sec(self.served_within_deadline),
+            p95_latency_secs: self.latency.percentile(0.95),
+            mean_latency_secs: self.latency.mean(),
+            rungs: self.rungs.clone(),
+            stages: Vec::new(),
+            bubble_fraction: None,
+        }
+    }
+}
+
 impl ToJson for SloReport {
     fn to_json(&self) -> Json {
         let j = Json::object()
@@ -352,6 +514,54 @@ mod tests {
             Some(4.0)
         );
         assert!(rungs[1].get("queue_wait_p50_secs").is_none());
+    }
+
+    #[test]
+    fn ledger_tallies_outcomes_rungs_and_the_deadline() {
+        let secs = SimDuration::from_secs_f64;
+        let mut l = SloLedger::new(10.0);
+        l.submitted = 6;
+        l.shed = 1;
+        l.deadline_rejected = 1;
+        assert!(l.serve(secs(2.0), Some("flashps")));
+        assert!(
+            l.serve(secs(10.0), Some("flashps-kv")),
+            "the deadline is inclusive"
+        );
+        assert!(!l.serve(secs(12.0), Some("flashps")));
+        assert_eq!(l.lost(), 1);
+        l.serve(secs(1.0), None);
+        assert_eq!(l.lost(), 0);
+        let r = l.report("unit", 4.0);
+        assert_eq!((r.served, r.served_within_deadline), (4, 3));
+        assert_eq!(r.goodput_rps, 1.0);
+        assert_eq!(r.goodput_at_deadline_rps, 0.75);
+        let rungs: Vec<(&str, u64)> = r
+            .rungs
+            .iter()
+            .map(|x| (x.label.as_str(), x.served))
+            .collect();
+        assert_eq!(
+            rungs,
+            [("flashps", 2), ("flashps-kv", 1)],
+            "first-served order"
+        );
+        assert_eq!(l.report("empty-window", 0.0).goodput_rps, 0.0);
+        // Merging a ledger for a far longer deadline would misbin.
+        let before = l.clone();
+        assert!(!l.merge(&SloLedger::new(100.0)));
+        assert_eq!(l, before, "a refused merge changes nothing");
+        assert!(l.merge(&before.clone()));
+        assert_eq!(l.report("x", 1.0).rungs[0].served, 4);
+    }
+
+    #[test]
+    fn ledger_histogram_accepts_every_deadline() {
+        for d in [0.0, -3.0, 1e-9, 30.0, 1e300, f64::INFINITY, f64::NAN] {
+            let mut l = SloLedger::new(d);
+            l.serve(SimDuration::from_secs_f64(0.5), None);
+            assert_eq!(l.latency().total(), 1);
+        }
     }
 
     fn stage_stats(stage: &str, waits: &[f64], max_depth: u64) -> StageQueueStats {

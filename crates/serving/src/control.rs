@@ -21,13 +21,17 @@
 //! [`ClusterSim`]: crate::cluster::ClusterSim
 
 use fps_json::Json;
-use fps_overload::{AdmissionVerdict, CircuitBreaker, Rung, ShedCause, TimeSource};
+use fps_overload::{
+    AdmissionConfig, AdmissionVerdict, BreakerConfig, CircuitBreaker, LadderConfig, Rung,
+    ShedCause, TimeSource,
+};
 use fps_simtime::{SimDuration, SimTime};
 use fps_trace::{TraceSink, Track};
 use fps_workload::RequestSpec;
 
-use crate::overload::{rung_steps, OverloadState};
-use crate::router::{HealthAwareRouter, Router, WorkerView};
+use crate::cost::CostModel;
+use crate::overload::{rung_steps, OverloadConfig, OverloadState};
+use crate::router::{HealthAwareRouter, LeastLoadedRouter, Router, WorkerView};
 
 /// One policy decision, in the order the plane made it.
 ///
@@ -107,6 +111,48 @@ pub struct ControlPlane<R> {
 /// separate in exported traces. Fleet shards override it (one control
 /// track per shard) via [`ControlPlane::with_control_track`].
 const CONTROL_TRACK: Track = Track::new(1, 0);
+
+impl ControlPlane<LeastLoadedRouter> {
+    /// The virtual-clock plane of one simulated serving unit (a fleet
+    /// shard, a stage pool), with the full overload stack sized for it.
+    ///
+    /// The admission bucket is sized from the unit's own service model
+    /// rather than [`OverloadConfig::for_cluster`]'s full-batch waves:
+    /// `admission_lanes` concurrent lanes of the pool the gate protects,
+    /// each turning over once per `per_req_secs`. `lanes` is one
+    /// worker's batch width, which sizes the ladder's wave estimates at
+    /// the offered load's `mean_mask_ratio`. With `allow_degradation`
+    /// off, unreachable enter thresholds pin the ladder at the premium
+    /// rung: admission still sheds, but every served request gets full
+    /// quality.
+    pub fn for_pool(
+        cost: &CostModel,
+        lanes: usize,
+        mean_mask_ratio: f64,
+        deadline_secs: f64,
+        admission_lanes: usize,
+        per_req_secs: f64,
+        allow_degradation: bool,
+    ) -> Self {
+        let mut ladder = LadderConfig::default();
+        if !allow_degradation {
+            ladder.enter = [f64::INFINITY; 4];
+        }
+        let config = OverloadConfig {
+            admission: AdmissionConfig::for_capacity(admission_lanes, per_req_secs, deadline_secs),
+            ladder,
+            breaker: BreakerConfig::default(),
+            deadline: SimDuration::from_secs_f64(deadline_secs),
+        };
+        let state = OverloadState::new(config, cost, lanes, mean_mask_ratio);
+        Self::new(
+            LeastLoadedRouter,
+            TimeSource::virtual_clock(),
+            cost.model.steps,
+        )
+        .with_overload(Some(state))
+    }
+}
 
 impl<R: Router> ControlPlane<R> {
     /// A plane with no overload control and no queue bound: routing
@@ -421,6 +467,49 @@ mod tests {
             .decisions()
             .iter()
             .any(|d| matches!(d, Decision::Rung { .. })));
+    }
+
+    #[test]
+    fn pool_plane_pins_the_ladder_only_without_degradation() {
+        let cost = CostModel::new(GpuSpec::h800(), ModelConfig::paper_sdxl());
+        let plane = |degrade| ControlPlane::for_pool(&cost, 4, 0.11, 6.0, 8, 1.5, degrade);
+        let (mut pinned, mut free) = (plane(false), plane(true));
+        let ov = pinned.overload().expect("overload installed");
+        let want = fps_overload::AdmissionConfig::for_capacity(8, 1.5, 6.0);
+        let got = &ov.config.admission;
+        assert_eq!(
+            (
+                got.rate_per_sec,
+                got.burst,
+                got.max_queue_depth,
+                got.deadline_secs
+            ),
+            (
+                want.rate_per_sec,
+                want.burst,
+                want.max_queue_depth,
+                want.deadline_secs
+            )
+        );
+        assert_eq!(ov.config.deadline, SimDuration::from_secs_f64(6.0));
+        // A re-dispatch against an unbounded backlog: the free ladder
+        // drops to its cheapest rung, the pinned one holds premium.
+        let serve =
+            |p: &mut ControlPlane<LeastLoadedRouter>| p.assess(1, SimTime::ZERO, 1 << 20, 8, true);
+        assert_eq!(
+            serve(&mut pinned),
+            Assessment::Serve {
+                rung: Some(Rung::FlashPsKv),
+                steps: 50
+            }
+        );
+        assert!(matches!(
+            serve(&mut free),
+            Assessment::Serve {
+                rung: Some(Rung::ReducedSteps),
+                ..
+            }
+        ));
     }
 
     #[test]

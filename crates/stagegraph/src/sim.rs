@@ -32,15 +32,13 @@
 
 use fps_json::{Json, ToJson};
 use fps_metrics::{
-    Autoscaler, AutoscalerConfig, Histogram, RungServed, ScaleDecision, ShardSignal, SloReport,
-    StageQueueStats,
+    Autoscaler, AutoscalerConfig, ScaleDecision, ScaleWindow, SloLedger, SloReport, StageQueueStats,
 };
 use fps_overload::Rung;
 use fps_serving::cost::{BatchItem, CpuCosts};
 use fps_serving::overload::rung_steps;
 use fps_serving::{
-    Assessment, ControlPlane, CostModel, EngineKind, GpuSpec, LeastLoadedRouter, OverloadConfig,
-    OverloadState, TimeSource, TraceSink, Track,
+    Assessment, ControlPlane, CostModel, EngineKind, GpuSpec, LeastLoadedRouter, TraceSink, Track,
 };
 use fps_simtime::{
     CalendarQueue, EventHandler, EventQueue, EventScheduler, SimDuration, SimTime, Simulation,
@@ -307,12 +305,11 @@ struct Stage {
     served_through: u64,
     expired: u64,
     busy_secs: f64,
-    rung_counts: Vec<(&'static str, u64)>,
     downscaled: u64,
     /// Hysteretic pool scaler (None freezes the pool).
     scaler: Option<Autoscaler>,
     /// Queue waits of requests popped since the last scale tick.
-    window_waits: Vec<f64>,
+    window: ScaleWindow,
     /// `busy_secs` at the last scale tick, for windowed utilization.
     window_busy_mark: f64,
 }
@@ -331,12 +328,9 @@ struct World<'a> {
     requests: Vec<Req>,
     /// Accepted and not yet terminal.
     inflight: usize,
-    submitted: u64,
-    served: u64,
-    served_within_deadline: u64,
-    shed: u64,
-    deadline_rejected: u64,
-    latency_hist: Histogram,
+    /// Every arrival and how it ended (deadline lapses count as
+    /// `deadline_rejected`); served rungs are the denoise plane's.
+    ledger: SloLedger,
     last_completion: SimTime,
 }
 
@@ -428,35 +422,15 @@ impl World<'_> {
     fn complete(&mut self, seq: u64, at: SimTime) {
         let req = self.requests[seq as usize];
         self.inflight -= 1;
-        self.served += 1;
-        let e2e = at.since(req.arrival);
-        if e2e <= self.deadline {
-            self.served_within_deadline += 1;
-        }
-        self.latency_hist.record(e2e.as_secs_f64());
+        self.ledger
+            .serve(at.since(req.arrival), req.rung.map(Rung::label));
         self.last_completion = self.last_completion.max(at);
-        if req.downscaled {
-            // Downscales are counted on the decode stage when chosen;
-            // nothing further here.
-        }
-        if let Some(r) = req.rung {
-            let ix = self.denoise_ix;
-            let label = r.label();
-            match self.stages[ix]
-                .rung_counts
-                .iter_mut()
-                .find(|(l, _)| *l == label)
-            {
-                Some((_, c)) => *c += 1,
-                None => self.stages[ix].rung_counts.push((label, 1)),
-            }
-        }
     }
 
     /// Terminal: the request's deadline lapsed at stage `ix`.
     fn expire(&mut self, ix: usize, _seq: u64, at: SimTime) {
         self.stages[ix].expired += 1;
-        self.deadline_rejected += 1;
+        self.ledger.deadline_rejected += 1;
         self.inflight -= 1;
         self.last_completion = self.last_completion.max(at);
     }
@@ -506,7 +480,7 @@ impl World<'_> {
             let Some((seq, wait)) = live else { break };
             popped_any = true;
             if self.stages[ix].scaler.is_some() {
-                self.stages[ix].window_waits.push(wait);
+                self.stages[ix].window.queue_waits.push(wait);
             }
             // Decode consults its own plane at service start: under
             // pressure its ladder downscales the output.
@@ -579,7 +553,7 @@ impl World<'_> {
             let Some((seq, wait)) = live else { break };
             popped_any = true;
             if self.stages[ix].scaler.is_some() {
-                self.stages[ix].window_waits.push(wait);
+                self.stages[ix].window.queue_waits.push(wait);
             }
             // The denoise plane's ladder picks this dispatch's rung —
             // and with it the step schedule.
@@ -650,7 +624,7 @@ impl<Q: EventScheduler<StageEv>> EventHandler<StageEv, Q> for World<'_> {
     fn handle(&mut self, now: SimTime, event: StageEv, queue: &mut Q) {
         match event {
             StageEv::Arrival(i) => {
-                self.submitted += 1;
+                self.ledger.submitted += 1;
                 let spec = &self.trace.requests[i];
                 let backlog = self.inflight;
                 let capacity = self.bottleneck_capacity();
@@ -659,7 +633,7 @@ impl<Q: EventScheduler<StageEv>> EventHandler<StageEv, Q> for World<'_> {
                     .plane
                     .assess(spec.id, now, backlog, capacity, false);
                 if matches!(assessment, Assessment::Shed(_)) {
-                    self.shed += 1;
+                    self.ledger.shed += 1;
                     return;
                 }
                 let seq = i as u64;
@@ -677,7 +651,7 @@ impl<Q: EventScheduler<StageEv>> EventHandler<StageEv, Q> for World<'_> {
                 {
                     // Entry queue full: the graph boundary sheds
                     // rather than backpressuring the outside world.
-                    self.shed += 1;
+                    self.ledger.shed += 1;
                     return;
                 }
                 self.inflight += 1;
@@ -802,15 +776,6 @@ impl<Q: EventScheduler<StageEv>> EventHandler<StageEv, Q> for World<'_> {
                         let Some(scaler) = s.scaler.as_mut() else {
                             continue;
                         };
-                        s.window_waits
-                            .sort_by(|a, b| a.partial_cmp(b).expect("finite waits"));
-                        let p95 = if s.window_waits.is_empty() {
-                            0.0
-                        } else {
-                            let n = s.window_waits.len();
-                            let jx = ((n as f64 * 0.95).ceil() as usize).clamp(1, n);
-                            s.window_waits[jx - 1]
-                        };
                         let current = if denoise {
                             s.workers.len().max(1)
                         } else {
@@ -821,14 +786,7 @@ impl<Q: EventScheduler<StageEv>> EventHandler<StageEv, Q> for World<'_> {
                             / (current as f64 * s.spec.lanes.max(1) as f64 * interval))
                             .min(1.0);
                         s.window_busy_mark = s.busy_secs;
-                        s.window_waits.clear();
-                        let signal = ShardSignal {
-                            shed_rate: 0.0,
-                            queue_wait_p95_secs: p95,
-                            utilization,
-                            cache_miss_rate: 0.0,
-                        };
-                        scaler.observe(current, &signal, now)
+                        scaler.observe(current, &s.window.signal(utilization, 0.0), now)
                     };
                     match decision {
                         ScaleDecision::Hold => {}
@@ -867,7 +825,7 @@ impl<Q: EventScheduler<StageEv>> EventHandler<StageEv, Q> for World<'_> {
                         }
                     }
                 }
-                if self.inflight > 0 || (self.submitted as usize) < self.trace.len() {
+                if self.inflight > 0 || (self.ledger.submitted as usize) < self.trace.len() {
                     queue.schedule_after(SimDuration::from_secs_f64(interval), StageEv::ScaleTick);
                 }
             }
@@ -922,6 +880,7 @@ impl StageGraphSim {
         let full_steps = cost.model.steps;
         let hist_hi = (config.deadline_secs * 4.0).max(1.0);
         let denoise_ix = config.graph.denoise_ix();
+        let admission_lanes = config.graph.stages()[denoise_ix].capacity();
         let gate_ix = config
             .graph
             .stages()
@@ -952,32 +911,20 @@ impl StageGraphSim {
             .iter()
             .enumerate()
             .map(|(sx, spec)| {
-                let mut overload_cfg = OverloadConfig::for_cluster(
-                    &cost,
-                    spec.workers,
-                    spec.lanes,
-                    config.mean_mask_ratio,
-                    deadline,
-                );
-                // Size admission from the graph's bottleneck (the
+                // Admission is sized from the graph's bottleneck (the
                 // denoise pool), not this stage's own pool: only the
                 // gate plane sheds, and it sheds for the whole graph.
-                let denoise_spec = config.graph.stages()[denoise_ix];
-                overload_cfg.admission = fps_overload::AdmissionConfig::for_capacity(
-                    denoise_spec.capacity(),
-                    per_req_secs,
+                let plane = ControlPlane::for_pool(
+                    &cost,
+                    spec.lanes,
+                    config.mean_mask_ratio,
                     config.deadline_secs,
-                );
-                if !config.allow_degradation {
-                    overload_cfg.ladder.enter = [f64::INFINITY; 4];
-                }
-                let state =
-                    OverloadState::new(overload_cfg, &cost, spec.lanes, config.mean_mask_ratio);
-                let plane =
-                    ControlPlane::new(LeastLoadedRouter, TimeSource::virtual_clock(), full_steps)
-                        .with_overload(Some(state))
-                        .with_trace(config.trace.clone())
-                        .with_control_track(Track::new(1, sx as u32));
+                    admission_lanes,
+                    per_req_secs,
+                    config.allow_degradation,
+                )
+                .with_trace(config.trace.clone())
+                .with_control_track(Track::new(1, sx as u32));
                 let workers = if spec.kind == StageKind::Denoise {
                     (0..spec.workers.max(1))
                         .map(|_| DenoiseWorker::default())
@@ -1001,10 +948,9 @@ impl StageGraphSim {
                     served_through: 0,
                     expired: 0,
                     busy_secs: 0.0,
-                    rung_counts: Vec::new(),
                     downscaled: 0,
                     scaler: config.autoscaler.clone().map(Autoscaler::new),
-                    window_waits: Vec::new(),
+                    window: ScaleWindow::default(),
                     window_busy_mark: 0.0,
                     spec: *spec,
                 }
@@ -1015,7 +961,7 @@ impl StageGraphSim {
         } else {
             "staged"
         };
-        let deadline_secs = config.deadline_secs;
+        let ledger = SloLedger::new(config.deadline_secs);
         let mut world = World {
             trace,
             stages,
@@ -1037,12 +983,7 @@ impl StageGraphSim {
                 trace.len()
             ],
             inflight: 0,
-            submitted: 0,
-            served: 0,
-            served_within_deadline: 0,
-            shed: 0,
-            deadline_rejected: 0,
-            latency_hist: Histogram::new(0.0, hist_hi, 512).expect("valid geometry"),
+            ledger,
             last_completion: SimTime::ZERO,
         };
         let mut sim: Simulation<StageEv, Q> = Simulation::with_scheduler(queue);
@@ -1063,11 +1004,7 @@ impl StageGraphSim {
             s.queue.assert_conserved();
         }
         assert_eq!(world.inflight, 0, "requests still in flight at drain");
-        assert_eq!(
-            world.served + world.shed + world.deadline_rejected,
-            world.submitted,
-            "stage graph lost requests"
-        );
+        assert_eq!(world.ledger.lost(), 0, "stage graph lost requests");
         // Roll up.
         let makespan_secs = world.last_completion.as_secs_f64();
         let window_secs = makespan_secs.max(1e-9);
@@ -1099,29 +1036,10 @@ impl StageGraphSim {
             })
             .collect();
         let gpu_bubble_fraction = 1.0 - stage_reports[world.denoise_ix].utilization;
-        let rungs: Vec<RungServed> = world.stages[world.denoise_ix]
-            .rung_counts
-            .iter()
-            .map(|&(label, served)| RungServed::new(label, served, None))
-            .collect();
         let downscaled: u64 = world.stages.iter().map(|s| s.downscaled).sum();
-        let slo = SloReport {
-            label: label.to_string(),
-            deadline_secs,
-            submitted: world.submitted,
-            served: world.served,
-            served_within_deadline: world.served_within_deadline,
-            shed: world.shed,
-            deadline_rejected: world.deadline_rejected,
-            other_rejected: 0,
-            goodput_rps: world.served as f64 / window_secs,
-            goodput_at_deadline_rps: world.served_within_deadline as f64 / window_secs,
-            p95_latency_secs: world.latency_hist.percentile(0.95),
-            mean_latency_secs: world.latency_hist.mean(),
-            rungs,
-            stages: stage_reports.iter().map(|s| s.queue.clone()).collect(),
-            bubble_fraction: Some(gpu_bubble_fraction),
-        };
+        let mut slo = world.ledger.report(label, window_secs);
+        slo.stages = stage_reports.iter().map(|s| s.queue.clone()).collect();
+        slo.bubble_fraction = Some(gpu_bubble_fraction);
         StagedRunReport {
             label: label.to_string(),
             slo,
