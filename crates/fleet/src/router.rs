@@ -23,7 +23,7 @@
 //! after churn, a wipe, or a budget-refused admission it does not, and
 //! the measured costs say so.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use fps_metrics::{CacheFeedback, FetchOutcome};
 use fps_serving::{Router, WorkerView};
@@ -312,12 +312,11 @@ impl TemplateAffinityRouter {
         template_id: u64,
         outcome: FetchOutcome,
     ) {
-        // The feedback is plain counters and EWMAs, valid after any
-        // interrupted update: a panic elsewhere must not stop routing.
-        feedback
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .observe(worker as u32, template_id, outcome);
+        feedback.lock().expect("feedback lock poisoned").observe(
+            worker as u32,
+            template_id,
+            outcome,
+        );
     }
 
     fn sync_ring(&mut self, workers: &[WorkerView]) {
@@ -348,7 +347,7 @@ impl Router for TemplateAffinityRouter {
         let feedback = self
             .feedback
             .as_ref()
-            .map(|f| f.lock().unwrap_or_else(PoisonError::into_inner));
+            .map(|f| f.lock().expect("feedback lock poisoned"));
         match bounded_walk(
             &self.ring,
             req.template_id,

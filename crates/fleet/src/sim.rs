@@ -945,32 +945,20 @@ impl<Q: EventScheduler<FleetEv>> EventHandler<FleetEv, Q> for World<'_> {
                         continue;
                     };
                     let decision = scaler.observe_guarded(shard.pools.len(), &signal, now, &guard);
-                    match decision {
-                        ScaleDecision::Hold => {}
+                    let (name, n) = match decision {
+                        ScaleDecision::Hold => continue,
                         ScaleDecision::Up(n) => {
                             while shard.pools.len() < n {
                                 shard.pools.push(MultiResource::new(max_batch));
                             }
+                            ("scale_up", n)
                         }
                         ScaleDecision::Down(n) => {
                             shard.pools.truncate(n.max(1));
+                            ("scale_down", n)
                         }
-                    }
-                    match decision {
-                        ScaleDecision::Hold => {}
-                        ScaleDecision::Up(n) => self.emit(
-                            "scale_up",
-                            sx as u32,
-                            now,
-                            vec![("workers", Json::U64(n as u64))],
-                        ),
-                        ScaleDecision::Down(n) => self.emit(
-                            "scale_down",
-                            sx as u32,
-                            now,
-                            vec![("workers", Json::U64(n as u64))],
-                        ),
-                    }
+                    };
+                    self.emit(name, sx as u32, now, vec![("workers", Json::U64(n as u64))]);
                 }
                 // Keep ticking only while the run still has work:
                 // unconditional rescheduling would never terminate.
@@ -1061,7 +1049,7 @@ impl FleetSim {
             .faults
             .max_shard()
             .map_or(initial_shards, |m| initial_shards.max(m + 1));
-        let cost = CostModel::new(GpuSpec::h800(), ModelDefaults::paper());
+        let cost = CostModel::new(GpuSpec::h800(), fps_diffusion::ModelConfig::paper_sdxl());
         let engine = EngineKind::FlashPs { kv: true };
         let deadline = SimDuration::from_secs_f64(config.deadline_secs);
         let full_steps = cost.model.steps;
@@ -1235,23 +1223,11 @@ impl FleetSim {
         // routable shard: terminal, and accounted.
         let parked_failed = world.parked.len() as u64;
         world.parked.clear();
-        // Conservation: every attempt a shard took ended there, and
-        // every trace request is accounted exactly once — completed,
-        // shed, rejected, crash-failed, or parked.
+        // Conservation, per shard: every attempt a shard took ended
+        // there (fleet-wide below, after the rollup).
         for (sx, s) in world.shards.iter().enumerate() {
             assert_eq!(s.ledger.lost(), 0, "shard {sx} lost requests");
         }
-        let total =
-            |f: fn(&SloLedger) -> u64| world.shards.iter().map(|s| f(&s.ledger)).sum::<u64>();
-        assert_eq!(
-            total(|l| l.served)
-                + total(|l| l.shed)
-                + total(|l| l.deadline_rejected)
-                + world.crash_failed
-                + parked_failed,
-            trace.trace.len() as u64,
-            "fleet dropped requests silently during churn"
-        );
         // Roll up.
         let makespan_secs = world.last_completion.as_secs_f64();
         let window_secs = makespan_secs.max(1e-9);
@@ -1287,6 +1263,15 @@ impl FleetSim {
             .expect("one deadline, at least one shard")
             .with_cache(cache_counters)
             .with_popularity(PopularityHistogram::from_counts(&counts, 16));
+        // Conservation, fleet-wide: every trace request is accounted
+        // exactly once — completed, shed, rejected, crash-failed, or
+        // parked.
+        let f = &fleet.fleet;
+        assert_eq!(
+            f.served + f.shed + f.deadline_rejected + world.crash_failed + parked_failed,
+            trace.trace.len() as u64,
+            "fleet dropped requests silently during churn"
+        );
         let recovery = first_fault_secs.and_then(|fault_at| {
             FleetRecoveryReport::analyze(&world.timeline, fault_at, arrivals_end_secs, 0.9).map(
                 |r| {
@@ -1300,6 +1285,7 @@ impl FleetSim {
                 },
             )
         });
+        let scalers = || world.shards.iter().filter_map(|s| s.scaler.as_ref());
         FleetReport {
             strategy,
             policy,
@@ -1317,39 +1303,14 @@ impl FleetSim {
             replans: world.replans,
             replica_evictions: world.store.replica_evictions(),
             cache_fetch_p95_secs: world.cache_fetch_hist.percentile(0.95),
-            scale_ups: world
-                .shards
-                .iter()
-                .filter_map(|s| s.scaler.as_ref())
-                .map(Autoscaler::ups)
-                .sum(),
-            scale_downs: world
-                .shards
-                .iter()
-                .filter_map(|s| s.scaler.as_ref())
-                .map(Autoscaler::downs)
-                .sum(),
-            scale_down_vetoes: world
-                .shards
-                .iter()
-                .filter_map(|s| s.scaler.as_ref())
-                .map(Autoscaler::vetoed_downs)
-                .sum(),
+            scale_ups: scalers().map(Autoscaler::ups).sum(),
+            scale_downs: scalers().map(Autoscaler::downs).sum(),
+            scale_down_vetoes: scalers().map(Autoscaler::vetoed_downs).sum(),
             final_workers: world.shards.iter().map(|s| s.pools.len()).collect(),
             makespan_secs,
             events_processed: sim.events_processed(),
             recovery,
         }
-    }
-}
-
-/// Model defaults live behind a helper so the simulator has one place
-/// naming which paper model the analytic costs are calibrated to.
-struct ModelDefaults;
-
-impl ModelDefaults {
-    fn paper() -> fps_diffusion::ModelConfig {
-        fps_diffusion::ModelConfig::paper_sdxl()
     }
 }
 
@@ -1518,15 +1479,14 @@ mod tests {
         let r = FleetSim::run(cfg, &trace);
         assert!(r.rerouted > 0, "the storm must kill in-flight attempts");
         for s in &r.shard_reports {
-            let l = &s.ledger;
-            assert_eq!(l.lost(), 0, "shard {} lost requests", s.shard);
+            assert_eq!(s.ledger.lost(), 0, "shard {} lost requests", s.shard);
+            let r = &s.report;
             assert_eq!(
-                l.submitted,
-                l.served + l.shed + l.deadline_rejected + l.other_rejected,
+                r.submitted,
+                r.served + r.shed + r.deadline_rejected + r.other_rejected,
                 "shard {} resolved an attempt twice",
                 s.shard
             );
-            assert_eq!(s.report.lost(), 0);
         }
         let killed: u64 = r
             .shard_reports

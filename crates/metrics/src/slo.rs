@@ -239,11 +239,6 @@ impl SloReport {
 pub struct SloLedger {
     /// Requests submitted to the unit.
     pub submitted: u64,
-    /// Requests served to completion, at any latency (counted by
-    /// [`SloLedger::serve`]).
-    pub served: u64,
-    /// Served requests that completed within the deadline.
-    pub served_within_deadline: u64,
     /// Requests shed at admission.
     pub shed: u64,
     /// Requests rejected because their deadline had passed or could
@@ -251,6 +246,10 @@ pub struct SloLedger {
     pub deadline_rejected: u64,
     /// Requests ended for any other reason (a crash-killed attempt).
     pub other_rejected: u64,
+    // Served work is counted only by `serve`, which keeps these two,
+    // the rung tally and the latency histogram in step.
+    served: u64,
+    served_within_deadline: u64,
     deadline_secs: f64,
     deadline: SimDuration,
     /// Served work per rung, in first-served order.

@@ -291,6 +291,8 @@ impl DenoiseWorker {
 
 /// One stage's live state.
 struct Stage {
+    /// Pool shape; the scaler keeps `spec.workers` at the live pool
+    /// size (for denoise, the length of `workers`).
     spec: StageSpec,
     plane: ControlPlane<LeastLoadedRouter>,
     queue: StageQueue,
@@ -776,11 +778,7 @@ impl<Q: EventScheduler<StageEv>> EventHandler<StageEv, Q> for World<'_> {
                         let Some(scaler) = s.scaler.as_mut() else {
                             continue;
                         };
-                        let current = if denoise {
-                            s.workers.len().max(1)
-                        } else {
-                            s.spec.workers.max(1)
-                        };
+                        let current = s.spec.workers.max(1);
                         let busy_delta = (s.busy_secs - s.window_busy_mark).max(0.0);
                         let utilization = (busy_delta
                             / (current as f64 * s.spec.lanes.max(1) as f64 * interval))
@@ -1040,6 +1038,7 @@ impl StageGraphSim {
         let mut slo = world.ledger.report(label, window_secs);
         slo.stages = stage_reports.iter().map(|s| s.queue.clone()).collect();
         slo.bubble_fraction = Some(gpu_bubble_fraction);
+        let scalers = || world.stages.iter().filter_map(|s| s.scaler.as_ref());
         StagedRunReport {
             label: label.to_string(),
             slo,
@@ -1047,29 +1046,9 @@ impl StageGraphSim {
             edges,
             gpu_bubble_fraction,
             downscaled,
-            scale_ups: world
-                .stages
-                .iter()
-                .filter_map(|s| s.scaler.as_ref())
-                .map(Autoscaler::ups)
-                .sum(),
-            scale_downs: world
-                .stages
-                .iter()
-                .filter_map(|s| s.scaler.as_ref())
-                .map(Autoscaler::downs)
-                .sum(),
-            final_workers: world
-                .stages
-                .iter()
-                .map(|s| {
-                    if s.spec.kind == StageKind::Denoise {
-                        s.workers.len().max(1)
-                    } else {
-                        s.spec.workers.max(1)
-                    }
-                })
-                .collect(),
+            scale_ups: scalers().map(Autoscaler::ups).sum(),
+            scale_downs: scalers().map(Autoscaler::downs).sum(),
+            final_workers: world.stages.iter().map(|s| s.spec.workers.max(1)).collect(),
             makespan_secs,
             events_processed: sim.events_processed(),
         }
