@@ -67,6 +67,9 @@ pub enum FlashPsError {
     Diffusion(fps_diffusion::DiffusionError),
     /// Underlying serving simulator error.
     Serving(fps_serving::ServingError),
+    /// The template cache store refused an entry (a cache larger than
+    /// the whole host budget).
+    Cache(fps_maskcache::CacheError),
     /// Template was never registered.
     UnknownTemplate {
         /// The missing template id.
@@ -92,6 +95,7 @@ impl core::fmt::Display for FlashPsError {
         match self {
             Self::Diffusion(e) => write!(f, "diffusion error: {e}"),
             Self::Serving(e) => write!(f, "serving error: {e}"),
+            Self::Cache(e) => write!(f, "cache store error: {e}"),
             Self::UnknownTemplate { template_id } => {
                 write!(f, "template {template_id} was never registered")
             }
@@ -121,6 +125,12 @@ impl From<fps_diffusion::DiffusionError> for FlashPsError {
 impl From<fps_serving::ServingError> for FlashPsError {
     fn from(e: fps_serving::ServingError) -> Self {
         Self::Serving(e)
+    }
+}
+
+impl From<fps_maskcache::CacheError> for FlashPsError {
+    fn from(e: fps_maskcache::CacheError) -> Self {
+        Self::Cache(e)
     }
 }
 

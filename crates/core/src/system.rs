@@ -6,13 +6,26 @@
 //! "reusability of the templates"), and a planner that runs
 //! Algorithm 1 against a calibrated cost model to decide which blocks
 //! consume cached activations for each request's mask ratio.
+//!
+//! The registry is §4.2's two-tier storage on the wall clock: an
+//! `fps_maskcache::HierarchicalStore` — the store the simulators run
+//! in virtual time — decides residency and LRU order, with host memory
+//! capped at [`FlashPsConfig::cache_budget_bytes`]. A template the
+//! budget demotes is streamed once to a private spill directory, and
+//! re-registering it with the same image reads that file back instead
+//! of priming again.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fs::{self, File};
+use std::io::{self, BufReader, BufWriter, Write};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use fps_baselines::system::teacache_threshold;
 use fps_diffusion::{EditOutput, EditPipeline, Image, ModelConfig, Strategy, TemplateCache};
+use fps_maskcache::{HierarchicalStore, StoreConfig, Tier};
 use fps_serving::cost::{BatchItem, CostModel, GpuSpec};
-use fps_serving::Rung;
+use fps_serving::{Rung, TimeSource};
 use fps_workload::Mask;
 
 use crate::{FlashPsError, Result};
@@ -32,8 +45,11 @@ pub struct FlashPsConfig {
     pub capture_kv: bool,
     /// Host-memory budget for primed template caches, in bytes
     /// (`u64::MAX` = unbounded). When a registration would exceed the
-    /// budget, least-recently-used templates are evicted (§4.2's LRU
-    /// policy at the API level; re-registering re-primes).
+    /// budget, the least recently registered templates are evicted to
+    /// the disk tier (§4.2's LRU policy; edits do not count as use).
+    /// Re-registering an evicted template with the image it was primed
+    /// from restores its spilled cache instead of re-priming. A single
+    /// cache larger than the budget is refused.
     pub cache_budget_bytes: u64,
 }
 
@@ -109,9 +125,79 @@ pub fn rung_strategy(rung: Rung, system: &FlashPs, ratio: f64, steps: usize) -> 
     }
 }
 
-/// Bytes of a template cache, counting K/V when captured.
-fn cache_bytes(c: &TemplateCache) -> u64 {
-    c.bytes_y() + c.bytes_kv()
+/// The private directory evicted caches are spilled to: created under
+/// [`std::env::temp_dir`] on the first spill, removed on drop.
+#[derive(Debug, Default)]
+struct SpillDir {
+    dir: Option<PathBuf>,
+    /// Templates whose current cache has a file in `dir`.
+    written: HashSet<u64>,
+}
+
+impl SpillDir {
+    fn file(dir: &Path, template_id: u64) -> PathBuf {
+        dir.join(format!("{template_id}.fpsc"))
+    }
+
+    /// Streams `cache` to its file unless that file already holds it.
+    fn write(&mut self, cache: &TemplateCache) -> io::Result<()> {
+        let id = cache.template_id;
+        if self.written.contains(&id) {
+            return Ok(());
+        }
+        let dir = match &self.dir {
+            Some(dir) => dir,
+            None => self.dir.insert(create_spill_dir()?),
+        };
+        let mut w = BufWriter::new(File::create(Self::file(dir, id))?);
+        cache.write_to(&mut w)?;
+        // A dropped BufWriter discards its flush error.
+        w.flush()?;
+        self.written.insert(id);
+        Ok(())
+    }
+
+    /// Streams a template's cache back from its file.
+    fn read(&self, template_id: u64) -> Option<TemplateCache> {
+        let dir = self
+            .dir
+            .as_ref()
+            .filter(|_| self.written.contains(&template_id))?;
+        let file = File::open(Self::file(dir, template_id)).ok()?;
+        TemplateCache::read_from(BufReader::new(file)).ok()
+    }
+
+    /// Deletes a template's file, if it has one.
+    fn forget(&mut self, template_id: u64) {
+        if let (true, Some(dir)) = (self.written.remove(&template_id), &self.dir) {
+            // A file that cannot be deleted goes with the directory.
+            let _ = fs::remove_file(Self::file(dir, template_id));
+        }
+    }
+}
+
+impl Drop for SpillDir {
+    fn drop(&mut self) {
+        if let Some(dir) = &self.dir {
+            // Nothing can report the error here; the directory is
+            // temporary either way.
+            let _ = fs::remove_dir_all(dir);
+        }
+    }
+}
+
+/// A fresh, uniquely named directory under the system temp directory.
+fn create_spill_dir() -> io::Result<PathBuf> {
+    // Uniqueness within the process; the counter publishes no data.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    loop {
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("flashps-spill-{}-{n}", std::process::id()));
+        match fs::create_dir(&dir) {
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
+            made => return made.map(|()| dir),
+        }
+    }
 }
 
 /// The FlashPS editing system.
@@ -119,12 +205,17 @@ fn cache_bytes(c: &TemplateCache) -> u64 {
 pub struct FlashPs {
     config: FlashPsConfig,
     pipeline: EditPipeline,
+    /// Tier, bytes and LRU order of every registered template; its host
+    /// tier is `cache_budget_bytes` and `templates` mirrors it.
+    store: HierarchicalStore,
+    /// The clock the store's stamps come from.
+    time: TimeSource,
+    /// Caches of the store's host-tier templates.
     templates: HashMap<u64, TemplateCache>,
+    /// Images of the templates in either tier: a spilled cache is
+    /// restored only for the image it was primed from.
     images: HashMap<u64, Image>,
-    /// LRU clock: template id → last-touch stamp.
-    last_used: HashMap<u64, u64>,
-    clock: u64,
-    evictions: u64,
+    spill: SpillDir,
 }
 
 impl FlashPs {
@@ -136,14 +227,18 @@ impl FlashPs {
     /// configs.
     pub fn new(config: FlashPsConfig) -> Result<Self> {
         let pipeline = EditPipeline::new(&config.model)?;
+        let store = HierarchicalStore::new(StoreConfig {
+            host_capacity: config.cache_budget_bytes,
+            ..StoreConfig::production_like()
+        });
         Ok(Self {
             config,
             pipeline,
+            store,
+            time: TimeSource::wall(),
             templates: HashMap::new(),
             images: HashMap::new(),
-            last_used: HashMap::new(),
-            clock: 0,
-            evictions: 0,
+            spill: SpillDir::default(),
         })
     }
 
@@ -165,108 +260,146 @@ impl FlashPs {
     }
 
     /// Registers a template: primes and stores its activation cache.
-    /// Re-registering an id replaces the template.
+    /// Re-registering an id replaces the template, except that an
+    /// evicted template re-registered with the image it was primed
+    /// from is restored from its spill file — the same cache, since
+    /// priming is a pure function of the model, `capture_kv`, the id
+    /// and the image.
     ///
     /// # Errors
     ///
-    /// Propagates priming failures (e.g. wrong image dimensions).
+    /// Propagates priming failures (e.g. wrong image dimensions) and
+    /// returns [`FlashPsError::Cache`] when the cache alone exceeds
+    /// `cache_budget_bytes`.
     pub fn register_template(&mut self, template_id: u64, image: &Image) -> Result<()> {
+        if self.store.locate(template_id) == Some(Tier::Disk)
+            && self.images.get(&template_id) == Some(image)
+            && self.restore_spilled(template_id)
+        {
+            return Ok(());
+        }
         let cache = self
             .pipeline
             .prime(image, template_id, self.config.capture_kv)?;
-        // Evict before inserting so the new cache never evicts itself.
-        self.remove_template(template_id);
-        let incoming = cache_bytes(&cache);
-        self.evict_to_fit(incoming);
-        self.templates.insert(template_id, cache);
-        self.images.insert(template_id, image.clone());
-        self.touch(template_id);
-        Ok(())
+        self.admit(cache, image.clone())
     }
 
-    /// Removes a template's cache and image; returns whether it
-    /// existed.
+    /// Removes a template's cache, image and spill file; returns
+    /// whether it was registered (in either tier).
     pub fn remove_template(&mut self, template_id: u64) -> bool {
-        self.last_used.remove(&template_id);
+        self.templates.remove(&template_id);
         self.images.remove(&template_id);
-        self.templates.remove(&template_id).is_some()
+        self.spill.forget(template_id);
+        self.store.remove(template_id)
     }
 
     /// Total bytes of all resident template caches.
     pub fn cache_bytes_resident(&self) -> u64 {
-        self.templates.values().map(cache_bytes).sum()
+        self.store.host_used()
     }
 
-    /// Templates evicted by the LRU budget so far.
+    /// Templates the budget has evicted to the disk tier so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    fn touch(&mut self, template_id: u64) {
-        self.clock += 1;
-        self.last_used.insert(template_id, self.clock);
+        self.store.stats().evictions
     }
 
     /// Spills a template's cache to its serialized byte form and
-    /// removes it from host memory — pair with
-    /// [`FlashPs::restore_template`] to round-trip through disk or the
-    /// hierarchical store's payload path (§4.2 secondary storage).
+    /// removes the template — pair with [`FlashPs::restore_template`]
+    /// to move a primed template into another system without priming
+    /// it again.
     ///
     /// # Errors
     ///
-    /// Returns [`FlashPsError::UnknownTemplate`] when absent.
+    /// Returns [`FlashPsError::UnknownTemplate`] when not resident.
     pub fn spill_template(&mut self, template_id: u64) -> Result<(Vec<u8>, Image)> {
-        let cache = self
-            .templates
-            .get(&template_id)
-            .ok_or(FlashPsError::UnknownTemplate { template_id })?;
-        let bytes = cache.to_bytes();
-        let image = self
-            .images
-            .get(&template_id)
-            .cloned()
-            .ok_or(FlashPsError::UnknownTemplate { template_id })?;
+        let (image, cache) = self.template(template_id)?;
+        let spilled = (cache.to_bytes(), image.clone());
         self.remove_template(template_id);
-        Ok((bytes, image))
+        Ok(spilled)
     }
 
     /// Restores a spilled template without re-priming.
     ///
     /// # Errors
     ///
-    /// Propagates deserialization failures for corrupt blobs.
+    /// Propagates deserialization failures for corrupt blobs and
+    /// returns [`FlashPsError::Cache`] when the cache alone exceeds
+    /// `cache_budget_bytes`.
     pub fn restore_template(&mut self, bytes: &[u8], image: Image) -> Result<u64> {
         let cache = TemplateCache::from_bytes(bytes)?;
         let template_id = cache.template_id;
-        self.remove_template(template_id);
-        let incoming = cache_bytes(&cache);
-        self.evict_to_fit(incoming);
-        self.templates.insert(template_id, cache);
-        self.images.insert(template_id, image);
-        self.touch(template_id);
+        self.admit(cache, image)?;
         Ok(template_id)
     }
 
-    fn evict_to_fit(&mut self, incoming: u64) {
-        let budget = self.config.cache_budget_bytes;
-        while self.cache_bytes_resident().saturating_add(incoming) > budget {
-            let victim = self
-                .last_used
-                .iter()
-                .min_by_key(|(_, &stamp)| stamp)
-                .map(|(&id, _)| id);
-            let Some(victim) = victim else { break };
-            self.remove_template(victim);
-            self.evictions += 1;
+    /// Makes `cache` its template's host-resident cache, evicting to
+    /// fit the budget.
+    fn admit(&mut self, cache: TemplateCache, image: Image) -> Result<()> {
+        let template_id = cache.template_id;
+        let bytes = cache.bytes_y() + cache.bytes_kv();
+        self.store
+            .insert(template_id, bytes, self.time.now(), None)?;
+        // A new cache for the id: an older spill file no longer holds it.
+        self.spill.forget(template_id);
+        self.spill_demoted();
+        self.templates.insert(template_id, cache);
+        self.images.insert(template_id, image);
+        Ok(())
+    }
+
+    /// Promotes a disk-tier template and streams its cache back from
+    /// its spill file. The promotion evicts room first, so host memory
+    /// never holds the budget plus the incoming cache. Returns `false`,
+    /// with the entry dropped and counted as a corruption fallback,
+    /// when the file is missing or does not parse as this template's
+    /// cache.
+    fn restore_spilled(&mut self, template_id: u64) -> bool {
+        let now = self.time.now();
+        if self.store.fetch(template_id, now).is_err() {
+            return false;
+        }
+        self.spill_demoted();
+        match self.spill.read(template_id) {
+            Some(cache) if cache.template_id == template_id => {
+                self.templates.insert(template_id, cache);
+                true
+            }
+            _ => {
+                self.store.reject_corrupt(template_id, now);
+                self.spill.forget(template_id);
+                false
+            }
         }
     }
 
-    /// Number of registered templates.
+    /// Spills the caches the store has just demoted to the disk tier
+    /// (each file is written once per cache) and frees their memory. A
+    /// template whose file cannot be written is dropped instead, as
+    /// eviction did before the disk tier existed.
+    fn spill_demoted(&mut self) {
+        let demoted: Vec<u64> = self
+            .templates
+            .keys()
+            .copied()
+            .filter(|&id| self.store.locate(id) != Some(Tier::Host))
+            .collect();
+        for id in demoted {
+            let Some(cache) = self.templates.remove(&id) else {
+                continue;
+            };
+            if self.spill.write(&cache).is_err() {
+                self.store.remove(id);
+                self.images.remove(&id);
+            }
+        }
+    }
+
+    /// Number of host-resident templates.
     pub fn template_count(&self) -> usize {
         self.templates.len()
     }
 
-    /// Cache bytes held for a template (Y variant), if registered.
+    /// Cache bytes held for a template (Y variant), if resident.
     pub fn template_cache_bytes(&self, template_id: u64) -> Option<u64> {
         self.templates.get(&template_id).map(|c| c.bytes_y())
     }
@@ -582,6 +715,147 @@ mod tests {
             .restore_template(&bytes[..bytes.len() / 2], Image::zeros(1, 1))
             .is_err());
         assert!(sys.spill_template(99).is_err());
+    }
+
+    /// A tiny-model system whose cache budget holds `caches` templates.
+    fn budgeted(caches: u64) -> FlashPs {
+        let cfg = ModelConfig::tiny();
+        let mut probe = FlashPs::new(FlashPsConfig::new(cfg.clone())).unwrap();
+        probe.register_template(0, &picture(0)).unwrap();
+        let mut config = FlashPsConfig::new(cfg);
+        config.cache_budget_bytes = caches * probe.cache_bytes_resident();
+        FlashPs::new(config).unwrap()
+    }
+
+    /// A template image of the tiny model.
+    fn picture(seed: u64) -> Image {
+        let cfg = ModelConfig::tiny();
+        Image::template(cfg.pixel_h(), cfg.pixel_w(), seed)
+    }
+
+    /// One fixed edit of a registered template.
+    fn edit_image(sys: &FlashPs, template_id: u64) -> Image {
+        sys.edit_tokens(template_id, &[1, 2, 5], "p", 3)
+            .unwrap()
+            .output
+            .image
+    }
+
+    /// The same edit on a fresh, unbounded system.
+    fn fresh_edit(template_id: u64, image: &Image) -> Image {
+        let mut sys = FlashPs::new(FlashPsConfig::new(ModelConfig::tiny())).unwrap();
+        sys.register_template(template_id, image).unwrap();
+        edit_image(&sys, template_id)
+    }
+
+    fn spill_file(sys: &FlashPs, template_id: u64) -> PathBuf {
+        SpillDir::file(sys.spill.dir.as_ref().unwrap(), template_id)
+    }
+
+    #[test]
+    fn evicted_template_is_restored_not_reprimed() {
+        let mut sys = budgeted(1);
+        sys.register_template(0, &picture(0)).unwrap();
+        let resident = edit_image(&sys, 0);
+        sys.register_template(1, &picture(1)).unwrap();
+        assert!(sys.template(0).is_err(), "evicted");
+        assert!(spill_file(&sys, 0).exists());
+        sys.register_template(0, &picture(0)).unwrap();
+        let stats = sys.store.stats();
+        assert_eq!((stats.disk_hits, stats.fallbacks), (1, 0), "restored");
+        assert_eq!(sys.evictions(), 2);
+        let restored = edit_image(&sys, 0);
+        assert_eq!(restored, resident);
+        assert_eq!(restored, fresh_edit(0, &picture(0)));
+    }
+
+    #[test]
+    fn new_image_reprimes_and_deletes_the_old_spill_file() {
+        let mut sys = budgeted(1);
+        sys.register_template(0, &picture(0)).unwrap();
+        sys.register_template(1, &picture(1)).unwrap();
+        let stale = spill_file(&sys, 0);
+        assert!(stale.exists());
+        sys.register_template(0, &picture(7)).unwrap();
+        assert!(!stale.exists(), "stale spill file deleted");
+        assert!(spill_file(&sys, 1).exists(), "1 evicted in turn");
+        assert_eq!(sys.store.stats().disk_hits, 0, "primed, not restored");
+        assert_eq!(edit_image(&sys, 0), fresh_edit(0, &picture(7)));
+    }
+
+    #[test]
+    fn a_restored_cache_is_spilled_once() {
+        let mut sys = budgeted(1);
+        sys.register_template(0, &picture(0)).unwrap();
+        sys.register_template(1, &picture(1)).unwrap(); // spills 0
+        sys.register_template(0, &picture(0)).unwrap(); // restores 0, spills 1
+        let file = spill_file(&sys, 0);
+        fs::write(&file, b"sentinel").unwrap();
+        sys.register_template(1, &picture(1)).unwrap(); // restores 1, evicts 0
+        assert_eq!(sys.evictions(), 3);
+        assert_eq!(sys.store.stats().disk_hits, 2);
+        assert_eq!(fs::read(&file).unwrap(), b"sentinel", "0 not rewritten");
+    }
+
+    #[test]
+    fn damaged_spill_files_fall_back_to_priming() {
+        let mut sys = budgeted(1);
+        sys.register_template(0, &picture(0)).unwrap();
+        let want = edit_image(&sys, 0);
+        let damages: [fn(&mut Vec<u8>); 2] = [|b| b.truncate(b.len() / 2), |b| b[0] = b'X'];
+        for (round, damage) in damages.into_iter().enumerate() {
+            sys.register_template(1, &picture(1)).unwrap(); // spills 0
+            let file = spill_file(&sys, 0);
+            let mut bytes = fs::read(&file).unwrap();
+            damage(&mut bytes);
+            fs::write(&file, bytes).unwrap();
+            sys.register_template(0, &picture(0)).unwrap();
+            let stats = sys.store.stats();
+            let n = round as u64 + 1;
+            assert_eq!((stats.corruptions_detected, stats.fallbacks), (n, n));
+            assert_eq!(edit_image(&sys, 0), want, "round {round}: re-primed");
+            assert!(!file.exists(), "round {round}: damaged file deleted");
+        }
+    }
+
+    #[test]
+    fn spill_directory_lives_from_first_spill_to_drop() {
+        let mut sys = budgeted(2);
+        assert!(sys.spill.dir.is_none(), "new creates nothing on disk");
+        sys.register_template(0, &picture(0)).unwrap();
+        sys.register_template(1, &picture(1)).unwrap();
+        assert!(sys.spill.dir.is_none(), "nothing evicted, nothing spilled");
+        sys.register_template(2, &picture(2)).unwrap();
+        let dir = sys.spill.dir.clone().unwrap();
+        assert!(dir.is_dir());
+        assert!(sys.remove_template(0), "a disk-tier template is registered");
+        assert!(!SpillDir::file(&dir, 0).exists());
+        drop(sys);
+        assert!(!dir.exists(), "drop removes the directory");
+    }
+
+    #[test]
+    fn a_cache_larger_than_the_budget_is_refused() {
+        let mut sys = budgeted(0);
+        let too_large = |r: Result<()>| {
+            assert!(
+                matches!(
+                    r,
+                    Err(FlashPsError::Cache(fps_maskcache::CacheError::TooLarge {
+                        template_id: 4,
+                        ..
+                    }))
+                ),
+                "{r:?}"
+            );
+        };
+        too_large(sys.register_template(4, &picture(4)));
+        let mut donor = FlashPs::new(FlashPsConfig::new(ModelConfig::tiny())).unwrap();
+        donor.register_template(4, &picture(4)).unwrap();
+        let (bytes, image) = donor.spill_template(4).unwrap();
+        too_large(sys.restore_template(&bytes, image).map(drop));
+        assert_eq!(sys.template_count(), 0);
+        assert_eq!(sys.cache_bytes_resident(), 0);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! the hierarchical HBM/host/disk placement, sizing, and load-latency
 //! modelling on top of the byte counts reported here.
 
+use std::io::{self, Read, Write};
+
 use fps_tensor::Tensor;
 
 use crate::error::DiffusionError;
@@ -124,56 +126,80 @@ impl TemplateCache {
     /// Serializes the cache to a compact binary blob (magic, version,
     /// header, then little-endian `f32` tensor payloads) — the format
     /// spilled caches take on disk or in the hierarchical store's
-    /// payload path.
+    /// payload path. A buffered [`TemplateCache::write_to`].
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.bytes_y() as usize + self.bytes_kv() as usize);
-        out.extend_from_slice(CACHE_MAGIC);
-        out.push(CACHE_VERSION);
-        out.extend_from_slice(&self.template_id.to_le_bytes());
-        out.extend_from_slice(&(self.tokens as u64).to_le_bytes());
-        out.extend_from_slice(&(self.hidden as u64).to_le_bytes());
-        out.extend_from_slice(&(self.steps.len() as u32).to_le_bytes());
-        for step in &self.steps {
-            out.extend_from_slice(&(step.blocks.len() as u32).to_le_bytes());
-            for b in &step.blocks {
-                out.push(u8::from(b.k.is_some() && b.v.is_some()));
-                write_tensor(&mut out, &b.y);
-                if let (Some(k), Some(v)) = (&b.k, &b.v) {
-                    write_tensor(&mut out, k);
-                    write_tensor(&mut out, v);
-                }
-            }
-        }
+        self.write_to(&mut out)
+            .expect("writing into a Vec<u8> cannot fail");
         out
     }
 
+    /// Streams the [`TemplateCache::to_bytes`] format into `w`, a
+    /// bounded chunk at a time, so spilling a cache to a file never
+    /// holds a second copy of it in memory.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the writer's I/O errors.
+    pub fn write_to(&self, mut w: impl Write) -> io::Result<()> {
+        w.write_all(CACHE_MAGIC)?;
+        w.write_all(&[CACHE_VERSION])?;
+        w.write_all(&self.template_id.to_le_bytes())?;
+        w.write_all(&(self.tokens as u64).to_le_bytes())?;
+        w.write_all(&(self.hidden as u64).to_le_bytes())?;
+        w.write_all(&(self.steps.len() as u32).to_le_bytes())?;
+        for step in &self.steps {
+            w.write_all(&(step.blocks.len() as u32).to_le_bytes())?;
+            for b in &step.blocks {
+                w.write_all(&[u8::from(b.k.is_some() && b.v.is_some())])?;
+                write_tensor(&mut w, &b.y)?;
+                if let (Some(k), Some(v)) = (&b.k, &b.v) {
+                    write_tensor(&mut w, k)?;
+                    write_tensor(&mut w, v)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Deserializes a cache previously produced by
-    /// [`TemplateCache::to_bytes`].
+    /// [`TemplateCache::to_bytes`]: [`TemplateCache::read_from`] over
+    /// the slice.
     ///
     /// # Errors
     ///
     /// Returns [`DiffusionError::InvalidConfig`] for truncated,
     /// corrupt, or version-mismatched input.
     pub fn from_bytes(data: &[u8]) -> Result<Self> {
-        let mut r = Reader { data, pos: 0 };
-        let magic = r.take(4)?;
-        if magic != CACHE_MAGIC {
+        Self::read_from(data)
+    }
+
+    /// Reads one cache in the [`TemplateCache::to_bytes`] format from
+    /// `r`, a bounded chunk at a time, and requires `r` to end there.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DiffusionError::InvalidConfig`] for truncated,
+    /// corrupt, or version-mismatched input, trailing bytes, and read
+    /// failures.
+    pub fn read_from(r: impl Read) -> Result<Self> {
+        let mut r = Reader(r);
+        if &r.array::<4>()? != CACHE_MAGIC {
             return Err(corrupt("bad magic"));
         }
-        let version = r.take(1)?[0];
-        if version != CACHE_VERSION {
+        if r.array::<1>()?[0] != CACHE_VERSION {
             return Err(corrupt("unsupported version"));
         }
         let template_id = r.u64()?;
-        let tokens = r.u64()? as usize;
-        let hidden = r.u64()? as usize;
-        let n_steps = r.u32()? as usize;
+        let tokens = r.usize()?;
+        let hidden = r.usize()?;
+        let n_steps = r.u32()?;
         let mut cache = Self::new(template_id, tokens, hidden);
         for _ in 0..n_steps {
-            let n_blocks = r.u32()? as usize;
+            let n_blocks = r.u32()?;
             let mut step = StepCache::default();
             for _ in 0..n_blocks {
-                let has_kv = r.take(1)?[0] != 0;
+                let has_kv = r.array::<1>()?[0] != 0;
                 let y = read_tensor(&mut r)?;
                 let (k, v) = if has_kv {
                     (Some(read_tensor(&mut r)?), Some(read_tensor(&mut r)?))
@@ -184,7 +210,7 @@ impl TemplateCache {
             }
             cache.push_step(step);
         }
-        if r.pos != r.data.len() {
+        if !r.at_end()? {
             return Err(corrupt("trailing bytes"));
         }
         Ok(cache)
@@ -201,31 +227,49 @@ impl TemplateCache {
     }
 }
 
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
+/// Bytes of tensor payload converted per `write_all` / `read_exact`.
+const CHUNK: usize = 8192;
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.data.len() {
-            return Err(corrupt("truncated"));
-        }
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+/// The decoding side of the format over any byte source; every read
+/// is exact, and running out of input is a `truncated` error.
+struct Reader<R>(R);
+
+impl<R: Read> Reader<R> {
+    fn fill(&mut self, buf: &mut [u8]) -> Result<()> {
+        self.0.read_exact(buf).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => corrupt("truncated"),
+            _ => corrupt(&format!("read failed: {e}")),
+        })
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut buf = [0; N];
+        self.fill(&mut buf)?;
+        Ok(buf)
     }
 
     fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    fn usize(&mut self) -> Result<usize> {
+        usize::try_from(self.u64()?).map_err(|_| corrupt("implausible size"))
+    }
+
+    /// Whether the source is exhausted.
+    fn at_end(&mut self) -> Result<bool> {
+        let mut byte = [0; 1];
+        loop {
+            match self.0.read(&mut byte) {
+                Ok(n) => return Ok(n == 0),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(corrupt(&format!("read failed: {e}"))),
+            }
+        }
     }
 }
 
@@ -235,34 +279,54 @@ fn corrupt(reason: &str) -> DiffusionError {
     }
 }
 
-fn write_tensor(out: &mut Vec<u8>, t: &Tensor) {
-    out.extend_from_slice(&(t.dims().len() as u32).to_le_bytes());
+fn write_tensor(w: &mut impl Write, t: &Tensor) -> io::Result<()> {
+    w.write_all(&(t.dims().len() as u32).to_le_bytes())?;
     for &d in t.dims() {
-        out.extend_from_slice(&(d as u64).to_le_bytes());
+        w.write_all(&(d as u64).to_le_bytes())?;
     }
-    for &v in t.data() {
-        out.extend_from_slice(&v.to_le_bytes());
+    let mut buf = [0u8; CHUNK];
+    for floats in t.data().chunks(CHUNK / 4) {
+        for (dst, v) in buf.as_chunks_mut::<4>().0.iter_mut().zip(floats) {
+            *dst = v.to_le_bytes();
+        }
+        w.write_all(&buf[..floats.len() * 4])?;
     }
+    Ok(())
 }
 
-fn read_tensor(r: &mut Reader<'_>) -> Result<Tensor> {
-    let rank = r.u32()? as usize;
+fn read_tensor<R: Read>(r: &mut Reader<R>) -> Result<Tensor> {
+    let rank = r.u32()?;
     if rank > 8 {
         return Err(corrupt("implausible rank"));
     }
-    let mut dims = Vec::with_capacity(rank);
+    let mut dims = Vec::with_capacity(rank as usize);
     for _ in 0..rank {
-        dims.push(r.u64()? as usize);
+        dims.push(r.usize()?);
     }
-    let numel: usize = dims.iter().product();
-    if numel > (1 << 30) {
-        return Err(corrupt("implausible tensor size"));
+    // The element count comes from the input: bound it before the
+    // allocation it sizes, which is exact so a read cache carries no
+    // spare capacity.
+    let numel = dims
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .filter(|&n| n <= 1 << 30)
+        .ok_or_else(|| corrupt("implausible tensor size"))?;
+    let mut data = Vec::new();
+    data.try_reserve_exact(numel)
+        .map_err(|_| corrupt("implausible tensor size"))?;
+    let mut buf = [0u8; CHUNK];
+    let mut left = numel;
+    while left > 0 {
+        let raw = &mut buf[..left.min(CHUNK / 4) * 4];
+        r.fill(raw)?;
+        data.extend(
+            raw.as_chunks::<4>()
+                .0
+                .iter()
+                .map(|&c| f32::from_le_bytes(c)),
+        );
+        left -= raw.len() / 4;
     }
-    let raw = r.take(numel * 4)?;
-    let data: Vec<f32> = raw
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect();
     Tensor::from_vec(data, dims).map_err(DiffusionError::from)
 }
 
@@ -328,6 +392,39 @@ mod tests {
         }
     }
 
+    /// A source that hands out at most 7 bytes per `read`, as a pipe or
+    /// a socket may.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(7).min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// `cache` through `write_to` into a writer that flushes every 7
+    /// bytes.
+    fn streamed(cache: &TemplateCache) -> Vec<u8> {
+        let mut w = io::BufWriter::with_capacity(7, Vec::new());
+        cache.write_to(&mut w).unwrap();
+        w.into_inner().unwrap()
+    }
+
+    /// Decodes `blob` from the slice and through a trickling stream;
+    /// the two readers must agree.
+    fn decode(blob: &[u8]) -> Result<TemplateCache> {
+        let sliced = TemplateCache::from_bytes(blob);
+        let trickled = TemplateCache::read_from(Trickle(blob));
+        assert_eq!(sliced.as_ref().err(), trickled.as_ref().err());
+        if let (Ok(a), Ok(b)) = (&sliced, &trickled) {
+            assert_eq!(a.to_bytes(), b.to_bytes());
+        }
+        trickled
+    }
+
     #[test]
     fn serialization_round_trips() {
         let mut cache = TemplateCache::new(42, 4, 8);
@@ -342,7 +439,8 @@ mod tests {
                 .collect();
             cache.push_step(StepCache { blocks });
         }
-        let back = TemplateCache::from_bytes(&cache.to_bytes()).unwrap();
+        assert_eq!(streamed(&cache), cache.to_bytes());
+        let back = decode(&cache.to_bytes()).unwrap();
         assert_eq!((back.template_id, back.num_steps()), (42, 3));
         assert_same_cache(&cache, &back, 2);
 
@@ -355,7 +453,8 @@ mod tests {
             let primed = pipe.prime(&template, 7, kv).unwrap();
             assert_eq!(primed.has_kv(), kv);
             let bytes = primed.to_bytes();
-            let back = TemplateCache::from_bytes(&bytes).unwrap();
+            assert_eq!(streamed(&primed), bytes, "kv {kv}: write_to differs");
+            let back = decode(&bytes).unwrap();
             assert_eq!(back.num_steps(), cfg.steps);
             assert_same_cache(&primed, &back, cfg.blocks);
             assert_eq!(back.to_bytes(), bytes, "kv {kv}: re-serialization differs");
@@ -372,7 +471,7 @@ mod tests {
         // Bad magic.
         let mut bad = good.clone();
         bad[0] = b'X';
-        assert!(TemplateCache::from_bytes(&bad).is_err());
+        assert!(decode(&bad).is_err());
         // Bad version — 2 and 1 were once valid, and a v2 body read as
         // v3 would parse shifted, so the version byte alone must reject.
         let with_version = |v: u8| {
@@ -392,7 +491,7 @@ mod tests {
             genuine_v2,
         ] {
             assert_eq!(
-                TemplateCache::from_bytes(&bad).unwrap_err(),
+                decode(&bad).unwrap_err(),
                 corrupt("unsupported version"),
                 "version byte {}",
                 bad[4]
@@ -400,15 +499,12 @@ mod tests {
         }
         // Truncation at every prefix length must error, never panic.
         for cut in [0, 3, 5, 12, good.len() / 2, good.len() - 1] {
-            assert!(
-                TemplateCache::from_bytes(&good[..cut]).is_err(),
-                "cut {cut}"
-            );
+            assert!(decode(&good[..cut]).is_err(), "cut {cut}");
         }
         // Trailing garbage.
         let mut bad = good.clone();
         bad.push(0);
-        assert!(TemplateCache::from_bytes(&bad).is_err());
+        assert_eq!(decode(&bad).unwrap_err(), corrupt("trailing bytes"));
     }
 
     proptest::proptest! {

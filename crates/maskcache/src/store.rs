@@ -12,6 +12,11 @@
 //! An optional [`bytes::Bytes`] payload per entry lets integration
 //! tests exercise real byte movement (serialized activations) through
 //! the same code path.
+//!
+//! One store serves both clock planes: the simulators stamp it with
+//! virtual time, and the wall-clock `flashps::FlashPs` with stamps from
+//! `fps_overload::TimeSource::wall`, keeping its host-tier caches in
+//! memory and its disk tier as spill files beside the store.
 
 use std::collections::HashMap;
 
@@ -420,18 +425,7 @@ impl HierarchicalStore {
             // The checksum mismatch is only discovered by reading the
             // bytes, which pays the fetch (and any disk transfer).
             let _ = self.fetch(template_id, now);
-            self.remove(template_id);
-            self.stats.corruptions_detected += 1;
-            self.stats.fallbacks += 1;
-            if self.trace.is_enabled() {
-                self.trace.event_at(
-                    "corruption_detected",
-                    "cache",
-                    self.trace_track,
-                    now.as_nanos(),
-                    vec![("template", Json::U64(template_id))],
-                );
-            }
+            self.reject_corrupt(template_id, now);
             return VerifiedFetch::Fallback(FallbackReason::Corrupt);
         }
         match self.fetch(template_id, now) {
@@ -440,6 +434,29 @@ impl HierarchicalStore {
                 self.stats.fallbacks += 1;
                 VerifiedFetch::Fallback(FallbackReason::Missing)
             }
+        }
+    }
+
+    /// Drops an entry whose bytes failed verification, counting the
+    /// detection and the caller's fallback to recompute — what
+    /// [`fetch_verified`] does on a corrupt entry, for callers that
+    /// verify the bytes themselves after a [`fetch`] (a wall-clock
+    /// spill tier parsing its file).
+    ///
+    /// [`fetch_verified`]: HierarchicalStore::fetch_verified
+    /// [`fetch`]: HierarchicalStore::fetch
+    pub fn reject_corrupt(&mut self, template_id: u64, now: SimTime) {
+        self.remove(template_id);
+        self.stats.corruptions_detected += 1;
+        self.stats.fallbacks += 1;
+        if self.trace.is_enabled() {
+            self.trace.event_at(
+                "corruption_detected",
+                "cache",
+                self.trace_track,
+                now.as_nanos(),
+                vec![("template", Json::U64(template_id))],
+            );
         }
     }
 
@@ -493,12 +510,10 @@ impl HierarchicalStore {
         while self.host_used + bytes > self.config.host_capacity {
             let victim = self
                 .entries
-                .iter()
+                .iter_mut()
                 .filter(|(id, e)| e.tier == Tier::Host && **id != protect)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(id, _)| *id);
-            let Some(victim) = victim else { break };
-            let e = self.entries.get_mut(&victim).expect("victim exists");
+                .min_by_key(|(_, e)| e.last_used);
+            let Some((_, e)) = victim else { break };
             e.tier = Tier::Disk;
             self.host_used -= e.bytes;
             self.disk_used += e.bytes;

@@ -30,8 +30,20 @@ echo "==> cargo build --release (benchmark/, its own workspace)"
 # Built here, the benchmark/run.sh --smoke step below finds it built.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+echo "==> cargo test --workspace -q (in a fresh TMPDIR; no spill directory may survive)"
+# FlashPs streams evicted template caches into a private
+# flashps-spill-* directory under the temp dir and deletes it when the
+# system drops. Spill directories must not leak: every test's systems
+# are dropped by the end of the run, so one left behind is a leak.
+spill_tmp="$(mktemp -d)"
+TMPDIR="$spill_tmp" cargo test --workspace -q
+leaked="$(find "$spill_tmp" -maxdepth 1 -name 'flashps-spill-*')"
+rm -rf "$spill_tmp"
+if [ -n "$leaked" ]; then
+    echo "error: spill directories survived the test run:" >&2
+    echo "$leaked" >&2
+    exit 1
+fi
 
 echo "==> fps-tensor tests in release (AVX2 build vs baseline build, bitwise)"
 # Unoptimised, both builds are the same scalar code; the differential
