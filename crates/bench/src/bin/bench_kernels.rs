@@ -16,7 +16,7 @@
 //!    GEMM on the largest shape (the flux-like FFN GEMM) is at least
 //!    1.3× faster, measured wall, than the frozen pre-tiling kernel
 //!    (`matmul_naive`, kept in-tree as the baseline oracle, and never
-//!    built for AVX2); the bench host measures ≈ 2.7× with the AVX2
+//!    built for AVX2); the bench host measures ≈ 3.6× with the AVX2
 //!    kernel build and ≈ 1.5× with the baseline one. Which build ran is
 //!    recorded as `isa`. Beside it, reported and no longer a pass/fail, is
 //!    the *modeled* pooled speedup: each row chunk of the pool's actual
@@ -32,8 +32,10 @@
 //!    [`fps_diffusion::flops::sparse_gemm_flops`] estimator within 2×
 //!    across the sweep.
 //! 4. **Timings** — per-kernel serial and pooled (calibrated default
-//!    dispatch) wall times at each model shape, the regression baseline
-//!    future sessions diff against — with regression asserts on the
+//!    dispatch) wall times at each model shape (including the
+//!    `[L, H] × [H, latent_channels]` noise projection and the GEMMs of
+//!    a masked step on `MASKED_ROWS` gathered rows), the regression
+//!    baseline future sessions diff against — with regression asserts on the
 //!    shapes a pooled dispatch once made slower (small-shape pooled must
 //!    stay within 1.3× of serial now that thresholds are calibrated at
 //!    pool init).
@@ -81,6 +83,11 @@ const GELU_GATE_SPEEDUP: f64 = 4.0;
 
 /// Virtual lanes of the modeled pooled speedup.
 const MODEL_LANES: usize = 4;
+
+/// Gathered rows of the masked-step GEMM rows: an sdxl-like edit at the
+/// production traffic's mean mask ratio (0.11) computes ≈ 12–16 of its
+/// 144 tokens.
+const MASKED_ROWS: usize = 12;
 
 /// The build of the hot row kernels this host runs: `fps-tensor`
 /// compiles them for the baseline and for AVX2 (both give the same
@@ -182,6 +189,19 @@ fn bench_config(cfg: &ModelConfig, name: &'static str, reps: usize, rows: &mut V
     };
     push("ffn_gemm", &|| matmul(&x, &w_up).unwrap());
     push("ffn_gemm_gelu", &|| matmul_gelu(&x, &w_up).unwrap());
+    // The noise-prediction projection `[L, H] × [H, latent_channels]`:
+    // narrower than any register tile.
+    let w_out = Tensor::randn([h, cfg.latent_channels], &mut rng);
+    push("out_proj_gemm", &|| matmul(&x, &w_out).unwrap());
+    // The GEMMs of a masked step, on MASKED_ROWS gathered rows: the
+    // attention projections and both FFN halves.
+    let xm = Tensor::randn([MASKED_ROWS, h], &mut rng);
+    let fm = Tensor::randn([MASKED_ROWS, f], &mut rng);
+    let w_proj = Tensor::randn([h, h], &mut rng);
+    let w_down = Tensor::randn([f, h], &mut rng);
+    push("masked_proj_gemm", &|| matmul(&xm, &w_proj).unwrap());
+    push("masked_ffn_up_gemm", &|| matmul(&xm, &w_up).unwrap());
+    push("masked_ffn_down_gemm", &|| matmul(&fm, &w_down).unwrap());
     push("mha", &|| mha_fused(&q, &k, &v, heads, scale).unwrap());
     push("layer_norm", &|| layer_norm(&x, &g, &b).unwrap());
     push("ada_layer_norm", &|| {

@@ -2,7 +2,7 @@
 //!
 //! Each kernel here collapses a sequence of primitive ops into one
 //! pass, eliminating intermediate tensors while reusing the *same
-//! scalar row helpers* as the primitives — `layer_norm_row`,
+//! scalar row helpers* as the primitives — `layer_norm_rows`,
 //! `softmax_row_inplace`, the matmul row kernels — or, for attention,
 //! keeping every reduction in the primitives' order, so every fused
 //! result is **bitwise identical** to the composed path. That identity
@@ -11,11 +11,14 @@
 //!
 //! Fusions provided (the `TransformerBlock` hot path):
 //!
-//! - [`ada_layer_norm`] — LayerNorm + AdaLN modulate in one row pass.
+//! - [`ada_layer_norm`] — LayerNorm + AdaLN modulate in one pass over
+//!   groups of 8 rows whose sums advance together.
 //! - [`mha_fused`] / [`mha_fused_split`] — tiled per-head `QKᵀ →
 //!   softmax → ·V` over K/V panels packed once per call (optionally
 //!   from a cached base with fresh rows laid over it); four score rows
-//!   at a time instead of an `[N, L]` matrix per head.
+//!   at a time instead of an `[N, L]` matrix per head, over 16 keys per
+//!   score tile in the AVX2 build and 8 in the baseline build (then 4
+//!   and 1).
 //! - [`matmul_gelu`] — FFN up-projection with GeLU applied to each
 //!   output row as it is produced.
 
@@ -25,7 +28,7 @@ use crate::{ktrace, pool, scratch, Result};
 
 use super::activation::gelu_scalar;
 use super::matmul::matmul_rows_body;
-use super::norm::{check_norm_args, layer_norm_row, modulate_row_inplace};
+use super::norm::{check_norm_args, layer_norm_rows};
 use super::softmax::softmax_row_inplace;
 
 /// Fused `modulate(layer_norm(x, gamma, beta), scale, shift)`.
@@ -48,6 +51,8 @@ pub fn ada_layer_norm(
     let xd = x.data();
     let (gd, bd) = (gamma.data(), beta.data());
     let (sd, hd) = (scale.data(), shift.data());
+    // 0.94–1.12 ns per element at 12–256 rows × 48–64 columns, 7.7–9.2
+    // units of the RowWise class (calibrated on `layer_norm`'s rows).
     pool::for_each_row_chunk(
         &mut out,
         rows,
@@ -55,11 +60,13 @@ pub fn ada_layer_norm(
         8 * cols,
         pool::KernelClass::RowWise,
         |r0, chunk| {
-            for (ri, orow) in chunk.chunks_exact_mut(cols).enumerate() {
-                let r = r0 + ri;
-                layer_norm_row(&xd[r * cols..(r + 1) * cols], orow, gd, bd);
-                modulate_row_inplace(orow, sd, hd);
-            }
+            layer_norm_rows(
+                &xd[r0 * cols..][..chunk.len()],
+                chunk,
+                gd,
+                bd,
+                Some((sd, hd)),
+            );
         },
     );
     Tensor::from_vec(out, [rows, cols])
@@ -85,20 +92,20 @@ pub fn matmul_gelu(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let mut out = scratch::take(m * n);
     let ad = a.data();
     let bd = b.data();
-    // The GeLU epilogue measures 0.9–1.2 ns per element in its AVX2
-    // build, about 30 of the Gemm class's calibrated units (≈ 0.03 ns
-    // per multiply or add, also under AVX2).
+    // The GeLU epilogue measures 1.1–1.3 ns per element in its AVX2
+    // build, 55–63 of the Gemm class's calibrated units (≈ 0.02 ns per
+    // multiply or add, also under AVX2).
     pool::for_each_row_chunk(
         &mut out,
         m,
         n,
-        2 * k * n + 30 * n,
+        2 * k * n + 60 * n,
         pool::KernelClass::Gemm,
         |r0, chunk| {
             pool::with_wide_isa(
                 #[inline(always)]
-                || {
-                    matmul_rows_body(chunk, r0, ad, bd, k, n);
+                |wide| {
+                    matmul_rows_body(chunk, r0, ad, bd, k, n, wide);
                     gelu_rows_body(chunk);
                 },
             );
@@ -121,9 +128,12 @@ fn gelu_rows_body(xs: &mut [f32]) {
 /// in registers, so each packed `V` row is read once per block rather
 /// than once per query.
 const QB: usize = 4;
-/// Keys per score tile (`QB × KB` accumulators fit the SSE2 register
-/// file).
+/// Keys per score tile in the baseline build (`QB × KB` accumulators
+/// are eight of SSE2's sixteen 4-lane registers).
 const KB: usize = 8;
+/// Keys per score tile in the AVX2 build (`QB × WIDE_KB` accumulators
+/// are eight of its sixteen 8-lane registers).
+const WIDE_KB: usize = 16;
 
 /// Fresh key/value rows laid over a cached base: row `j` of `k`/`v`
 /// replaces base row `rows[j]` — what `scatter_rows_into` on a clone of
@@ -232,14 +242,14 @@ fn mha(
     // same panels.
     let panels = AttnPanels::pack(k.data(), v.data(), fresh, l, h, dh);
     let qd = q.data();
-    // A query row costs 0.21–0.33 ns per `h·l` in the AVX2 build (the
-    // two matmul stages' 4·h·l multiply-adds plus the softmax), about 8
+    // A query row costs 0.25–0.33 ns per `h·l` in the AVX2 build (the
+    // two matmul stages' 4·h·l multiply-adds plus the softmax), 12–16
     // of the Gemm class's calibrated units.
     pool::for_each_row_chunk(
         &mut out,
         n,
         h,
-        8 * h * l,
+        12 * h * l,
         pool::KernelClass::Gemm,
         |r0, chunk| {
             let mut probs = scratch::take(QB * l);
@@ -328,11 +338,11 @@ impl AttnPanels {
             let vp = &self.vp[off * l..(off + dh) * l];
             out_of_line(
                 #[inline(always)]
-                || score_rows::<R>(probs, &q[off..], h, kt, l, scale),
+                |wide| score_rows::<R>(probs, &q[off..], h, kt, l, scale, wide),
             );
             pool::with_wide_isa(
                 #[inline(always)]
-                || {
+                |_| {
                     for prow in probs.chunks_exact_mut(l) {
                         softmax_row_inplace(prow);
                     }
@@ -340,7 +350,7 @@ impl AttnPanels {
             );
             out_of_line(
                 #[inline(always)]
-                || context_rows::<R>(&mut out[off..], h, probs, l, vp, dh),
+                |_| context_rows::<R>(&mut out[off..], h, probs, l, vp, dh),
             );
         }
     }
@@ -352,7 +362,7 @@ impl AttnPanels {
 /// share one register allocation and the tile loops spill their row
 /// pointers (measured ≈ 10% slower in the baseline build).
 #[inline(never)]
-fn out_of_line(stage: impl FnOnce()) {
+fn out_of_line(stage: impl FnOnce(bool)) {
     pool::with_wide_isa(stage);
 }
 
@@ -371,8 +381,9 @@ fn put_v(vp: &mut [f32], l: usize, dh: usize, j: usize, vrow: &[f32]) {
 }
 
 /// Scaled score rows `out[r][j] = (Σ_d q[r][d]·kt[d][j]) · scale` of `R`
-/// queries, in key tiles of [`KB`], then 4, then 1. One body for both
-/// instruction-set builds; see [`out_of_line`].
+/// queries, in key tiles of [`WIDE_KB`] (`wide` only), then [`KB`], 4
+/// and 1. One body for both instruction-set builds, `wide` being the
+/// constant [`pool::with_wide_isa`] hands each; see [`out_of_line`].
 #[inline(always)]
 fn score_rows<const R: usize>(
     out: &mut [f32],
@@ -381,8 +392,15 @@ fn score_rows<const R: usize>(
     kt: &[f32],
     l: usize,
     scale: f32,
+    wide: bool,
 ) {
     let mut j = 0;
+    if wide {
+        while j + WIDE_KB <= l {
+            score_tile::<R, WIDE_KB>(out, q, h, kt, l, j, scale);
+            j += WIDE_KB;
+        }
+    }
     while j + KB <= l {
         score_tile::<R, KB>(out, q, h, kt, l, j, scale);
         j += KB;
@@ -577,6 +595,37 @@ mod tests {
         }
     }
 
+    /// Every key count the score tiles distinguish (16, 8, 4 and 1 keys
+    /// and their mixes, then the sdxl-like and flux-like lengths), for a
+    /// 4-query block and a 1-query remainder: the fused kernel is
+    /// bitwise the composed oracle as served, and its attention stage's
+    /// AVX2 build bitwise its baseline build.
+    #[test]
+    fn every_key_count_matches_composition_and_the_baseline_build() {
+        let mut rng = DetRng::new(15);
+        let (n, h, heads) = (QB + 1, 16, 2);
+        let scale = 1.0 / ((h / heads) as f32).sqrt();
+        for l in (1..=40).chain([144, 256]) {
+            let q = Tensor::randn([n, h], &mut rng);
+            let k = Tensor::randn([l, h], &mut rng);
+            let v = Tensor::randn([l, h], &mut rng);
+            let fused = mha_fused(&q, &k, &v, heads, scale).unwrap();
+            assert_eq!(
+                bits(&fused),
+                bits(&mha_composed(&q, &k, &v, heads, scale)),
+                "l={l}"
+            );
+            if pool::wide_isa_or_skip("every_key_count_matches_composition_and_the_baseline_build")
+            {
+                let panels = AttnPanels::pack(k.data(), v.data(), None, l, h, h / heads);
+                let (base, wide) = attend_both_builds::<QB>(&panels, q.data(), scale);
+                assert_eq!(base, wide, "l={l}, {QB} queries");
+                let (base, wide) = attend_both_builds::<1>(&panels, &q.data()[QB * h..], scale);
+                assert_eq!(base, wide, "l={l}, 1 query");
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
@@ -637,7 +686,7 @@ mod tests {
         let mut wide = xs.clone();
         pool::with_wide_isa(
             #[inline(always)]
-            || gelu_rows_body(&mut wide),
+            |_| gelu_rows_body(&mut wide),
         );
         for ((&x, b), w) in xs.iter().zip(base).zip(wide) {
             assert_eq!(
@@ -667,6 +716,7 @@ mod tests {
                 &p.kt[off * l..][..dh * l],
                 l,
                 scale,
+                false,
             );
             for prow in probs.chunks_exact_mut(l) {
                 softmax_row_inplace(prow);
@@ -688,9 +738,9 @@ mod tests {
 
     // The attention compute stage's AVX2 build is bitwise its baseline
     // build: the `R = 4` block and the `R = 1` remainder, `dh` over the
-    // tile remainders, key counts off the 8-key tile, panels packed
-    // with and without a fresh split source, and scales large enough
-    // that the softmax flushes some `exp` to zero.
+    // tile remainders, key counts off the 16- and 8-key tiles, panels
+    // packed with and without a fresh split source, and scales large
+    // enough that the softmax flushes some `exp` to zero.
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
@@ -699,7 +749,7 @@ mod tests {
             four in proptest::bool::ANY,
             heads in 1usize..4,
             dh_idx in 0usize..5,
-            l8 in 0usize..4,
+            l8 in 0usize..6,
             l_rem in 1usize..8,
             split in proptest::bool::ANY,
             scale_mul in 1.0f32..50.0,

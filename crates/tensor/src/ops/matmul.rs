@@ -3,11 +3,21 @@
 //! The dense row kernel (`matmul_rows`, shared by [`matmul`] and the
 //! fused GEMM+GeLU) is cache-blocked: `MC` comes from the pool's row
 //! chunking, the `k` dimension is cut into `KC` strips, and output
-//! columns into `NC` panels whose `B` sub-block is packed into a
-//! contiguous scratch buffer; inside a panel a manually unrolled 4×8
-//! register micro-kernel (4 output rows × 8 columns of accumulators)
-//! does the work. [`matmul_bt`] uses a 4-wide column unroll that
-//! amortizes each `A`-row read over four dot products.
+//! columns into `NC` panels. A `B` at most `NC` wide — every sdxl-like
+//! and flux-like weight but flux's `[64, 256]` up-projection — is one
+//! panel already contiguous in memory and is read in place; a wider one
+//! has each panel's sub-block packed into a scratch buffer. Inside a
+//! panel a register micro-kernel keeps 4 output rows × 16 columns of
+//! accumulators in the AVX2 build (eight 8-lane registers) and 4 × 8 in
+//! the baseline build (eight 4-lane ones; sixteen columns there would be
+//! all sixteen SSE2 registers, and measured 0–3% slower). The panel's
+//! remaining columns go through 8-,
+//! 4- and 1-wide tiles that still advance all 4 rows, and a chunk's
+//! last rows through the same tiles one row at a time, so an output
+//! narrower than a tile — the `[L, H] × [H, 4]` noise projection — runs
+//! 4 independent chains where it used to run one. [`matmul_bt`] uses a
+//! 4-wide column unroll that amortizes each `A`-row read over four dot
+//! products.
 //!
 //! **Reduction order is load-bearing.** Every output element is still
 //! the sum `((0 + a·b)₀ + a·b)₁ + …` taken in ascending `p` order —
@@ -42,12 +52,17 @@ use crate::{ktrace, pool, scratch, Result};
 /// so most calls take one or two strips; the strip exists so a packed
 /// panel plus the active `A` rows stay L1/L2-resident at any `k`.
 const KC: usize = 128;
-/// Column width of one packed `B` panel.
+/// Column width of one `B` panel; a `B` at most this wide is read in
+/// place instead of packed.
 const NC: usize = 128;
 /// Rows of the register micro-kernel.
 const MR: usize = 4;
-/// Columns of the register micro-kernel.
+/// Columns of the register micro-kernel in the baseline build: 4 × 8
+/// accumulators are eight SSE2 registers of the sixteen.
 const NR: usize = 8;
+/// Columns of the register micro-kernel in the AVX2 build: 4 × 16
+/// accumulators are eight 8-lane registers of the sixteen.
+const WIDE_NR: usize = 16;
 
 /// Returns the multiply-add FLOP count of an `[m, k] × [k, n]` matmul,
 /// counting one multiply and one add per inner-product term.
@@ -158,7 +173,7 @@ pub(crate) fn matmul_rows(
 ) {
     pool::with_wide_isa(
         #[inline(always)]
-        || matmul_rows_body(chunk, r0, ad, bd, k, n),
+        |wide| matmul_rows_body(chunk, r0, ad, bd, k, n, wide),
     );
 }
 
@@ -166,13 +181,17 @@ pub(crate) fn matmul_rows(
 /// into `chunk`.
 ///
 /// Loop nest: `KC` strips of `k` (ascending, partial sums parked in
-/// the output between strips), `NC` panels of columns with the `B`
-/// sub-block packed contiguous, then `MR`×`NR` register tiles over the
-/// chunk's rows. Each output element accumulates in ascending-`p`
-/// order throughout — see the module docs for why that is the one
-/// property this kernel must not trade away. Always inlined, micro-
-/// kernels included, so each instruction-set build of a caller
-/// ([`matmul_rows`], `matmul_gelu`) compiles the whole nest.
+/// the output between strips), `NC` panels of columns, then `MR`-row
+/// register tiles over the chunk's rows. A panel that spans every
+/// column of `B` (`n ≤ NC`) is read in place, its rows already
+/// contiguous; the panels of a wider `B` are packed first. Each output element
+/// accumulates in ascending-`p` order throughout — see the module docs
+/// for why that is the one property this kernel must not trade away.
+/// `wide` selects the widest column tile (`WIDE_NR` when true, `NR`
+/// otherwise); callers pass the constant [`pool::with_wide_isa`] hands
+/// its body. Always inlined, micro-kernels included, so each
+/// instruction-set build of a caller ([`matmul_rows`], `matmul_gelu`)
+/// compiles the whole nest.
 #[inline(always)]
 pub(crate) fn matmul_rows_body(
     chunk: &mut [f32],
@@ -181,24 +200,36 @@ pub(crate) fn matmul_rows_body(
     bd: &[f32],
     k: usize,
     n: usize,
+    wide: bool,
 ) {
     if n == 0 {
         return;
     }
     let rows = chunk.len() / n;
-    let mut pack = scratch::take(KC.min(k.max(1)) * NC.min(n));
+    let in_place = n <= NC;
+    let mut pack = if in_place {
+        Vec::new()
+    } else {
+        scratch::take(KC.min(k) * NC)
+    };
     let mut kc0 = 0;
     while kc0 < k {
         let kc_len = KC.min(k - kc0);
         let mut nc0 = 0;
         while nc0 < n {
             let nc_len = NC.min(n - nc0);
-            // Pack the [kc_len, nc_len] sub-block of B contiguously so
-            // the micro-kernel streams it with unit stride.
-            for p in 0..kc_len {
-                pack[p * nc_len..(p + 1) * nc_len]
-                    .copy_from_slice(&bd[(kc0 + p) * n + nc0..(kc0 + p) * n + nc0 + nc_len]);
-            }
+            let b = if in_place {
+                &bd[kc0 * n..][..kc_len * n]
+            } else {
+                // Pack the [kc_len, nc_len] sub-block of B contiguously
+                // so the micro-kernel streams it with unit stride.
+                for p in 0..kc_len {
+                    pack[p * nc_len..][..nc_len]
+                        .copy_from_slice(&bd[(kc0 + p) * n + nc0..][..nc_len]);
+                }
+                &pack[..kc_len * nc_len]
+            };
+            let panel = Panel { b, n, nc0, nc_len };
             let mut r = 0;
             while r + MR <= rows {
                 let arows = [
@@ -207,12 +238,11 @@ pub(crate) fn matmul_rows_body(
                     &ad[(r0 + r + 2) * k + kc0..][..kc_len],
                     &ad[(r0 + r + 3) * k + kc0..][..kc_len],
                 ];
-                micro_kernel_4(chunk, r, n, nc0, nc_len, &pack, arows);
+                panel.rows(chunk, r, arows, wide);
                 r += MR;
             }
             while r < rows {
-                let arow = &ad[(r0 + r) * k + kc0..][..kc_len];
-                micro_kernel_1(chunk, r, n, nc0, nc_len, &pack, arow);
+                panel.rows(chunk, r, [&ad[(r0 + r) * k + kc0..][..kc_len]], wide);
                 r += 1;
             }
             nc0 += nc_len;
@@ -222,86 +252,77 @@ pub(crate) fn matmul_rows_body(
     scratch::give(pack);
 }
 
-/// 4-row micro-kernel: advances rows `r..r+4` of the output by one
-/// packed panel, `NR` columns of register accumulators at a time.
-#[inline(always)]
-fn micro_kernel_4(
-    chunk: &mut [f32],
-    r: usize,
+/// One `KC × NC` block of `B` as the micro-kernels read it: `b` is
+/// `kc_len` rows of `nc_len` contiguous columns (packed, or `B`'s own
+/// rows when the panel spans all `n` of them), feeding output columns
+/// `nc0..nc0 + nc_len` of rows `n` wide.
+#[derive(Clone, Copy)]
+struct Panel<'a> {
+    b: &'a [f32],
     n: usize,
     nc0: usize,
     nc_len: usize,
-    pack: &[f32],
-    arows: [&[f32]; MR],
-) {
-    let kc_len = arows[0].len();
-    let mut j0 = 0;
-    while j0 + NR <= nc_len {
-        // Load the in-progress partial sums (exact f32 round trip).
-        let mut acc = [[0.0f32; NR]; MR];
-        for (u, accr) in acc.iter_mut().enumerate() {
-            accr.copy_from_slice(&chunk[(r + u) * n + nc0 + j0..][..NR]);
+}
+
+impl Panel<'_> {
+    /// Advances output rows `r..r + R` by this panel: column tiles of
+    /// `WIDE_NR` (`wide` only), then `NR`, 4 and 1, every tile keeping
+    /// all `R` rows in flight.
+    #[inline(always)]
+    fn rows<const R: usize>(self, chunk: &mut [f32], r: usize, arows: [&[f32]; R], wide: bool) {
+        let mut j = 0;
+        if wide {
+            while j + WIDE_NR <= self.nc_len {
+                self.tile::<R, WIDE_NR>(chunk, r, j, arows);
+                j += WIDE_NR;
+            }
         }
-        for p in 0..kc_len {
-            let bp: &[f32; NR] = pack[p * nc_len + j0..][..NR].try_into().expect("NR cols");
-            for (accr, arow) in acc.iter_mut().zip(arows.iter()) {
+        while j + NR <= self.nc_len {
+            self.tile::<R, NR>(chunk, r, j, arows);
+            j += NR;
+        }
+        if j + 4 <= self.nc_len {
+            self.tile::<R, 4>(chunk, r, j, arows);
+            j += 4;
+        }
+        while j < self.nc_len {
+            self.tile::<R, 1>(chunk, r, j, arows);
+            j += 1;
+        }
+    }
+
+    /// The register micro-kernel: output rows `r..r + R` × panel
+    /// columns `j..j + W` in `R × W` accumulators, loaded from the
+    /// partial sums in `chunk` (an exact `f32` round trip), advanced
+    /// in ascending `p`, stored back.
+    #[inline(always)]
+    fn tile<const R: usize, const W: usize>(
+        self,
+        chunk: &mut [f32],
+        r: usize,
+        j: usize,
+        arows: [&[f32]; R],
+    ) {
+        let col = self.nc0 + j;
+        let mut acc = [[0.0f32; W]; R];
+        for (u, accr) in acc.iter_mut().enumerate() {
+            accr.copy_from_slice(&chunk[(r + u) * self.n + col..][..W]);
+        }
+        // Panel row `p` is `nc_len` long and `j + W ≤ nc_len`, so every
+        // `bp` is a full `W`-column slice; each `arows[u]` is `kc_len`
+        // long, which is the panel's row count.
+        for (p, brow) in self.b.chunks_exact(self.nc_len).enumerate() {
+            let bp = &brow[j..][..W];
+            for (accr, arow) in acc.iter_mut().zip(arows) {
                 let av = arow[p];
-                for (o, &bv) in accr.iter_mut().zip(bp.iter()) {
+                for (o, &bv) in accr.iter_mut().zip(bp) {
                     *o += av * bv;
                 }
             }
         }
         for (u, accr) in acc.iter().enumerate() {
-            chunk[(r + u) * n + nc0 + j0..][..NR].copy_from_slice(accr);
+            chunk[(r + u) * self.n + col..][..W].copy_from_slice(accr);
         }
-        j0 += NR;
-    }
-    // Column remainder: per-element register accumulation, still
-    // ascending p.
-    for j in j0..nc_len {
-        for (u, arow) in arows.iter().enumerate() {
-            let o = &mut chunk[(r + u) * n + nc0 + j];
-            let mut acc = *o;
-            for (p, &av) in arow.iter().enumerate() {
-                acc += av * pack[p * nc_len + j];
-            }
-            *o = acc;
-        }
-    }
-}
-
-/// Single-row edition of the micro-kernel for the chunk's row
-/// remainder.
-#[inline(always)]
-fn micro_kernel_1(
-    chunk: &mut [f32],
-    r: usize,
-    n: usize,
-    nc0: usize,
-    nc_len: usize,
-    pack: &[f32],
-    arow: &[f32],
-) {
-    let mut j0 = 0;
-    while j0 + NR <= nc_len {
-        let mut acc = [0.0f32; NR];
-        acc.copy_from_slice(&chunk[r * n + nc0 + j0..][..NR]);
-        for (p, &av) in arow.iter().enumerate() {
-            let bp: &[f32; NR] = pack[p * nc_len + j0..][..NR].try_into().expect("NR cols");
-            for (o, &bv) in acc.iter_mut().zip(bp.iter()) {
-                *o += av * bv;
-            }
-        }
-        chunk[r * n + nc0 + j0..][..NR].copy_from_slice(&acc);
-        j0 += NR;
-    }
-    for j in j0..nc_len {
-        let o = &mut chunk[r * n + nc0 + j];
-        let mut acc = *o;
-        for (p, &av) in arow.iter().enumerate() {
-            acc += av * pack[p * nc_len + j];
-        }
-        *o = acc;
     }
 }
 
@@ -453,34 +474,63 @@ mod tests {
         assert_eq!(c.dims(), &[3, 2]);
     }
 
-    /// Every shape class the blocking distinguishes: micro-kernel
-    /// remainders in rows and columns, single/partial/multiple KC
-    /// strips and NC panels.
-    const SHAPE_CLASSES: [(usize, usize, usize); 9] = [
-        (1, 1, 1),
-        (3, 5, 7),
-        (4, 8, 8),
-        (5, 9, 11),
-        (MR, KC, NR),
-        (MR + 1, KC + 3, NR + 1),
-        (7, KC * 2 + 5, NC + 9),
-        (16, 64, NC * 2 + 3),
-        (33, 130, 17),
-    ];
+    /// Every shape class the blocking distinguishes: row counts 1–9
+    /// (the 4-row tile and its single-row remainder) against output
+    /// widths on and off every column-tile boundary (16, 8, 4, 1 and
+    /// their mixes, up to a whole `NC` panel and one past it), each
+    /// over one `KC` strip and over two with `B` read in place; plus
+    /// single, partial and multiple strips and packed panels.
+    fn shape_classes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = vec![
+            (1, 1, 1),
+            (3, 5, 7),
+            (4, 8, 8),
+            (5, 9, 11),
+            (MR, KC, NR),
+            (MR + 1, KC + 3, NR + 1),
+            (7, KC * 2 + 5, NC + 9),
+            (16, 64, NC * 2 + 3),
+            (33, 130, 17),
+        ];
+        for m in 1..=9 {
+            for n in [4, 12, 20, 24, 31, 40, NC, NC + 4] {
+                for k in [48, KC + 37] {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        shapes
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     /// The blocked kernel must be bit-for-bit the naive `ikj` loop at
-    /// every shape class.
+    /// every shape class: as served, and the baseline build's body with
+    /// each widest column tile (`NR` and `WIDE_NR`), on any host.
     #[test]
     fn tiled_kernel_is_bitwise_identical_to_naive() {
         let mut rng = DetRng::new(0x7A11);
-        for &(m, k, n) in &SHAPE_CLASSES {
+        for (m, k, n) in shape_classes() {
             let a = Tensor::randn([m, k], &mut rng);
             let b = Tensor::randn([k, n], &mut rng);
+            let naive = bits(matmul_naive(&a, &b).unwrap().data());
             let tiled = matmul(&a, &b).unwrap();
-            let naive = matmul_naive(&a, &b).unwrap();
-            let tb: Vec<u32> = tiled.data().iter().map(|v| v.to_bits()).collect();
-            let nb: Vec<u32> = naive.data().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(tb, nb, "[{m}x{k}]x[{k}x{n}] tiled != naive");
+            assert_eq!(
+                bits(tiled.data()),
+                naive,
+                "[{m}x{k}]x[{k}x{n}] tiled != naive"
+            );
+            for wide in [false, true] {
+                let mut out = vec![0.0f32; m * n];
+                matmul_rows_body(&mut out, 0, a.data(), b.data(), k, n, wide);
+                assert_eq!(
+                    bits(&out),
+                    naive,
+                    "[{m}x{k}]x[{k}x{n}] wide={wide} != naive"
+                );
+            }
         }
     }
 
@@ -492,10 +542,9 @@ mod tests {
         let a = Tensor::randn([m, k], &mut rng);
         let b = Tensor::randn([k, n], &mut rng);
         let (mut base, mut wide) = (vec![0.0f32; (m - r0) * n], vec![0.0f32; (m - r0) * n]);
-        matmul_rows_body(&mut base, r0, a.data(), b.data(), k, n);
+        matmul_rows_body(&mut base, r0, a.data(), b.data(), k, n, false);
         matmul_rows(&mut wide, r0, a.data(), b.data(), k, n);
-        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect();
-        (bits(base), bits(wide))
+        (bits(&base), bits(&wide))
     }
 
     #[test]
@@ -503,7 +552,7 @@ mod tests {
         if !pool::wide_isa_or_skip("wide_build_is_bitwise_the_baseline_at_every_shape_class") {
             return;
         }
-        for (i, &(m, k, n)) in SHAPE_CLASSES.iter().enumerate() {
+        for (i, (m, k, n)) in shape_classes().into_iter().enumerate() {
             let (base, wide) = both_builds(m, k, n, 0, 0xA5A0 + i as u64);
             assert_eq!(base, wide, "[{m}x{k}]x[{k}x{n}] AVX2 != baseline");
         }

@@ -4,6 +4,15 @@
 //! normalized independently — which is exactly the property §3.1 of the
 //! FlashPS paper relies on to compute masked and unmasked tokens
 //! separately.
+//!
+//! A row's mean and variance are each one chain of dependent adds in
+//! column order, so LayerNorm one row at a time waits on add latency.
+//! [`layer_norm`] and the fused `ada_layer_norm` therefore walk rows in
+//! groups of 8 (then 4, then 1) whose sums advance one column at a time
+//! together; each row keeps its own column order and its sums start
+//! from the value `Iterator::sum` starts from, so every row's bits are
+//! the row-at-a-time kernel's (differentially tested, ±0/±∞/NaN rows
+//! included). 1.9× faster at the sdxl-like `[144, 48]`.
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;
@@ -26,33 +35,99 @@ pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> Result<Tensor> {
     let mut out = scratch::take(rows * cols);
     let xd = x.data();
     let (gd, bd) = (gamma.data(), beta.data());
+    // The RowWise class calibrates on this kernel at 64 × 64, six units
+    // per element; at 12–256 rows × 48–64 columns it measures 0.76–0.91
+    // ns per element, 6.2–7.4 units.
     pool::for_each_row_chunk(
         &mut out,
         rows,
         cols,
         6 * cols,
         pool::KernelClass::RowWise,
-        |r0, chunk| {
-            for (ri, orow) in chunk.chunks_exact_mut(cols).enumerate() {
-                let r = r0 + ri;
-                layer_norm_row(&xd[r * cols..(r + 1) * cols], orow, gd, bd);
-            }
-        },
+        |r0, chunk| layer_norm_rows(&xd[r0 * cols..][..chunk.len()], chunk, gd, bd, None),
     );
     Tensor::from_vec(out, [rows, cols])
 }
 
-/// Scalar LayerNorm of one row. [`layer_norm`] and the fused
-/// AdaLN+modulate kernel both call this, so their normalized
-/// activations agree bitwise.
-#[inline]
-pub(crate) fn layer_norm_row(row: &[f32], orow: &mut [f32], gamma: &[f32], beta: &[f32]) {
-    let cols = row.len();
-    let mean = row.iter().sum::<f32>() / cols as f32;
-    let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-    let inv = 1.0 / (var + NORM_EPS).sqrt();
-    for (c, o) in orow.iter_mut().enumerate() {
-        *o = (row[c] - mean) * inv * gamma[c] + beta[c];
+/// Rows LayerNorm advances together. A row's mean and variance are
+/// each one dependent chain of adds, so a row alone waits on add
+/// latency; eight rows' chains interleaved keep the adder busy.
+const NORM_ROWS: usize = 8;
+
+/// LayerNorm of the rows of `x` into `out` (both `gamma.len()` wide),
+/// followed, when `modulate` holds AdaLN's `(scale, shift)`, by
+/// [`modulate_row_inplace`] on each row. [`layer_norm`] and the fused
+/// AdaLN kernel both call this, so their normalized activations agree
+/// bitwise.
+///
+/// Rows go in groups of [`NORM_ROWS`], then 4, then 1 (see
+/// [`norm_group`]); which rows share a group never changes a row's
+/// bits.
+pub(crate) fn layer_norm_rows(
+    x: &[f32],
+    out: &mut [f32],
+    gamma: &[f32],
+    beta: &[f32],
+    modulate: Option<(&[f32], &[f32])>,
+) {
+    let cols = gamma.len();
+    if cols == 0 {
+        return;
+    }
+    let rows = out.len() / cols;
+    let mut r = 0;
+    while r + NORM_ROWS <= rows {
+        norm_group::<NORM_ROWS>(&x[r * cols..], &mut out[r * cols..], gamma, beta, modulate);
+        r += NORM_ROWS;
+    }
+    if r + 4 <= rows {
+        norm_group::<4>(&x[r * cols..], &mut out[r * cols..], gamma, beta, modulate);
+        r += 4;
+    }
+    while r < rows {
+        norm_group::<1>(&x[r * cols..], &mut out[r * cols..], gamma, beta, modulate);
+        r += 1;
+    }
+}
+
+/// [`layer_norm_rows`] on the first `R` rows of `x` and `out`. Each
+/// row's sum and sum of squared deviations run in its own column order
+/// from the value `Iterator::sum` starts from, and the `R` rows' sums
+/// advance one column at a time together: the bits of summing each row
+/// alone, at `R` independent chains of latency.
+#[inline(always)]
+fn norm_group<const R: usize>(
+    x: &[f32],
+    out: &mut [f32],
+    gamma: &[f32],
+    beta: &[f32],
+    modulate: Option<(&[f32], &[f32])>,
+) {
+    let cols = gamma.len();
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &x[r * cols..][..cols]);
+    let start = std::iter::empty::<f32>().sum::<f32>();
+    let mut sum = [start; R];
+    for c in 0..cols {
+        for (s, row) in sum.iter_mut().zip(rows) {
+            *s += row[c];
+        }
+    }
+    let mean = sum.map(|s| s / cols as f32);
+    let mut sq = [start; R];
+    for c in 0..cols {
+        for ((s, row), &m) in sq.iter_mut().zip(rows).zip(&mean) {
+            *s += (row[c] - m) * (row[c] - m);
+        }
+    }
+    for (r, (row, orow)) in rows.iter().zip(out.chunks_exact_mut(cols)).enumerate() {
+        let (mean, var) = (mean[r], sq[r] / cols as f32);
+        let inv = 1.0 / (var + NORM_EPS).sqrt();
+        for (((o, &v), &g), &b) in orow.iter_mut().zip(*row).zip(gamma).zip(beta) {
+            *o = (v - mean) * inv * g + b;
+        }
+        if let Some((scale, shift)) = modulate {
+            modulate_row_inplace(orow, scale, shift);
+        }
     }
 }
 
@@ -158,6 +233,76 @@ mod tests {
 
     fn unit_params(h: usize) -> (Tensor, Tensor) {
         (Tensor::full([h], 1.0), Tensor::zeros([h]))
+    }
+
+    /// The row-at-a-time LayerNorm the interleaved groups replaced,
+    /// kept as their order-of-operations oracle.
+    fn layer_norm_row(row: &[f32], orow: &mut [f32], gamma: &[f32], beta: &[f32]) {
+        let cols = row.len();
+        let mean = row.iter().sum::<f32>() / cols as f32;
+        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+        let inv = 1.0 / (var + NORM_EPS).sqrt();
+        for (c, o) in orow.iter_mut().enumerate() {
+            *o = (row[c] - mean) * inv * gamma[c] + beta[c];
+        }
+    }
+
+    /// `rows × cols` of unit normals, with every third row (from row 1)
+    /// replaced by one of the edge rows in turn: all `+0.0`, all `−0.0`
+    /// (where the sums' starting value shows), `+∞`, `−∞`, a NaN, and
+    /// values near `1e30` (whose squared deviations overflow).
+    fn edge_rows(rows: usize, cols: usize, rng: &mut DetRng) -> Vec<f32> {
+        let mut x = Tensor::randn([rows, cols], rng).data().to_vec();
+        for (r, row) in x.chunks_exact_mut(cols).enumerate() {
+            match (r % 3 == 1).then_some(r / 3 % 6) {
+                Some(0) => row.fill(0.0),
+                Some(1) => row.fill(-0.0),
+                Some(2) => row[cols / 2] = f32::INFINITY,
+                Some(3) => row[0] = f32::NEG_INFINITY,
+                Some(4) => row[cols - 1] = f32::NAN,
+                Some(_) => row.iter_mut().for_each(|v| *v = 1e30 * (1.0 + *v * 0.1)),
+                None => {}
+            }
+        }
+        x
+    }
+
+    /// LayerNorm in groups of 8, 4 and 1 rows, with and without the
+    /// AdaLN modulation, is bitwise the row-at-a-time oracle.
+    #[test]
+    fn interleaved_rows_are_bitwise_the_row_at_a_time_oracle() {
+        let mut rng = DetRng::new(0x10A7);
+        for cols in [1usize, 3, 8, 48, 64] {
+            let gamma = Tensor::randn([cols], &mut rng).data().to_vec();
+            let beta = Tensor::randn([cols], &mut rng).data().to_vec();
+            let scale = Tensor::randn([cols], &mut rng).data().to_vec();
+            let shift = Tensor::randn([cols], &mut rng).data().to_vec();
+            for rows in (1..=17).chain([144, 256]) {
+                let x = edge_rows(rows, cols, &mut rng);
+                let mut oracle = vec![0.0f32; rows * cols];
+                for (row, orow) in x.chunks_exact(cols).zip(oracle.chunks_exact_mut(cols)) {
+                    layer_norm_row(row, orow, &gamma, &beta);
+                }
+                let mut modulated = oracle.clone();
+                for orow in modulated.chunks_exact_mut(cols) {
+                    modulate_row_inplace(orow, &scale, &shift);
+                }
+                for (modulate, want) in [
+                    (None, &oracle),
+                    (Some((&scale[..], &shift[..])), &modulated),
+                ] {
+                    let mut out = vec![0.0f32; rows * cols];
+                    layer_norm_rows(&x, &mut out, &gamma, &beta, modulate);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&out),
+                        bits(want),
+                        "[{rows}, {cols}] modulated={}",
+                        modulate.is_some()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,15 +29,15 @@ pub fn softmax_rows(x: &Tensor) -> Result<Tensor> {
     let _span = ktrace::span("softmax_rows");
     let mut out = scratch::take(rows * cols);
     let xd = x.data();
-    // Measured 1.6–2.3 ns per element against 0.17–0.24 ns per unit of
-    // the RowWise calibration loop (8–12 units; this kernel and that
-    // loop run the baseline build on every host); the factor only
-    // places the parallel-dispatch threshold.
+    // Measured 1.9–2.2 ns per element against 0.12 ns per unit of the
+    // RowWise class, which calibrates on `layer_norm`'s rows (16–18
+    // units; this kernel and that one run the baseline build on every
+    // host); the factor only places the parallel-dispatch threshold.
     pool::for_each_row_chunk(
         &mut out,
         rows,
         cols,
-        12 * cols,
+        16 * cols,
         pool::KernelClass::RowWise,
         |r0, chunk| {
             for (ri, orow) in chunk.chunks_exact_mut(cols).enumerate() {

@@ -211,64 +211,40 @@ fn calibrate_gemm_ns_per_unit() -> f64 {
 }
 
 fn calibrate_rowwise_ns_per_unit() -> f64 {
-    // 64 rows of a 64-wide mean/var/normalize pass: 6·rows·cols units.
+    // The production LayerNorm rows on 64 rows × 64 columns, 6·rows·cols
+    // units (as with the Gemm class, a stand-in loop would misplace the
+    // threshold by however far its speed is from the kernel's).
     let (rows, cols) = (64usize, 64usize);
     let x: Vec<f32> = (0..rows * cols).map(|i| (i % 11) as f32 * 0.1).collect();
+    let (gamma, beta) = (vec![1.0f32; cols], vec![0.0f32; cols]);
     let mut out = vec![0.0f32; rows * cols];
     best_ns_per_unit(8, 6 * rows * cols, || {
-        for (row, orow) in x.chunks_exact(cols).zip(out.chunks_exact_mut(cols)) {
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-            let inv = 1.0 / (var + 1e-5).sqrt();
-            for (o, &v) in orow.iter_mut().zip(row) {
-                *o = (v - mean) * inv;
-            }
-        }
+        crate::ops::norm::layer_norm_rows(&x, &mut out, &gamma, &beta, None);
         std::hint::black_box(&mut out);
     })
 }
 
 fn calibrate_conv_ns_per_unit() -> f64 {
-    // 8×8 grid, 4→4 channels, 9 taps: w·18·c_in·c_out units per row.
+    // The production conv rows on an 8×8 grid, 4→4 channels:
+    // w·18·c_in·c_out units per grid row.
     let (h, w, c) = (8usize, 8usize, 4usize);
     let x: Vec<f32> = (0..h * w * c).map(|i| (i % 9) as f32 * 0.2).collect();
-    let kern: Vec<f32> = (0..9 * c * c).map(|i| (i % 5) as f32 * 0.1).collect();
+    let kernel: Vec<f32> = (0..9 * c * c).map(|i| (i % 5) as f32 * 0.1).collect();
+    let bias = vec![0.0f32; c];
+    let grid = crate::ops::conv::Grid {
+        x: &x,
+        h,
+        w,
+        c_in: c,
+        kernel: &kernel,
+        bias: &bias,
+    };
     let mut out = vec![0.0f32; h * w * c];
     best_ns_per_unit(8, h * w * 18 * c * c, || {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        for y in 0..h {
-            for xc in 0..w {
-                let orow = &mut out[(y * w + xc) * c..(y * w + xc + 1) * c];
-                for (tap, (dy, dx)) in CAL_TAPS.iter().enumerate() {
-                    let (py, px) = (y as i64 + dy, xc as i64 + dx);
-                    if py < 0 || px < 0 || py >= h as i64 || px >= w as i64 {
-                        continue;
-                    }
-                    let src = &x[(py as usize * w + px as usize) * c..][..c];
-                    for (ci, &v) in src.iter().enumerate() {
-                        let krow = &kern[(tap * c + ci) * c..][..c];
-                        for (o, &kv) in orow.iter_mut().zip(krow) {
-                            *o += v * kv;
-                        }
-                    }
-                }
-            }
-        }
+        grid.rows(&mut out, 0);
         std::hint::black_box(&mut out);
     })
 }
-
-const CAL_TAPS: [(i64, i64); 9] = [
-    (-1, -1),
-    (-1, 0),
-    (-1, 1),
-    (0, -1),
-    (0, 0),
-    (0, 1),
-    (1, -1),
-    (1, 0),
-    (1, 1),
-];
 
 /// One parallel region in flight: a lifetime-erased task plus claim
 /// and completion counters.
@@ -480,7 +456,8 @@ fn default_threads() -> usize {
 }
 
 /// Runs `body` compiled for AVX2 when the host has it, else as built
-/// for the target's baseline.
+/// for the target's baseline, telling it which build it is: `body(true)`
+/// in the AVX2 build, `body(false)` in the baseline one.
 ///
 /// The hot row kernels (the GEMM rows with their GeLU epilogue, and
 /// each of attention's score, softmax and context stages) call this
@@ -488,7 +465,10 @@ fn default_threads() -> usize {
 /// body, so that one source is instantiated twice: inlined into `wide`
 /// (its loops auto-vectorised eight lanes wide) and inlined into the
 /// fallback call below (the baseline build, which stays the reference
-/// and the only build on other hosts and architectures).
+/// and the only build on other hosts and architectures). Inlined, the
+/// flag is a constant each build folds away: a body picks its register
+/// tile width from it (16 columns under AVX2's sixteen 8-lane
+/// registers, 8 under SSE2's sixteen 4-lane ones), never at run time.
 ///
 /// Both builds compute bitwise the same values: `vmulps`/`vaddps` are
 /// the same lane-wise IEEE operations as `mulps`/`addps`, `avx2` does
@@ -498,21 +478,21 @@ fn default_threads() -> usize {
 /// (`scripts/check.sh` fails if any `target_feature` under `crates/`
 /// does).
 #[inline(always)]
-pub(crate) fn with_wide_isa(body: impl FnOnce()) {
+pub(crate) fn with_wide_isa(body: impl FnOnce(bool)) {
     if has_wide_isa() {
         // SAFETY: `wide` enables `avx2` only, and `has_wide_isa` just
         // found `avx2` on the executing CPU.
         #[cfg(target_arch = "x86_64")]
         return unsafe { wide(body) };
     }
-    body();
+    body(false);
 }
 
 /// The AVX2 instantiation of whatever `body` inlines.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn wide(body: impl FnOnce()) {
-    body();
+fn wide(body: impl FnOnce(bool)) {
+    body(true);
 }
 
 /// Whether the executing CPU runs [`with_wide_isa`]'s AVX2 build.

@@ -50,6 +50,13 @@ echo "==> fps-tensor tests in release (AVX2 build vs baseline build, bitwise)"
 # tests only compare two vectorised builds when compiled with -O.
 cargo test --release -q -p fps-tensor
 
+echo "==> frozen whole-edit fingerprints in release"
+# The benchmark serves the optimised build, where the kernels' register
+# tiles and AVX2 build are what actually runs; the workspace tests above
+# run unoptimised. The fingerprints pin whole-edit bits, so they must
+# hold in the build that is served, not only in the debug one.
+cargo test --release -q -p fps-diffusion --test frozen_fingerprint
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
