@@ -77,12 +77,15 @@ impl PatchVae {
         let pdim = self.patch * self.patch * 3;
         // Parallel over latent tokens; each token's projection is
         // independent and its reduction order matches the serial loop,
-        // so the result is bitwise identical serial or pooled.
+        // so the result is bitwise identical serial or pooled. One
+        // dot-product chain per channel measures 0.31–0.54 ns per
+        // multiply or add, 9–16 units of the Gemm class (which
+        // calibrates on the tiled GEMM rows).
         pool::for_each_row_chunk(
             &mut out,
             l,
             self.latent_channels,
-            2 * pdim * self.latent_channels,
+            24 * pdim * self.latent_channels,
             pool::KernelClass::Gemm,
             |r0, chunk| {
                 let mut patch_buf = scratch::take(pdim);
@@ -131,13 +134,15 @@ impl PatchVae {
         let mut img = Image::zeros(self.latent_h * self.patch, self.latent_w * self.patch);
         // Accumulate all token patches into a flat `[l, pdim]` buffer in
         // parallel (pixels of different tokens interleave in the image,
-        // so the image itself is written serially afterwards).
+        // so the image itself is written serially afterwards). The
+        // axpys measure 0.19–0.31 ns per multiply or add, 5.5–10 units
+        // of the Gemm class.
         let mut patches = scratch::take(l * pdim);
         pool::for_each_row_chunk(
             &mut patches,
             l,
             pdim,
-            2 * pdim * self.latent_channels,
+            16 * pdim * self.latent_channels,
             pool::KernelClass::Gemm,
             |r0, chunk| {
                 for (i, pbuf) in chunk.chunks_exact_mut(pdim).enumerate() {

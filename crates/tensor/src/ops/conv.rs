@@ -22,9 +22,7 @@
 //! output element is still its bias plus `v · k` for every in-grid tap
 //! in kernel-row order and every input channel in ascending order, each
 //! pixel skipping its own out-of-grid taps — the one-pixel sum, with
-//! sixteen independent chains in flight where one pixel alone had
-//! `c_out` stored-and-reloaded ones. The sdxl-like 12 × 12, 4 → 4
-//! channel scaffold conv runs ≈ 3.3× faster that way, same bits.
+//! sixteen independent chains in flight.
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;

@@ -17,8 +17,7 @@
 //!   softmax → ·V` over K/V panels packed once per call (optionally
 //!   from a cached base with fresh rows laid over it); four score rows
 //!   at a time instead of an `[N, L]` matrix per head, over 16 keys per
-//!   score tile in the AVX2 build and 8 in the baseline build (then 4
-//!   and 1).
+//!   score tile (then 8, 4 and 1).
 //! - [`matmul_gelu`] — FFN up-projection with GeLU applied to each
 //!   output row as it is produced.
 
@@ -104,8 +103,8 @@ pub fn matmul_gelu(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         |r0, chunk| {
             pool::with_wide_isa(
                 #[inline(always)]
-                |wide| {
-                    matmul_rows_body(chunk, r0, ad, bd, k, n, wide);
+                || {
+                    matmul_rows_body(chunk, r0, ad, bd, k, n);
                     gelu_rows_body(chunk);
                 },
             );
@@ -128,12 +127,9 @@ fn gelu_rows_body(xs: &mut [f32]) {
 /// in registers, so each packed `V` row is read once per block rather
 /// than once per query.
 const QB: usize = 4;
-/// Keys per score tile in the baseline build (`QB × KB` accumulators
-/// are eight of SSE2's sixteen 4-lane registers).
-const KB: usize = 8;
-/// Keys per score tile in the AVX2 build (`QB × WIDE_KB` accumulators
-/// are eight of its sixteen 8-lane registers).
-const WIDE_KB: usize = 16;
+/// Keys per score tile (`QB × KB` accumulators are eight of the AVX2
+/// build's sixteen 8-lane registers).
+const KB: usize = 16;
 
 /// Fresh key/value rows laid over a cached base: row `j` of `k`/`v`
 /// replaces base row `rows[j]` — what `scatter_rows_into` on a clone of
@@ -338,11 +334,11 @@ impl AttnPanels {
             let vp = &self.vp[off * l..(off + dh) * l];
             out_of_line(
                 #[inline(always)]
-                |wide| score_rows::<R>(probs, &q[off..], h, kt, l, scale, wide),
+                || score_rows::<R>(probs, &q[off..], h, kt, l, scale),
             );
             pool::with_wide_isa(
                 #[inline(always)]
-                |_| {
+                || {
                     for prow in probs.chunks_exact_mut(l) {
                         softmax_row_inplace(prow);
                     }
@@ -350,7 +346,7 @@ impl AttnPanels {
             );
             out_of_line(
                 #[inline(always)]
-                |_| context_rows::<R>(&mut out[off..], h, probs, l, vp, dh),
+                || context_rows::<R>(&mut out[off..], h, probs, l, vp, dh),
             );
         }
     }
@@ -362,7 +358,7 @@ impl AttnPanels {
 /// share one register allocation and the tile loops spill their row
 /// pointers (measured ≈ 10% slower in the baseline build).
 #[inline(never)]
-fn out_of_line(stage: impl FnOnce(bool)) {
+fn out_of_line(stage: impl FnOnce()) {
     pool::with_wide_isa(stage);
 }
 
@@ -381,9 +377,8 @@ fn put_v(vp: &mut [f32], l: usize, dh: usize, j: usize, vrow: &[f32]) {
 }
 
 /// Scaled score rows `out[r][j] = (Σ_d q[r][d]·kt[d][j]) · scale` of `R`
-/// queries, in key tiles of [`WIDE_KB`] (`wide` only), then [`KB`], 4
-/// and 1. One body for both instruction-set builds, `wide` being the
-/// constant [`pool::with_wide_isa`] hands each; see [`out_of_line`].
+/// queries, in key tiles of [`KB`], then 8, 4 and 1. One body for both
+/// instruction-set builds; see [`out_of_line`].
 #[inline(always)]
 fn score_rows<const R: usize>(
     out: &mut [f32],
@@ -392,20 +387,17 @@ fn score_rows<const R: usize>(
     kt: &[f32],
     l: usize,
     scale: f32,
-    wide: bool,
 ) {
     let mut j = 0;
-    if wide {
-        while j + WIDE_KB <= l {
-            score_tile::<R, WIDE_KB>(out, q, h, kt, l, j, scale);
-            j += WIDE_KB;
-        }
-    }
     while j + KB <= l {
         score_tile::<R, KB>(out, q, h, kt, l, j, scale);
         j += KB;
     }
-    while j + 4 <= l {
+    if j + 8 <= l {
+        score_tile::<R, 8>(out, q, h, kt, l, j, scale);
+        j += 8;
+    }
+    if j + 4 <= l {
         score_tile::<R, 4>(out, q, h, kt, l, j, scale);
         j += 4;
     }
@@ -686,7 +678,7 @@ mod tests {
         let mut wide = xs.clone();
         pool::with_wide_isa(
             #[inline(always)]
-            |_| gelu_rows_body(&mut wide),
+            || gelu_rows_body(&mut wide),
         );
         for ((&x, b), w) in xs.iter().zip(base).zip(wide) {
             assert_eq!(
@@ -716,7 +708,6 @@ mod tests {
                 &p.kt[off * l..][..dh * l],
                 l,
                 scale,
-                false,
             );
             for prow in probs.chunks_exact_mut(l) {
                 softmax_row_inplace(prow);

@@ -3,21 +3,19 @@
 //! The dense row kernel (`matmul_rows`, shared by [`matmul`] and the
 //! fused GEMM+GeLU) is cache-blocked: `MC` comes from the pool's row
 //! chunking, the `k` dimension is cut into `KC` strips, and output
-//! columns into `NC` panels. A `B` at most `NC` wide — every sdxl-like
-//! and flux-like weight but flux's `[64, 256]` up-projection — is one
-//! panel already contiguous in memory and is read in place; a wider one
-//! has each panel's sub-block packed into a scratch buffer. Inside a
-//! panel a register micro-kernel keeps 4 output rows × 16 columns of
-//! accumulators in the AVX2 build (eight 8-lane registers) and 4 × 8 in
-//! the baseline build (eight 4-lane ones; sixteen columns there would be
-//! all sixteen SSE2 registers, and measured 0–3% slower). The panel's
-//! remaining columns go through 8-,
-//! 4- and 1-wide tiles that still advance all 4 rows, and a chunk's
-//! last rows through the same tiles one row at a time, so an output
-//! narrower than a tile — the `[L, H] × [H, 4]` noise projection — runs
-//! 4 independent chains where it used to run one. [`matmul_bt`] uses a
-//! 4-wide column unroll that amortizes each `A`-row read over four dot
-//! products.
+//! columns into `NC` panels. A `B` at most `NC` wide is one panel
+//! already contiguous in memory and is read in place; a wider one has
+//! each panel's sub-block packed into a scratch buffer, because a panel
+//! read at a wide `B`'s row stride maps onto fewer L1 sets than a
+//! contiguous one (at a 1 KiB stride, half of them). Inside a panel a
+//! register micro-kernel keeps 4 output rows × 16 columns of
+//! accumulators (eight 8-lane registers in the AVX2 build). The panel's
+//! remaining columns go through 8-, 4- and 1-wide tiles that still
+//! advance all 4 rows, and a chunk's last rows through the same tiles
+//! one row at a time, so even an output narrower than a tile — the
+//! `[L, H] × [H, 4]` noise projection — keeps 4 independent sums in
+//! flight. [`matmul_bt`] uses a 4-wide column unroll that amortizes
+//! each `A`-row read over four dot products.
 //!
 //! **Reduction order is load-bearing.** Every output element is still
 //! the sum `((0 + a·b)₀ + a·b)₁ + …` taken in ascending `p` order —
@@ -49,20 +47,17 @@ use crate::tensor::Tensor;
 use crate::{ktrace, pool, scratch, Result};
 
 /// `k`-strip depth of the blocked kernel. Model shapes keep `k ≤ 256`,
-/// so most calls take one or two strips; the strip exists so a packed
-/// panel plus the active `A` rows stay L1/L2-resident at any `k`.
+/// so most calls take one or two strips; the strip exists so a panel
+/// plus the active `A` rows stay L1/L2-resident at any `k`.
 const KC: usize = 128;
 /// Column width of one `B` panel; a `B` at most this wide is read in
 /// place instead of packed.
 const NC: usize = 128;
 /// Rows of the register micro-kernel.
 const MR: usize = 4;
-/// Columns of the register micro-kernel in the baseline build: 4 × 8
-/// accumulators are eight SSE2 registers of the sixteen.
-const NR: usize = 8;
-/// Columns of the register micro-kernel in the AVX2 build: 4 × 16
-/// accumulators are eight 8-lane registers of the sixteen.
-const WIDE_NR: usize = 16;
+/// Columns of the register micro-kernel: 4 × 16 accumulators are eight
+/// of the AVX2 build's sixteen 8-lane registers.
+const NR: usize = 16;
 
 /// Returns the multiply-add FLOP count of an `[m, k] × [k, n]` matmul,
 /// counting one multiply and one add per inner-product term.
@@ -173,7 +168,7 @@ pub(crate) fn matmul_rows(
 ) {
     pool::with_wide_isa(
         #[inline(always)]
-        |wide| matmul_rows_body(chunk, r0, ad, bd, k, n, wide),
+        || matmul_rows_body(chunk, r0, ad, bd, k, n),
     );
 }
 
@@ -184,12 +179,10 @@ pub(crate) fn matmul_rows(
 /// the output between strips), `NC` panels of columns, then `MR`-row
 /// register tiles over the chunk's rows. A panel that spans every
 /// column of `B` (`n ≤ NC`) is read in place, its rows already
-/// contiguous; the panels of a wider `B` are packed first. Each output element
-/// accumulates in ascending-`p` order throughout — see the module docs
-/// for why that is the one property this kernel must not trade away.
-/// `wide` selects the widest column tile (`WIDE_NR` when true, `NR`
-/// otherwise); callers pass the constant [`pool::with_wide_isa`] hands
-/// its body. Always inlined, micro-kernels included, so each
+/// contiguous; the panels of a wider `B` are packed first. Each output
+/// element accumulates in ascending-`p` order throughout — see the
+/// module docs for why that is the one property this kernel must not
+/// trade away. Always inlined, micro-kernels included, so each
 /// instruction-set build of a caller ([`matmul_rows`], `matmul_gelu`)
 /// compiles the whole nest.
 #[inline(always)]
@@ -200,7 +193,6 @@ pub(crate) fn matmul_rows_body(
     bd: &[f32],
     k: usize,
     n: usize,
-    wide: bool,
 ) {
     if n == 0 {
         return;
@@ -238,11 +230,11 @@ pub(crate) fn matmul_rows_body(
                     &ad[(r0 + r + 2) * k + kc0..][..kc_len],
                     &ad[(r0 + r + 3) * k + kc0..][..kc_len],
                 ];
-                panel.rows(chunk, r, arows, wide);
+                panel.rows(chunk, r, arows);
                 r += MR;
             }
             while r < rows {
-                panel.rows(chunk, r, [&ad[(r0 + r) * k + kc0..][..kc_len]], wide);
+                panel.rows(chunk, r, [&ad[(r0 + r) * k + kc0..][..kc_len]]);
                 r += 1;
             }
             nc0 += nc_len;
@@ -266,20 +258,17 @@ struct Panel<'a> {
 
 impl Panel<'_> {
     /// Advances output rows `r..r + R` by this panel: column tiles of
-    /// `WIDE_NR` (`wide` only), then `NR`, 4 and 1, every tile keeping
-    /// all `R` rows in flight.
+    /// `NR`, then 8, 4 and 1, every tile keeping all `R` rows in flight.
     #[inline(always)]
-    fn rows<const R: usize>(self, chunk: &mut [f32], r: usize, arows: [&[f32]; R], wide: bool) {
+    fn rows<const R: usize>(self, chunk: &mut [f32], r: usize, arows: [&[f32]; R]) {
         let mut j = 0;
-        if wide {
-            while j + WIDE_NR <= self.nc_len {
-                self.tile::<R, WIDE_NR>(chunk, r, j, arows);
-                j += WIDE_NR;
-            }
-        }
         while j + NR <= self.nc_len {
             self.tile::<R, NR>(chunk, r, j, arows);
             j += NR;
+        }
+        if j + 8 <= self.nc_len {
+            self.tile::<R, 8>(chunk, r, j, arows);
+            j += 8;
         }
         if j + 4 <= self.nc_len {
             self.tile::<R, 4>(chunk, r, j, arows);
@@ -352,11 +341,14 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let mut out = scratch::take(m * n);
     let ad = a.data();
     let bd = b.data();
+    // Its dot products, one chain per output, measure 0.16–0.40 ns per
+    // multiply or add (the high end at the `k = 8` of per-head scores),
+    // 5–12 units of the Gemm class, which calibrates on the tiled rows.
     pool::for_each_row_chunk(
         &mut out,
         m,
         n,
-        2 * k * n,
+        16 * k * n,
         pool::KernelClass::Gemm,
         |r0, chunk| {
             matmul_bt_rows(chunk, r0, ad, bd, k, n);
@@ -507,8 +499,8 @@ mod tests {
     }
 
     /// The blocked kernel must be bit-for-bit the naive `ikj` loop at
-    /// every shape class: as served, and the baseline build's body with
-    /// each widest column tile (`NR` and `WIDE_NR`), on any host.
+    /// every shape class: as served, and the baseline build's body
+    /// called directly, on any host.
     #[test]
     fn tiled_kernel_is_bitwise_identical_to_naive() {
         let mut rng = DetRng::new(0x7A11);
@@ -522,15 +514,9 @@ mod tests {
                 naive,
                 "[{m}x{k}]x[{k}x{n}] tiled != naive"
             );
-            for wide in [false, true] {
-                let mut out = vec![0.0f32; m * n];
-                matmul_rows_body(&mut out, 0, a.data(), b.data(), k, n, wide);
-                assert_eq!(
-                    bits(&out),
-                    naive,
-                    "[{m}x{k}]x[{k}x{n}] wide={wide} != naive"
-                );
-            }
+            let mut base = vec![0.0f32; m * n];
+            matmul_rows_body(&mut base, 0, a.data(), b.data(), k, n);
+            assert_eq!(bits(&base), naive, "[{m}x{k}]x[{k}x{n}] baseline != naive");
         }
     }
 
@@ -542,7 +528,7 @@ mod tests {
         let a = Tensor::randn([m, k], &mut rng);
         let b = Tensor::randn([k, n], &mut rng);
         let (mut base, mut wide) = (vec![0.0f32; (m - r0) * n], vec![0.0f32; (m - r0) * n]);
-        matmul_rows_body(&mut base, r0, a.data(), b.data(), k, n, false);
+        matmul_rows_body(&mut base, r0, a.data(), b.data(), k, n);
         matmul_rows(&mut wide, r0, a.data(), b.data(), k, n);
         (bits(&base), bits(&wide))
     }

@@ -12,7 +12,7 @@
 //! together; each row keeps its own column order and its sums start
 //! from the value `Iterator::sum` starts from, so every row's bits are
 //! the row-at-a-time kernel's (differentially tested, ±0/±∞/NaN rows
-//! included). 1.9× faster at the sdxl-like `[144, 48]`.
+//! included).
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;

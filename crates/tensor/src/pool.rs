@@ -456,8 +456,7 @@ fn default_threads() -> usize {
 }
 
 /// Runs `body` compiled for AVX2 when the host has it, else as built
-/// for the target's baseline, telling it which build it is: `body(true)`
-/// in the AVX2 build, `body(false)` in the baseline one.
+/// for the target's baseline.
 ///
 /// The hot row kernels (the GEMM rows with their GeLU epilogue, and
 /// each of attention's score, softmax and context stages) call this
@@ -465,10 +464,7 @@ fn default_threads() -> usize {
 /// body, so that one source is instantiated twice: inlined into `wide`
 /// (its loops auto-vectorised eight lanes wide) and inlined into the
 /// fallback call below (the baseline build, which stays the reference
-/// and the only build on other hosts and architectures). Inlined, the
-/// flag is a constant each build folds away: a body picks its register
-/// tile width from it (16 columns under AVX2's sixteen 8-lane
-/// registers, 8 under SSE2's sixteen 4-lane ones), never at run time.
+/// and the only build on other hosts and architectures).
 ///
 /// Both builds compute bitwise the same values: `vmulps`/`vaddps` are
 /// the same lane-wise IEEE operations as `mulps`/`addps`, `avx2` does
@@ -478,21 +474,21 @@ fn default_threads() -> usize {
 /// (`scripts/check.sh` fails if any `target_feature` under `crates/`
 /// does).
 #[inline(always)]
-pub(crate) fn with_wide_isa(body: impl FnOnce(bool)) {
+pub(crate) fn with_wide_isa(body: impl FnOnce()) {
     if has_wide_isa() {
         // SAFETY: `wide` enables `avx2` only, and `has_wide_isa` just
         // found `avx2` on the executing CPU.
         #[cfg(target_arch = "x86_64")]
         return unsafe { wide(body) };
     }
-    body(false);
+    body();
 }
 
 /// The AVX2 instantiation of whatever `body` inlines.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn wide(body: impl FnOnce(bool)) {
-    body(true);
+fn wide(body: impl FnOnce()) {
+    body();
 }
 
 /// Whether the executing CPU runs [`with_wide_isa`]'s AVX2 build.
