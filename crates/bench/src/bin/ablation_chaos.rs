@@ -3,7 +3,7 @@
 //! Replays the same Poisson trace through the cluster simulator under
 //! the canonical fault profiles (baseline, worker-crash,
 //! cache-loss+slow-disk, overload-burst, disk-brownout) and reports a
-//! [`DegradationReport`] per
+//! [`DegradationReport`](fps_metrics::DegradationReport) per
 //! profile: goodput, P95, retries, fallback rate, and the conservation
 //! check that no request was silently lost.
 //!
@@ -16,8 +16,8 @@ use fps_bench::save_artifact;
 use fps_chaos::{FaultProfile, RetryPolicy};
 use fps_diffusion::ModelConfig;
 use fps_json::ToJson;
-use fps_metrics::{DegradationReport, Table};
-use fps_serving::cluster::{ClusterConfig, ClusterSim, RunReport};
+use fps_metrics::Table;
+use fps_serving::cluster::{ClusterConfig, ClusterSim};
 use fps_serving::router::LeastLoadedRouter;
 use fps_serving::{CostModel, GpuSpec};
 use fps_simtime::SimTime;
@@ -25,23 +25,6 @@ use fps_workload::trace::ArrivalProcess;
 use fps_workload::{RatioDistribution, Trace, TraceConfig};
 
 const NUM_TEMPLATES: u64 = 8;
-
-fn degradation(profile: &str, submitted: u64, report: &RunReport) -> DegradationReport {
-    DegradationReport {
-        profile: profile.to_string(),
-        submitted,
-        served: report.outcomes.len() as u64,
-        rejected: report.rejected.len() as u64 - report.shed,
-        shed: report.shed,
-        goodput_rps: report.goodput_rps(),
-        mean_latency_secs: report.mean_latency(),
-        p95_latency_secs: report.p95_latency(),
-        retries: report.total_retries,
-        fallback_serves: report.fallback_serves,
-        fallback_rate: report.fallback_rate(),
-        crashes: report.crashes_per_worker.iter().sum(),
-    }
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -90,7 +73,7 @@ fn main() {
         let mut router = LeastLoadedRouter;
         let report = ClusterSim::run_with_faults(config(), &trace, &mut router, &plan, &retry)
             .expect("chaos run");
-        let d = degradation(profile.label(), submitted, &report);
+        let d = report.degradation(profile.label(), submitted);
         table.row(&[
             d.profile.clone(),
             format!("{}", d.served),

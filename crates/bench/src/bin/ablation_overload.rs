@@ -60,7 +60,7 @@ fn slo_report(label: &str, submitted: u64, r: &RunReport, quality: &[(String, f6
         shed,
         deadline_rejected,
         other_rejected,
-        goodput_rps: r.goodput_rps(),
+        goodput_rps: r.throughput_rps,
         goodput_at_deadline_rps: r.goodput_at_deadline(DEADLINE_SECS),
         p95_latency_secs: r.p95_latency(),
         mean_latency_secs: r.mean_latency(),

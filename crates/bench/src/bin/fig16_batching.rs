@@ -11,7 +11,7 @@
 use fps_baselines::{eval_setup, SystemKind};
 use fps_bench::save_artifact;
 use fps_metrics::stats::percentile;
-use fps_metrics::Table;
+use fps_metrics::{Summary, Table};
 use fps_serving::{BatchingPolicy, ClusterSim};
 use fps_workload::{RatioDistribution, Trace, TraceConfig};
 
@@ -53,11 +53,8 @@ fn main() {
         let mut router = fps_serving::LeastLoadedRouter;
         let report = ClusterSim::run(cfg, &trace, &mut router).expect("run");
         let p95_req = report.p95_latency();
-        let p95_inf = report
-            .recorder
-            .inference_summary()
-            .map(|s| s.p95)
-            .unwrap_or(f64::NAN);
+        let inference: Vec<f64> = report.outcomes.iter().map(|o| o.inference).collect();
+        let p95_inf = Summary::of(&inference).map(|s| s.p95).unwrap_or(f64::NAN);
         let ints: Vec<f64> = report
             .outcomes
             .iter()

@@ -5,8 +5,6 @@
 //!   distributions of Fig. 3).
 //! - [`regression`] — least-squares linear fits with R², the latency
 //!   estimators of Fig. 11 and Algorithm 2.
-//! - [`latency`] — a recorder that accumulates per-request latency
-//!   breakdowns (queueing, loading, compute) and summarizes them.
 //! - [`report`] — fixed-width text tables for experiment binaries.
 //! - [`degradation`] — resilience accounting (goodput, retries,
 //!   fallback rate, lost-request conservation) under fault injection.
@@ -30,7 +28,6 @@ pub mod degradation;
 pub mod feedback;
 pub mod fleet;
 pub mod histogram;
-pub mod latency;
 pub mod plot;
 pub mod recovery;
 pub mod regression;
@@ -46,7 +43,6 @@ pub use degradation::DegradationReport;
 pub use feedback::{CacheFeedback, FetchOutcome, PopularityHistogram};
 pub use fleet::{FleetCacheCounters, FleetSloReport, ShardSloReport};
 pub use histogram::Histogram;
-pub use latency::{LatencyBreakdown, LatencyRecorder};
 pub use plot::{line_plot, Series};
 pub use recovery::{FleetRecoveryReport, GoodputTimeline};
 pub use regression::LinearRegression;

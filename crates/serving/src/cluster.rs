@@ -18,7 +18,7 @@ use fps_chaos::{FaultKind, FaultPlan, RetryPolicy};
 use fps_json::Json;
 use fps_maskcache::store::{HierarchicalStore, StoreConfig};
 use fps_maskcache::VerifiedFetch;
-use fps_metrics::{LatencyBreakdown, LatencyRecorder};
+use fps_metrics::{DegradationReport, Summary};
 use fps_overload::{Rung, TimeSource};
 use fps_simtime::{EventHandler, EventQueue, SimDuration, SimTime, Simulation};
 use fps_trace::{Clock, TraceSink, Track};
@@ -158,10 +158,9 @@ impl ClusterConfig {
 /// Results of one cluster run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Per-request outcomes, in completion order.
+    /// Per-request outcomes, in completion order: the one per-request
+    /// record every latency statistic below is a view over.
     pub outcomes: Vec<RequestOutcome>,
-    /// Latency recorder over all completed requests.
-    pub recorder: LatencyRecorder,
     /// Virtual time when the last request completed.
     pub makespan_secs: f64,
     /// Served requests per second of virtual time.
@@ -191,34 +190,30 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Summary of one per-request field over the served requests.
+    fn summary(&self, field: impl Fn(&RequestOutcome) -> f64) -> Option<Summary> {
+        Summary::of(&self.outcomes.iter().map(field).collect::<Vec<_>>())
+    }
+
     /// Mean end-to-end latency in seconds (NaN when empty).
     pub fn mean_latency(&self) -> f64 {
-        self.recorder
-            .total_summary()
+        self.summary(|o| o.queueing + o.processing + o.inference)
             .map(|s| s.mean)
             .unwrap_or(f64::NAN)
     }
 
     /// P95 end-to-end latency in seconds (NaN when empty).
     pub fn p95_latency(&self) -> f64 {
-        self.recorder
-            .total_summary()
+        self.summary(|o| o.queueing + o.processing + o.inference)
             .map(|s| s.p95)
             .unwrap_or(f64::NAN)
     }
 
     /// Mean queueing seconds (NaN when empty).
     pub fn mean_queueing(&self) -> f64 {
-        self.recorder
-            .queueing_summary()
+        self.summary(|o| o.queueing)
             .map(|s| s.mean)
             .unwrap_or(f64::NAN)
-    }
-
-    /// Served requests per second of virtual time, counting only
-    /// completed (not rejected) requests — the resilience goodput.
-    pub fn goodput_rps(&self) -> f64 {
-        self.throughput_rps
     }
 
     /// Fraction of completed requests served via fallback recompute.
@@ -227,6 +222,25 @@ impl RunReport {
             0.0
         } else {
             self.fallback_serves as f64 / self.outcomes.len() as f64
+        }
+    }
+
+    /// The run's resilience accounting under fault profile `profile`,
+    /// out of `submitted` requests offered.
+    pub fn degradation(&self, profile: &str, submitted: u64) -> DegradationReport {
+        DegradationReport {
+            profile: profile.to_string(),
+            submitted,
+            served: self.outcomes.len() as u64,
+            rejected: self.rejected.len() as u64 - self.shed,
+            shed: self.shed,
+            goodput_rps: self.throughput_rps,
+            mean_latency_secs: self.mean_latency(),
+            p95_latency_secs: self.p95_latency(),
+            retries: self.total_retries,
+            fallback_serves: self.fallback_serves,
+            fallback_rate: self.fallback_rate(),
+            crashes: self.crashes_per_worker.iter().sum(),
         }
     }
 
@@ -466,7 +480,6 @@ impl<'r> ClusterSim<'r> {
 
         // Collect the report.
         let mut outcomes = Vec::new();
-        let mut recorder = LatencyRecorder::new();
         let mut makespan = 0.0f64;
         for (lane, r) in world.requests.iter().enumerate() {
             if let Some(o) = r.outcome() {
@@ -474,11 +487,6 @@ impl<'r> ClusterSim<'r> {
                     emit_request_spans(&world.config.trace, lane as u32, r);
                 }
                 makespan = makespan.max(r.completed_at.map(|t| t.as_secs_f64()).unwrap_or(0.0));
-                recorder.record(LatencyBreakdown {
-                    queueing: o.queueing,
-                    processing: o.processing,
-                    inference: o.inference,
-                });
                 outcomes.push(o);
             }
         }
@@ -499,7 +507,6 @@ impl<'r> ClusterSim<'r> {
             .unwrap_or(0);
         Ok(RunReport {
             outcomes,
-            recorder,
             makespan_secs: makespan,
             throughput_rps: throughput,
             steps_per_worker: world.workers.iter().map(|w| w.steps_executed).collect(),
@@ -1846,7 +1853,7 @@ mod tests {
         );
         // Served-at-deadline accounting is consistent.
         assert!(report.served_within(30.0) <= report.outcomes.len() as u64);
-        assert!(report.goodput_at_deadline(30.0) <= report.goodput_rps() + 1e-12);
+        assert!(report.goodput_at_deadline(30.0) <= report.throughput_rps + 1e-12);
 
         // Determinism: same trace, same config, same report.
         let mut router2 = LeastLoadedRouter;

@@ -98,15 +98,16 @@ echo "==> benchmark/run.sh --smoke (BENCHMARK.json schema + output checks, ~1 mi
 # byte-checked. A schema and correctness check, not a measurement.
 benchmark/run.sh --smoke > /dev/null
 
-echo "==> virtual-time artifacts replay byte-identically (~3 s)"
-# Every virtual-time bench is seeded and deterministic, so a rerun must
-# reproduce its committed results/ files to the byte. A refactor that
-# moves one number fails here; a deliberate change commits the new
-# files. The full runs also assert each bin's own gates: the affinity
+echo "==> seeded artifacts replay byte-identically (~3 s)"
+# Every virtual-time bench, and fig3's mask-ratio sampler, is seeded and
+# deterministic, so a rerun must reproduce its committed results/ files
+# to the byte. A refactor that moves one number fails here; a deliberate
+# change commits the new files. The full runs also assert each bin's own gates: the affinity
 # and chaos-recovery wins, the stage-graph disaggregation win, the
 # placement legacy fingerprint and the feedback-routing fetch-p95 win.
 for bin in fig16_fleet fig_chaos_fleet fig_cache_placement fig_stagegraph \
-    fig16_balance fig16_batching fig4_motivation ablation_cb_baselines fig9_pipeline; do
+    fig16_balance fig16_batching fig4_motivation ablation_cb_baselines fig9_pipeline \
+    fig3_mask_dist; do
     cargo run --release -q -p fps-bench --bin "$bin" > /dev/null
 done
 cargo run --release -q -p fps-bench --bin fig12_e2e -- --quick > /dev/null
@@ -117,6 +118,7 @@ git diff --exit-code -- \
     results/fig_stagegraph.txt results/fig_stagegraph.json \
     results/fig16_balance.txt results/fig16_batching.txt \
     results/fig4_motivation.txt results/ablation_cb_baselines.txt \
-    results/fig9_pipeline.txt results/fig12_e2e.txt results/fig12_e2e.json
+    results/fig9_pipeline.txt results/fig3_mask_dist.txt \
+    results/fig12_e2e.txt results/fig12_e2e.json
 
 echo "All checks passed."

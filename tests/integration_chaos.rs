@@ -9,8 +9,7 @@ use flashps::system::{FlashPs, FlashPsConfig};
 use flashps::{FlashPsError, MaskAwareRouter};
 use fps_chaos::{FaultPlan, FaultProfile, RetryPolicy};
 use fps_diffusion::{Image, ModelConfig};
-use fps_metrics::DegradationReport;
-use fps_serving::cluster::{ClusterConfig, ClusterSim, RunReport};
+use fps_serving::cluster::{ClusterConfig, ClusterSim};
 use fps_serving::{CostModel, GpuSpec, LeastLoadedRouter};
 use fps_simtime::SimTime;
 use fps_workload::{RatioDistribution, Trace, TraceConfig};
@@ -34,23 +33,6 @@ fn config(workers: usize) -> ClusterConfig {
     ClusterConfig::flashps_default(cost, workers)
 }
 
-fn degradation(profile: &str, submitted: u64, r: &RunReport) -> DegradationReport {
-    DegradationReport {
-        profile: profile.to_string(),
-        submitted,
-        served: r.outcomes.len() as u64,
-        rejected: r.rejected.len() as u64 - r.shed,
-        shed: r.shed,
-        goodput_rps: r.goodput_rps(),
-        mean_latency_secs: r.mean_latency(),
-        p95_latency_secs: r.p95_latency(),
-        retries: r.total_retries,
-        fallback_serves: r.fallback_serves,
-        fallback_rate: r.fallback_rate(),
-        crashes: r.crashes_per_worker.iter().sum(),
-    }
-}
-
 #[test]
 fn canonical_profiles_degrade_without_losing_requests() {
     let t = trace(1.0, 120.0, 3);
@@ -62,7 +44,7 @@ fn canonical_profiles_degrade_without_losing_requests() {
         let mut router = LeastLoadedRouter;
         let report =
             ClusterSim::run_with_faults(config(2), &t, &mut router, &plan, &retry).expect("run");
-        let d = degradation(profile.label(), n, &report);
+        let d = report.degradation(profile.label(), n);
         assert_eq!(d.lost(), 0, "{}: silent loss", d.profile);
         match profile {
             FaultProfile::Baseline => {
