@@ -28,8 +28,11 @@ const NUM_TEMPLATES: u64 = 8;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
+    // The overload-burst profile's only retry trigger is a 1% transit
+    // drop, and seed 1's ~120 quick requests draw none of them; seed 2
+    // draws some, so every fault profile is exercised in both modes.
     let (duration, rps, workers, seed) = if quick {
-        (120.0, 1.0, 2, 1u64)
+        (120.0, 1.0, 2, 2u64)
     } else {
         (600.0, 2.0, 4, 1u64)
     };

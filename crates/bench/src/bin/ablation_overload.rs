@@ -21,59 +21,23 @@ use flashps::system::FlashPs;
 use fps_bench::{save_artifact, system_for};
 use fps_diffusion::{Image, ModelConfig, Strategy};
 use fps_json::{Json, ToJson};
-use fps_metrics::{RungServed, SloReport, Table};
+use fps_metrics::{percentile, SloReport, Table};
 use fps_overload::Rung;
 use fps_quality::ssim;
 use fps_serving::cluster::{ClusterConfig, ClusterSim, RunReport};
 use fps_serving::router::LeastLoadedRouter;
 use fps_serving::{CostModel, EngineKind, GpuSpec};
 use fps_simtime::SimDuration;
-use fps_trace::{bubble_in_window, chrome_trace_string, percentile, Clock, TraceSink};
+use fps_trace::{bubble_in_window, chrome_trace_string, Clock, TraceSink};
 use fps_workload::trace::ArrivalProcess;
 use fps_workload::{QualityBenchmark, RatioDistribution, Trace, TraceConfig};
 
 const DEADLINE_SECS: f64 = 30.0;
 const WORKERS: usize = 2;
 
-fn slo_report(label: &str, submitted: u64, r: &RunReport, quality: &[(String, f64)]) -> SloReport {
-    let shed = r.shed;
-    let deadline_rejected = r.deadline_rejections();
-    let other_rejected = r.rejected.len() as u64 - shed - deadline_rejected;
-    let rungs = r
-        .rung_counts()
-        .into_iter()
-        .map(|(rung, served)| {
-            let label = match rung {
-                Some(rg) => rg.label().to_string(),
-                None => "no-ladder".to_string(),
-            };
-            let q = quality.iter().find(|(l, _)| *l == label).map(|&(_, q)| q);
-            RungServed::new(label, served, q)
-        })
-        .collect();
-    SloReport {
-        label: label.to_string(),
-        deadline_secs: DEADLINE_SECS,
-        submitted,
-        served: r.outcomes.len() as u64,
-        served_within_deadline: r.served_within(DEADLINE_SECS),
-        shed,
-        deadline_rejected,
-        other_rejected,
-        goodput_rps: r.throughput_rps,
-        goodput_at_deadline_rps: r.goodput_at_deadline(DEADLINE_SECS),
-        p95_latency_secs: r.p95_latency(),
-        mean_latency_secs: r.mean_latency(),
-        rungs,
-        stages: Vec::new(),
-        bubble_fraction: None,
-    }
-}
-
 /// Fills the trace-derived fields of `slo`: GPU bubble fraction over
 /// the run's span window and per-rung queue-wait percentiles from the
-/// "queue" spans (grouped by their `rung` arg; spans with no rung arg
-/// belong to the "no-ladder" row).
+/// "queue" spans, grouped by their `rung` arg.
 fn apply_trace_aggregates(slo: &mut SloReport, t: &fps_trace::Trace) {
     if let Some((lo, hi)) = t.window() {
         slo.bubble_fraction = Some(bubble_in_window(t, lo, hi, |s| s.cat == "gpu").fraction());
@@ -81,13 +45,11 @@ fn apply_trace_aggregates(slo: &mut SloReport, t: &fps_trace::Trace) {
     for rung in &mut slo.rungs {
         let waits: Vec<f64> = t
             .spans_named("queue")
-            .filter(|s| s.arg("rung").and_then(Json::as_str).unwrap_or("no-ladder") == rung.label)
+            .filter(|s| s.arg("rung").and_then(Json::as_str) == Some(rung.label.as_str()))
             .map(|s| s.duration_ns() as f64 / 1e9)
             .collect();
-        if !waits.is_empty() {
-            rung.queue_wait_p50_secs = Some(percentile(&waits, 50.0));
-            rung.queue_wait_p95_secs = Some(percentile(&waits, 95.0));
-        }
+        rung.queue_wait_p50_secs = percentile(&waits, 0.50);
+        rung.queue_wait_p95_secs = percentile(&waits, 0.95);
     }
 }
 
@@ -253,8 +215,14 @@ fn main() {
     );
 
     let quality = rung_quality(quality_cases);
-    let mut on_slo = slo_report("overload-on", submitted, &on, &quality);
-    let mut off_slo = slo_report("overload-off", submitted, &off, &quality);
+    let mut on_slo = on.slo_report("overload-on", DEADLINE_SECS);
+    let mut off_slo = off.slo_report("overload-off", DEADLINE_SECS);
+    for rung in &mut on_slo.rungs {
+        rung.quality = quality
+            .iter()
+            .find(|(l, _)| *l == rung.label)
+            .map(|&(_, q)| q);
+    }
     apply_trace_aggregates(&mut on_slo, &on_trace);
     apply_trace_aggregates(&mut off_slo, &off_trace);
 
@@ -264,8 +232,8 @@ fn main() {
     }
 
     // Conservation on both arms, and the headline comparison.
-    assert_eq!(on_slo.lost(), 0, "ON arm lost requests");
-    assert_eq!(off_slo.lost(), 0, "OFF arm lost requests");
+    assert_eq!(on_slo.submitted, submitted, "ON arm lost requests");
+    assert_eq!(off_slo.submitted, submitted, "OFF arm lost requests");
     assert!(on_slo.shed > 0, "saturation must shed at admission");
     assert!(
         on_slo.goodput_at_deadline_rps > off_slo.goodput_at_deadline_rps,

@@ -10,8 +10,7 @@
 
 use fps_baselines::{eval_setup, SystemKind};
 use fps_bench::save_artifact;
-use fps_metrics::stats::percentile;
-use fps_metrics::{Summary, Table};
+use fps_metrics::{percentile, Table};
 use fps_serving::{BatchingPolicy, ClusterSim};
 use fps_workload::{RatioDistribution, Trace, TraceConfig};
 
@@ -54,19 +53,21 @@ fn main() {
         let report = ClusterSim::run(cfg, &trace, &mut router).expect("run");
         let p95_req = report.p95_latency();
         let inference: Vec<f64> = report.outcomes.iter().map(|o| o.inference).collect();
-        let p95_inf = Summary::of(&inference).map(|s| s.p95).unwrap_or(f64::NAN);
         let ints: Vec<f64> = report
             .outcomes
             .iter()
             .map(|o| o.interruptions as f64)
             .collect();
+        let p95 = |v: &[f64]| percentile(v, 0.95).expect("requests were served");
+        let p95_inf = p95(&inference);
+        let median_intr = percentile(&ints, 0.50).expect("requests were served");
         p95s.push((policy.label(), p95_req));
         table.row(&[
             policy.label().to_string(),
             format!("{p95_req:.2}"),
             format!("{p95_inf:.2}"),
-            format!("{:.0}", percentile(&ints, 50.0)),
-            format!("{:.0}", percentile(&ints, 95.0)),
+            format!("{median_intr:.0}"),
+            format!("{:.0}", p95(&ints)),
             String::new(),
         ]);
     }

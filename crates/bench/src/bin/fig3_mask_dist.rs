@@ -5,7 +5,7 @@
 //! variation.
 
 use fps_bench::save_artifact;
-use fps_metrics::{Histogram, Table};
+use fps_metrics::{percentile, Histogram, Table};
 use fps_workload::RatioDistribution;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,9 +27,8 @@ fn main() {
             hist.record(v);
             values.push(v);
         }
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let p50 = values[samples / 2];
-        let p95 = values[samples * 95 / 100];
+        let p50 = percentile(&values, 0.50).expect("samples drawn");
+        let p95 = percentile(&values, 0.95).expect("samples drawn");
         table.row(&[
             format!("{dist:?}"),
             format!("{:.3}", hist.mean()),

@@ -19,6 +19,8 @@
 
 use fps_simtime::{SimDuration, SimTime};
 
+use crate::sample::percentile;
+
 /// Scaling policy knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutoscalerConfig {
@@ -104,12 +106,7 @@ impl ScaleWindow {
         } else {
             self.turned_away as f64 / self.submitted as f64
         };
-        let waits = &mut self.queue_waits;
-        waits.sort_unstable_by(f64::total_cmp);
-        let queue_wait_p95_secs = match waits.len() {
-            0 => 0.0,
-            n => waits[((n as f64 * 0.95).ceil() as usize).clamp(1, n) - 1],
-        };
+        let queue_wait_p95_secs = percentile(&self.queue_waits, 0.95).unwrap_or(0.0);
         *self = Self::default();
         ShardSignal {
             shed_rate,

@@ -1,8 +1,9 @@
 //! Measurement utilities for the FlashPS experiments.
 //!
-//! - [`stats`] — percentiles and moment summaries for latency samples.
+//! - [`sample`] — the one nearest-rank [`percentile`] of raw samples.
 //! - [`histogram`] — fixed-width histograms (the mask-ratio
-//!   distributions of Fig. 3).
+//!   distributions of Fig. 3) and the bucketed percentile of pooled
+//!   counts.
 //! - [`regression`] — least-squares linear fits with R², the latency
 //!   estimators of Fig. 11 and Algorithm 2.
 //! - [`report`] — fixed-width text tables for experiment binaries.
@@ -32,8 +33,8 @@ pub mod plot;
 pub mod recovery;
 pub mod regression;
 pub mod report;
+pub mod sample;
 pub mod slo;
-pub mod stats;
 pub mod throughput;
 
 pub use autoscaler::{
@@ -47,6 +48,6 @@ pub use plot::{line_plot, Series};
 pub use recovery::{FleetRecoveryReport, GoodputTimeline};
 pub use regression::LinearRegression;
 pub use report::Table;
+pub use sample::percentile;
 pub use slo::{RungServed, SloLedger, SloReport, StageQueueStats};
-pub use stats::Summary;
 pub use throughput::ThroughputCounter;

@@ -18,7 +18,7 @@ use fps_chaos::{FaultKind, FaultPlan, RetryPolicy};
 use fps_json::Json;
 use fps_maskcache::store::{HierarchicalStore, StoreConfig};
 use fps_maskcache::VerifiedFetch;
-use fps_metrics::{DegradationReport, Summary};
+use fps_metrics::{percentile, DegradationReport, SloLedger, SloReport};
 use fps_overload::{Rung, TimeSource};
 use fps_simtime::{EventHandler, EventQueue, SimDuration, SimTime, Simulation};
 use fps_trace::{Clock, TraceSink, Track};
@@ -190,30 +190,26 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Summary of one per-request field over the served requests.
-    fn summary(&self, field: impl Fn(&RequestOutcome) -> f64) -> Option<Summary> {
-        Summary::of(&self.outcomes.iter().map(field).collect::<Vec<_>>())
+    /// Mean of one per-request field over the served requests (NaN
+    /// when none was served).
+    fn mean(&self, field: impl Fn(&RequestOutcome) -> f64) -> f64 {
+        self.outcomes.iter().map(field).sum::<f64>() / self.outcomes.len() as f64
     }
 
     /// Mean end-to-end latency in seconds (NaN when empty).
     pub fn mean_latency(&self) -> f64 {
-        self.summary(|o| o.queueing + o.processing + o.inference)
-            .map(|s| s.mean)
-            .unwrap_or(f64::NAN)
+        self.mean(|o| o.total)
     }
 
-    /// P95 end-to-end latency in seconds (NaN when empty).
+    /// Nearest-rank P95 end-to-end latency in seconds (NaN when empty).
     pub fn p95_latency(&self) -> f64 {
-        self.summary(|o| o.queueing + o.processing + o.inference)
-            .map(|s| s.p95)
-            .unwrap_or(f64::NAN)
+        let totals: Vec<f64> = self.outcomes.iter().map(|o| o.total).collect();
+        percentile(&totals, 0.95).unwrap_or(f64::NAN)
     }
 
     /// Mean queueing seconds (NaN when empty).
     pub fn mean_queueing(&self) -> f64 {
-        self.summary(|o| o.queueing)
-            .map(|s| s.mean)
-            .unwrap_or(f64::NAN)
+        self.mean(|o| o.queueing)
     }
 
     /// Fraction of completed requests served via fallback recompute.
@@ -244,49 +240,33 @@ impl RunReport {
         }
     }
 
-    /// Requests rejected because their deadline elapsed in the queue
-    /// (distinct from requests shed at admission).
-    pub fn deadline_rejections(&self) -> u64 {
-        self.rejected
-            .iter()
-            .filter(|r| r.reason == RejectReason::DeadlineExceeded)
-            .count() as u64
-    }
-
-    /// Served requests whose end-to-end latency met the deadline.
-    pub fn served_within(&self, deadline_secs: f64) -> u64 {
-        self.outcomes
-            .iter()
-            .filter(|o| o.total <= deadline_secs)
-            .count() as u64
-    }
-
-    /// Requests per second of virtual time that completed *within* the
-    /// deadline — the SLO goodput, which is what overload control
-    /// optimizes (plain goodput counts late answers nobody wants).
-    pub fn goodput_at_deadline(&self, deadline_secs: f64) -> f64 {
-        if self.makespan_secs > 0.0 {
-            self.served_within(deadline_secs) as f64 / self.makespan_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Served-request counts per degradation rung, in ladder order.
-    /// Requests served with overload control off count under `None`.
-    pub fn rung_counts(&self) -> Vec<(Option<Rung>, u64)> {
-        let mut counts: Vec<(Option<Rung>, u64)> = Rung::ALL
-            .iter()
-            .map(|&r| (Some(r), 0))
-            .chain(std::iter::once((None, 0)))
-            .collect();
+    /// The run's SLO attainment under `deadline_secs`, from the same
+    /// [`SloLedger`] the fleet and stage-graph simulators fill: every
+    /// outcome is served at its end-to-end latency and rung, every
+    /// rejection is tallied by reason, and goodput is over the makespan.
+    /// The p95 of a run that served anything is
+    /// [`RunReport::p95_latency`]: with every sample at hand there is no
+    /// need for the ledger's bucketed estimate, which tops out at four
+    /// deadlines.
+    pub fn slo_report(&self, label: &str, deadline_secs: f64) -> SloReport {
+        let mut ledger = SloLedger::new(deadline_secs);
+        ledger.submitted = (self.outcomes.len() + self.rejected.len()) as u64;
         for o in &self.outcomes {
-            if let Some(slot) = counts.iter_mut().find(|(k, _)| *k == o.rung) {
-                slot.1 += 1;
+            ledger.serve(SimDuration::from_secs_f64(o.total), o.rung.map(Rung::label));
+            ledger.record_queue_wait(o.queueing);
+        }
+        for r in &self.rejected {
+            match r.reason {
+                RejectReason::Shed(_) => ledger.shed += 1,
+                RejectReason::DeadlineExceeded => ledger.deadline_rejected += 1,
+                RejectReason::RetriesExhausted => ledger.other_rejected += 1,
             }
         }
-        counts.retain(|&(_, n)| n > 0);
-        counts
+        let mut report = ledger.report(label, self.makespan_secs);
+        if !self.outcomes.is_empty() {
+            report.p95_latency_secs = self.p95_latency();
+        }
+        report
     }
 }
 
@@ -1483,6 +1463,41 @@ mod tests {
         .unwrap();
         assert!(report.outcomes.is_empty());
         assert_eq!(report.throughput_rps, 0.0);
+        assert!(report.mean_latency().is_nan() && report.p95_latency().is_nan());
+        let slo = report.slo_report("empty", 30.0);
+        assert_eq!((slo.submitted, slo.p95_latency_secs), (0, 0.0));
+    }
+
+    #[test]
+    fn latency_statistics_are_views_over_outcome_totals() {
+        let cfg = |workers| {
+            base_config(
+                EngineKind::FlashPs { kv: false },
+                BatchingPolicy::ContinuousDisaggregated,
+                workers,
+            )
+        };
+        // One request on an idle worker: its mean and p95 are its own
+        // arrival-to-completion time, preprocessing counted once.
+        let mut one = small_trace(1.0, 10.0, 7);
+        one.requests.truncate(1);
+        let report = ClusterSim::run(cfg(1), &one, &mut LeastLoadedRouter).unwrap();
+        let total = report.outcomes[0].total;
+        assert_eq!(report.mean_latency().to_bits(), total.to_bits());
+        assert_eq!(report.p95_latency().to_bits(), total.to_bits());
+
+        // A loaded run: the p95 is the nearest-rank value of the totals.
+        let mut trace = small_trace(1.0, 400.0, 8);
+        trace.requests.truncate(200);
+        assert_eq!(trace.len(), 200);
+        let report = ClusterSim::run(cfg(2), &trace, &mut LeastLoadedRouter).unwrap();
+        let totals: Vec<f64> = report.outcomes.iter().map(|o| o.total).collect();
+        assert_eq!(
+            report.p95_latency().to_bits(),
+            percentile(&totals, 0.95).unwrap().to_bits()
+        );
+        let mean = totals.iter().sum::<f64>() / totals.len() as f64;
+        assert_eq!(report.mean_latency().to_bits(), mean.to_bits());
     }
 
     #[test]
@@ -1502,13 +1517,12 @@ mod tests {
             &mut router,
         )
         .unwrap();
-        let mut ints: Vec<f64> = naive
+        let ints: Vec<f64> = naive
             .outcomes
             .iter()
             .map(|o| o.interruptions as f64)
             .collect();
-        ints.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = ints[ints.len() / 2];
+        let median = percentile(&ints, 0.5).expect("requests were served");
         assert!(
             (1.0..=20.0).contains(&median),
             "median interruptions {median} outside plausible range"
@@ -1852,8 +1866,12 @@ mod tests {
             "saturation must push the ladder down"
         );
         // Served-at-deadline accounting is consistent.
-        assert!(report.served_within(30.0) <= report.outcomes.len() as u64);
-        assert!(report.goodput_at_deadline(30.0) <= report.throughput_rps + 1e-12);
+        let slo = report.slo_report("overload-on", 30.0);
+        assert_eq!((slo.submitted, slo.lost()), (n as u64, 0));
+        assert_eq!(slo.shed, report.shed);
+        assert!(slo.served_within_deadline <= slo.served);
+        assert!(slo.goodput_at_deadline_rps <= slo.goodput_rps);
+        assert_eq!(slo.goodput_rps, report.throughput_rps);
 
         // Determinism: same trace, same config, same report.
         let mut router2 = LeastLoadedRouter;

@@ -242,18 +242,6 @@ pub fn stage_breakdown(trace: &Trace, root_cat: &str) -> Vec<StageBreakdown> {
         .collect()
 }
 
-/// The `q`-th percentile (0–100) of a sample by nearest-rank on a
-/// sorted copy; 0.0 for an empty sample.
-pub fn percentile(values: &[f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let rank = ((q / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,15 +325,6 @@ mod tests {
         assert_eq!(b.stage_ns("denoise"), 600);
         assert_eq!(b.stage_ns("postprocess"), 100);
         assert_eq!(b.stage_ns("router"), 0, "grandchildren are not stages");
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let v = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        assert_eq!(percentile(&v, 50.0), 6.0);
-        assert_eq!(percentile(&v, 95.0), 10.0);
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 
     /// Random well-formed span trees as `(id, parent, start, end)`

@@ -31,8 +31,8 @@ pub mod sink;
 pub mod span;
 
 pub use analysis::{
-    bubble_in_window, critical_path, critical_path_nanos, merged_intervals, percentile,
-    stage_breakdown, BubbleReport, PathSegment, StageBreakdown,
+    bubble_in_window, critical_path, critical_path_nanos, merged_intervals, stage_breakdown,
+    BubbleReport, PathSegment, StageBreakdown,
 };
 pub use export::{chrome_trace_json, chrome_trace_string, flamegraph_collapsed};
 pub use sink::{Collector, SpanGuard, Trace, TraceSink, DEFAULT_THREAD_CAPACITY};

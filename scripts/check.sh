@@ -21,6 +21,15 @@ if grep -rnE 'core::arch|std::arch::(x86|x86_64|aarch64|arm)\b' crates/tensor/; 
     exit 1
 fi
 
+echo "==> one percentile (fn percentile is defined only in fps-metrics)"
+# fps_metrics::percentile is the nearest-rank percentile of raw samples
+# and Histogram::percentile the estimate over pooled counts; a third
+# definition elsewhere would let two reports disagree on one p95.
+if grep -rnE '\bfn percentile\b' crates/ | grep -v '^crates/metrics/'; then
+    echo "error: a percentile above is defined outside fps-metrics" >&2
+    exit 1
+fi
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
