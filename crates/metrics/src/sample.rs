@@ -1,6 +1,6 @@
 //! The one percentile of raw samples.
 //!
-//! Every statistic taken over a slice of per-request values (the
+//! Every percentile taken over a slice of per-request values (the
 //! cluster simulator's latencies, the autoscaler's window of queue
 //! waits, the bench binaries' interruption counts) goes through
 //! [`percentile`]. It is nearest-rank, the definition `benchmark/`
