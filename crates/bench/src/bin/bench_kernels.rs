@@ -46,6 +46,17 @@
 //!    bench may). On full runs the in-tree GeLU must be ≥ 4× the
 //!    `tanhf` loop, single-threaded measured wall; the softmax ratio is
 //!    reported only (most of a softmax row is max, sum and scale).
+//!    `softmax_rows` runs the baseline build on every host, so beside
+//!    it the attention kernel's softmax stage — the `exp_f32` pass and
+//!    the whole row, at the sdxl-like and flux-like key counts — is
+//!    timed in both instruction-set builds.
+//!
+//! The kernel rows include a masked K/V step's self-attention
+//! (`MASKED_ROWS` queries over all `L` keys with their own fresh
+//! keys/values laid over the cached ones) twice: over panels packed once,
+//! as served (`masked_mha_panels`), and through a per-call pack of the
+//! scattered `[L, H]` keys and values (`masked_mha_pack`); the two are
+//! asserted bitwise equal.
 //!
 //! Flags: `--smoke` shrinks repetition counts, skips the FLOP-tracking
 //! and GeLU asserts (timing-noise sensitive), and writes no artifacts
@@ -62,10 +73,11 @@ use fps_diffusion::flops::sparse_gemm_flops;
 use fps_diffusion::{EditPipeline, Image, ModelConfig, Strategy};
 use fps_json::Json;
 use fps_metrics::Table;
+use fps_tensor::ops::softmax::{softmax_stage_pass, SoftmaxPass};
 use fps_tensor::ops::sparse::{self, SparsePlan};
 use fps_tensor::ops::{
     ada_layer_norm, conv3x3, gelu, layer_norm, matmul, matmul_gelu, matmul_naive, mha_fused,
-    softmax_rows,
+    mha_panels, scatter_rows_into, softmax_rows, AttnPanels,
 };
 use fps_tensor::pool::{self, with_min_parallel_work};
 use fps_tensor::rng::DetRng;
@@ -203,6 +215,27 @@ fn bench_config(cfg: &ModelConfig, name: &'static str, reps: usize, rows: &mut V
     push("masked_ffn_up_gemm", &|| matmul(&xm, &w_up).unwrap());
     push("masked_ffn_down_gemm", &|| matmul(&fm, &w_down).unwrap());
     push("mha", &|| mha_fused(&q, &k, &v, heads, scale).unwrap());
+    // A masked K/V step's self-attention: the gathered rows' queries
+    // over every key, their own fresh keys and values laid over the
+    // cached ones — on panels packed once, and through a per-call pack
+    // of the scattered [L, H] keys and values.
+    let fresh_rows: Vec<usize> = (0..MASKED_ROWS).map(|i| i * l / MASKED_ROWS).collect();
+    let fk = Tensor::randn([MASKED_ROWS, h], &mut rng);
+    let fv = Tensor::randn([MASKED_ROWS, h], &mut rng);
+    let cached = AttnPanels::pack(&k, &v, heads).unwrap();
+    let (mut ks, mut vs) = (k.clone(), v.clone());
+    scatter_rows_into(&mut ks, &fk, &fresh_rows).unwrap();
+    scatter_rows_into(&mut vs, &fv, &fresh_rows).unwrap();
+    let fresh = Some((&fk, &fv, &fresh_rows[..]));
+    let split = || mha_panels(&xm, &cached, fresh, scale).unwrap();
+    let packed = || mha_fused(&xm, &ks, &vs, heads, scale).unwrap();
+    assert_eq!(
+        bits(&split()),
+        bits(&packed()),
+        "{name}: attention over panels differs from a per-call pack"
+    );
+    push("masked_mha_panels", &split);
+    push("masked_mha_pack", &packed);
     push("layer_norm", &|| layer_norm(&x, &g, &b).unwrap());
     push("ada_layer_norm", &|| {
         ada_layer_norm(&x, &g, &b, &s, &sh).unwrap()
@@ -426,6 +459,51 @@ fn transcendental_rows(reps: usize) -> Vec<TranscendentalRow> {
     })
 }
 
+/// One build of one pass of the attention kernel's softmax stage.
+struct StageRow {
+    pass: &'static str,
+    keys: usize,
+    build: &'static str,
+    /// ns per element, one thread.
+    ns: f64,
+}
+
+/// Times the attention kernel's softmax stage — the `exp_f32` pass and
+/// the whole row softmax — over `[keys, keys]` unit-normal scores at
+/// the sdxl-like and flux-like key counts, in the baseline build and in
+/// the build the attention kernel runs on this host. Each repetition
+/// starts from the same scores, restored outside the timed region.
+fn attention_stage_rows(reps: usize) -> Vec<StageRow> {
+    let mut rng = DetRng::new(0x5AF7);
+    let mut out = Vec::new();
+    for keys in [144, 256] {
+        let scores = Tensor::randn([keys, keys], &mut rng);
+        let mut work = scores.data().to_vec();
+        for (pass, kind) in [
+            ("exp_f32 pass", SoftmaxPass::Exp),
+            ("softmax row", SoftmaxPass::Row),
+        ] {
+            for (build, wide) in [("baseline", false), (isa(), true)] {
+                let mut best = f64::INFINITY;
+                for _ in 0..reps * 5 {
+                    work.copy_from_slice(scores.data());
+                    let t0 = Instant::now();
+                    softmax_stage_pass(&mut work, keys, kind, wide);
+                    best = best.min(t0.elapsed().as_secs_f64());
+                    std::hint::black_box(&work);
+                }
+                out.push(StageRow {
+                    pass,
+                    keys,
+                    build,
+                    ns: best * 1e9 / (keys * keys) as f64,
+                });
+            }
+        }
+    }
+    out
+}
+
 /// Whole-pipeline identity: one edit on the tiny model pinned serial,
 /// under the default dispatch and forced-pooled must produce
 /// byte-identical images.
@@ -535,6 +613,7 @@ fn main() {
     }
 
     let transcendentals = transcendental_rows(reps);
+    let stage = attention_stage_rows(reps);
     if !smoke {
         for r in transcendentals.iter().filter(|r| r.kernel == "gelu") {
             assert!(
@@ -592,6 +671,15 @@ fn main() {
             format!("{:.2}x", r.libm_ns / r.ns),
         ]);
     }
+    let mut stage_table = Table::new(&["pass", "keys", "build", "ns/el"]);
+    for r in &stage {
+        stage_table.row(&[
+            r.pass.to_string(),
+            r.keys.to_string(),
+            r.build.to_string(),
+            format!("{:.2}", r.ns),
+        ]);
+    }
     let mut out = format!(
         "Compute-plane baseline: serial vs pooled (calibrated default dispatch) kernels, bitwise \
          identical\nKernel build (isa): {}\n\n",
@@ -616,6 +704,12 @@ fn main() {
         at_10.ratio * 100.0,
     ));
     out.push_str(&transcendental_table.render());
+    out.push_str(
+        "\nAttention's softmax stage, one thread: softmax_rows above runs the baseline build on \
+         every\nhost; the attention kernel runs the stage in the AVX2 build where the host has \
+         one.\n\n",
+    );
+    out.push_str(&stage_table.render());
     out.push_str(&format!(
         "\nHost: {cores} cores, pool {} lanes.\nAll kernels and a whole tiny-model edit are \
          byte-identical serial, under the\ndefault dispatch and forced-pooled (asserted every \
@@ -659,6 +753,16 @@ fn main() {
                     .with("speedup_vs_libm", r.libm_ns / r.ns)
             })
             .collect();
+        let stage_json: Vec<Json> = stage
+            .iter()
+            .map(|r| {
+                Json::object()
+                    .with("pass", r.pass)
+                    .with("keys", r.keys)
+                    .with("build", r.build)
+                    .with("ns_per_element", r.ns)
+            })
+            .collect();
         let json = Json::object()
             .with("bench", "kernels")
             .with("isa", isa())
@@ -700,6 +804,7 @@ fn main() {
                     .with("gelu_gate_threshold", GELU_GATE_SPEEDUP)
                     .with("rows", Json::Array(transcendentals_json)),
             )
+            .with("attention_softmax_stage", Json::Array(stage_json))
             .with(
                 "identity",
                 Json::object()

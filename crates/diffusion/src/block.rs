@@ -15,8 +15,9 @@
 //! row kernels the full path uses.
 //!
 //! - [`TransformerBlock::forward_full`] computes every token and returns
-//!   the `K`/`V`/`Y` activations so a priming run can populate the
-//!   template cache (Fig. 5-top).
+//!   `Y` and the `K`/`V` it packed for attention, so a priming run can
+//!   populate the template cache (Fig. 5-top) with what it already
+//!   packed.
 //! - [`TransformerBlock::forward_masked_full_kv`] is the Y-cache variant
 //!   (Fig. 5-bottom, `BlockMode::CachedY`): queries come from the masked
 //!   rows only, keys/values are recomputed over the full token matrix,
@@ -24,7 +25,7 @@
 //! - [`TransformerBlock::forward_masked`] with
 //!   [`MaskedContext::CachedKv`] is the K/V-cache variant (Fig. 7,
 //!   `BlockMode::CachedKv`): masked queries attend over full-length
-//!   cached keys/values with the masked rows refreshed.
+//!   cached key/value panels with the masked rows refreshed.
 //! - [`TransformerBlock::forward_masked`] with
 //!   [`MaskedContext::SelfOnly`] computes only masked tokens, attending
 //!   only among masked tokens: the FISEdit-style masked-only mode
@@ -32,8 +33,8 @@
 
 use fps_tensor::ops::sparse::SparsePlan;
 use fps_tensor::ops::{
-    ada_layer_norm, gather_rows, layer_norm, matmul, matmul_bt, matmul_gelu, mha_fused,
-    mha_fused_split, softmax_rows, FreshKv,
+    ada_layer_norm, gather_rows, layer_norm, matmul, matmul_bt, matmul_gelu, mha_fused, mha_panels,
+    softmax_rows, AttnPanels,
 };
 use fps_tensor::rng::DetRng;
 use fps_tensor::Tensor;
@@ -52,10 +53,9 @@ pub enum MaskedContext<'a> {
     /// Masked queries attend over full-length cached K/V with the rows
     /// at `masked_idx` overwritten by freshly computed masked K/V.
     CachedKv {
-        /// Cached keys `[L, H]` from the priming run.
-        k: &'a Tensor,
-        /// Cached values `[L, H]` from the priming run.
-        v: &'a Tensor,
+        /// Cached keys and values of `L` tokens from the priming run,
+        /// packed for attention.
+        kv: &'a AttnPanels,
         /// Token indices (into `[0, L)`) of the masked rows.
         masked_idx: &'a [usize],
     },
@@ -72,13 +72,13 @@ pub struct AdaParams {
     shift2: Tensor,
 }
 
-/// A block's cross-attention keys and values of one prompt,
-/// `[prompt_tokens, H]` each. They depend on the prompt only, so a
-/// session projects them once per block and reuses them every step.
+/// A block's cross-attention keys and values of one prompt
+/// (`prompt_tokens` of each), packed for attention. They depend on the
+/// prompt only, so a session projects and packs them once per block and
+/// every step attends over them as they are.
 #[derive(Debug, Clone)]
 pub struct CrossKv {
-    k: Tensor,
-    v: Tensor,
+    panels: AttnPanels,
 }
 
 /// Output of a full-token forward pass, including the activations a
@@ -87,10 +87,9 @@ pub struct CrossKv {
 pub struct BlockFullOutput {
     /// Block output `Y` of shape `[L, H]`.
     pub y: Tensor,
-    /// Self-attention keys `[L, H]` (pre-head-split layout).
-    pub k: Tensor,
-    /// Self-attention values `[L, H]`.
-    pub v: Tensor,
+    /// Self-attention keys and values of all `L` tokens, as packed for
+    /// this pass's attention.
+    pub kv: AttnPanels,
 }
 
 /// One conditioned transformer block.
@@ -189,16 +188,29 @@ impl TransformerBlock {
     ///
     /// Propagates tensor shape errors from a malformed embedding.
     pub fn cross_kv(&self, prompt: &Tensor) -> Result<CrossKv> {
-        Ok(CrossKv {
-            k: matmul(prompt, &self.ck)?,
-            v: matmul(prompt, &self.cv)?,
-        })
+        let k = matmul(prompt, &self.ck)?;
+        let v = matmul(prompt, &self.cv)?;
+        let panels = AttnPanels::pack(&k, &v, self.heads)?;
+        k.recycle();
+        v.recycle();
+        Ok(CrossKv { panels })
     }
 
     /// Multi-head scaled-dot-product attention of `q` rows over `k`/`v`
     /// rows, before the output projection: the one tiled kernel.
     fn mha(&self, q: &Tensor, k: &Tensor, v: &Tensor) -> Result<Tensor> {
         Ok(mha_fused(q, k, v, self.heads, self.attn_scale(q))?)
+    }
+
+    /// [`TransformerBlock::mha`] over packed keys and values, with the
+    /// fresh rows `(k, v, rows)` laid over them when given.
+    fn mha_packed(
+        &self,
+        q: &Tensor,
+        kv: &AttnPanels,
+        fresh: Option<(&Tensor, &Tensor, &[usize])>,
+    ) -> Result<Tensor> {
+        Ok(mha_panels(q, kv, fresh, self.attn_scale(q))?)
     }
 
     /// `1/√dh` for queries of this block's head width.
@@ -222,7 +234,7 @@ impl TransformerBlock {
         let xn = layer_norm(x, &self.ln2_g, &self.ln2_b)?;
         let cq = matmul(&xn, &self.cq)?;
         xn.recycle();
-        let cctx = self.mha(&cq, &cross.k, &cross.v)?;
+        let cctx = self.mha_packed(&cq, &cross.panels, None)?;
         cq.recycle();
         let out = matmul(&cctx, &self.co)?;
         cctx.recycle();
@@ -237,8 +249,8 @@ impl TransformerBlock {
         Ok(())
     }
 
-    /// Full-token forward pass; returns `Y` plus the `K`/`V`
-    /// activations for cache priming.
+    /// Full-token forward pass; returns `Y` plus the `K`/`V` panels its
+    /// attention read, for cache priming.
     ///
     /// # Errors
     ///
@@ -255,14 +267,17 @@ impl TransformerBlock {
         let k = matmul(&xn, &self.wk)?;
         let v = matmul(&xn, &self.wv)?;
         xn.recycle();
-        let ctx = self.mha(&q, &k, &v)?;
+        let kv = AttnPanels::pack(&k, &v, self.heads)?;
+        k.recycle();
+        v.recycle();
+        let ctx = self.mha_packed(&q, &kv, None)?;
         q.recycle();
         let attn = matmul(&ctx, &self.wo)?;
         ctx.recycle();
         let mut y = x.add(&attn)?;
         attn.recycle();
         self.cross_attn_and_ffn(&mut y, cross, ada)?;
-        Ok(BlockFullOutput { y, k, v })
+        Ok(BlockFullOutput { y, kv })
     }
 
     /// FlashPS Y-variant forward pass (Fig. 5-bottom): queries come
@@ -311,9 +326,9 @@ impl TransformerBlock {
     /// With [`MaskedContext::SelfOnly`] the masked queries attend only
     /// among themselves (FISEdit-style); with
     /// [`MaskedContext::CachedKv`] they attend over the cached
-    /// full-length keys/values with the masked rows refreshed — the
-    /// kernel's pack stage reads each key/value row from whichever
-    /// side holds it, so no `[L, H]` tensor is copied.
+    /// full-length key/value panels with the masked rows refreshed: the
+    /// kernel copies the panels once and writes the fresh rows over the
+    /// copy, so no key is transposed and no `[L, H]` tensor built.
     ///
     /// # Errors
     ///
@@ -345,18 +360,9 @@ impl TransformerBlock {
         xn.recycle();
         let attn = match ctx {
             MaskedContext::SelfOnly => self.mha(&q, &k_fresh, &v_fresh)?,
-            MaskedContext::CachedKv { k, v, masked_idx } => mha_fused_split(
-                &q,
-                k,
-                v,
-                FreshKv {
-                    k: &k_fresh,
-                    v: &v_fresh,
-                    rows: masked_idx,
-                },
-                self.heads,
-                self.attn_scale(&q),
-            )?,
+            MaskedContext::CachedKv { kv, masked_idx } => {
+                self.mha_packed(&q, kv, Some((&k_fresh, &v_fresh, masked_idx)))?
+            }
         };
         q.recycle();
         k_fresh.recycle();
@@ -430,8 +436,8 @@ mod tests {
         let x = Tensor::randn([cfg.tokens(), cfg.hidden], &mut DetRng::new(1));
         let out = block.forward_full(&x, &cross, &ada).unwrap();
         assert_eq!(out.y.dims(), &[cfg.tokens(), cfg.hidden]);
-        assert_eq!(out.k.dims(), &[cfg.tokens(), cfg.hidden]);
-        assert_eq!(out.v.dims(), &[cfg.tokens(), cfg.hidden]);
+        assert_eq!(out.kv.keys().dims(), &[cfg.hidden, cfg.tokens()]);
+        assert_eq!(out.kv.values().numel(), cfg.tokens() * cfg.hidden);
         assert!(out.y.data().iter().all(|v| v.is_finite()));
     }
 
@@ -460,8 +466,7 @@ mod tests {
             .forward_masked(
                 &xm,
                 MaskedContext::CachedKv {
-                    k: &full.k,
-                    v: &full.v,
+                    kv: &full.kv,
                     masked_idx: &masked_idx,
                 },
                 &cross,
@@ -503,8 +508,7 @@ mod tests {
             .forward_masked(
                 &xm,
                 MaskedContext::CachedKv {
-                    k: &full.k,
-                    v: &full.v,
+                    kv: &full.kv,
                     masked_idx: &[0],
                 },
                 &cross,

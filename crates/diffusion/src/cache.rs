@@ -4,8 +4,9 @@
 //! captured during a *priming* inference: for every denoising step and
 //! every transformer block, the full-length block output `Y` (and
 //! optionally the attention keys/values `K`, `V` for the Fig. 7
-//! alternative). A subsequent edit request with any mask can then
-//! replenish its unmasked rows from the cache.
+//! alternative, kept in the attention kernel's panel layout). A
+//! subsequent edit request with any mask can then replenish its unmasked
+//! rows from the cache.
 //!
 //! The numeric substrate keeps caches in memory; `fps-maskcache` layers
 //! the hierarchical HBM/host/disk placement, sizing, and load-latency
@@ -13,6 +14,7 @@
 
 use std::io::{self, Read, Write};
 
+use fps_tensor::ops::AttnPanels;
 use fps_tensor::Tensor;
 
 use crate::error::DiffusionError;
@@ -21,20 +23,22 @@ use crate::Result;
 /// Magic prefix of the serialized cache format.
 const CACHE_MAGIC: &[u8; 4] = b"FPSC";
 /// Serialization format version. Version 2 carried a per-step flag
-/// byte (and optional UNet scaffold tensor) that version 3 drops, so a
-/// v2 blob parsed as v3 would read shifted: it is rejected by version.
-const CACHE_VERSION: u8 = 3;
+/// byte (and optional UNet scaffold tensor) that version 3 dropped, so a
+/// v2 blob parsed as v3 would read shifted. Version 3 stored K and V as
+/// `[L, H]` tensors; version 4 streams them as attention panels (`Kᵀ`
+/// `[H, L]`, then `V` `[heads, L, dh]`). Older blobs are rejected by
+/// version.
+const CACHE_VERSION: u8 = 4;
 
 /// Cached activations of one transformer block at one denoising step.
 #[derive(Debug, Clone)]
 pub struct BlockCache {
     /// Full-length block output `[L, H]` (the `Y` matrix of Fig. 5).
     pub y: Tensor,
-    /// Full-length attention keys `[L, H]`, present only when the cache
+    /// Full-length attention keys and values of all `L` tokens, packed
+    /// as the attention kernel reads them; present only when the cache
     /// was primed for the K/V variant.
-    pub k: Option<Tensor>,
-    /// Full-length attention values `[L, H]`, paired with `k`.
-    pub v: Option<Tensor>,
+    pub kv: Option<AttnPanels>,
 }
 
 impl BlockCache {
@@ -43,13 +47,13 @@ impl BlockCache {
         self.y.numel() as u64 * 4
     }
 
-    /// Bytes of the K/V-variant payload (2× the Y payload per the
-    /// paper), or 0 when K/V were not captured.
+    /// Bytes of the K and V payload (2× the Y payload, so a K/V
+    /// template holds 3× the bytes of a Y-only one), or 0 when K/V were
+    /// not captured.
     pub fn bytes_kv(&self) -> u64 {
-        match (&self.k, &self.v) {
-            (Some(k), Some(v)) => (k.numel() + v.numel()) as u64 * 4,
-            _ => 0,
-        }
+        self.kv
+            .as_ref()
+            .map_or(0, |p| (p.keys().numel() + p.values().numel()) as u64 * 4)
     }
 }
 
@@ -151,11 +155,11 @@ impl TemplateCache {
         for step in &self.steps {
             w.write_all(&(step.blocks.len() as u32).to_le_bytes())?;
             for b in &step.blocks {
-                w.write_all(&[u8::from(b.k.is_some() && b.v.is_some())])?;
+                w.write_all(&[u8::from(b.kv.is_some())])?;
                 write_tensor(&mut w, &b.y)?;
-                if let (Some(k), Some(v)) = (&b.k, &b.v) {
-                    write_tensor(&mut w, k)?;
-                    write_tensor(&mut w, v)?;
+                if let Some(kv) = &b.kv {
+                    write_tensor(&mut w, kv.keys())?;
+                    write_tensor(&mut w, kv.values())?;
                 }
             }
         }
@@ -201,12 +205,14 @@ impl TemplateCache {
             for _ in 0..n_blocks {
                 let has_kv = r.array::<1>()?[0] != 0;
                 let y = read_tensor(&mut r)?;
-                let (k, v) = if has_kv {
-                    (Some(read_tensor(&mut r)?), Some(read_tensor(&mut r)?))
+                let kv = if has_kv {
+                    let kt = read_tensor(&mut r)?;
+                    let vp = read_tensor(&mut r)?;
+                    Some(AttnPanels::from_parts(kt, vp).map_err(|_| corrupt("bad K/V panels"))?)
                 } else {
-                    (None, None)
+                    None
                 };
-                step.blocks.push(BlockCache { y, k, v });
+                step.blocks.push(BlockCache { y, kv });
             }
             cache.push_step(step);
         }
@@ -223,7 +229,7 @@ impl TemplateCache {
                 .steps
                 .iter()
                 .flat_map(|s| s.blocks.iter())
-                .all(|b| b.k.is_some() && b.v.is_some())
+                .all(|b| b.kv.is_some())
     }
 }
 
@@ -334,11 +340,15 @@ fn read_tensor<R: Read>(r: &mut Reader<R>) -> Result<Tensor> {
 mod tests {
     use super::*;
 
+    fn panels(k: &Tensor, v: &Tensor, heads: usize) -> AttnPanels {
+        AttnPanels::pack(k, v, heads).unwrap()
+    }
+
     fn block(l: usize, h: usize, kv: bool) -> BlockCache {
+        let zeros = Tensor::zeros([l, h]);
         BlockCache {
-            y: Tensor::zeros([l, h]),
-            k: kv.then(|| Tensor::zeros([l, h])),
-            v: kv.then(|| Tensor::zeros([l, h])),
+            y: zeros.clone(),
+            kv: kv.then(|| panels(&zeros, &zeros, 1)),
         }
     }
 
@@ -370,7 +380,7 @@ mod tests {
         });
         // Y: 2 steps × 3 blocks × 4×8 floats × 4 bytes.
         assert_eq!(cache.bytes_y(), 2 * 3 * 4 * 8 * 4);
-        // K/V doubles it, matching the paper's 2× claim.
+        // K and V are 2× the Y bytes, so a K/V template holds 3× a Y one.
         assert_eq!(cache.bytes_kv(), 2 * cache.bytes_y());
         assert!(cache.has_kv());
     }
@@ -386,8 +396,7 @@ mod tests {
                 let a = cache.get(s, b).unwrap();
                 let z = back.get(s, b).unwrap();
                 assert_eq!(a.y, z.y);
-                assert_eq!(a.k, z.k);
-                assert_eq!(a.v, z.v);
+                assert_eq!(a.kv, z.kv);
             }
         }
     }
@@ -425,6 +434,9 @@ mod tests {
         trickled
     }
 
+    /// Format v4 round trips, K/V panels included, through a writer
+    /// that flushes every 7 bytes and a reader that gets at most 7 bytes
+    /// per `read`.
     #[test]
     fn serialization_round_trips() {
         let mut cache = TemplateCache::new(42, 4, 8);
@@ -433,8 +445,10 @@ mod tests {
             let blocks = (0..2)
                 .map(|i| BlockCache {
                     y: Tensor::randn([4, 8], &mut rng),
-                    k: (i == 0).then(|| Tensor::randn([4, 8], &mut rng)),
-                    v: (i == 0).then(|| Tensor::randn([4, 8], &mut rng)),
+                    kv: (i == 0).then(|| {
+                        let k = Tensor::randn([4, 8], &mut rng);
+                        panels(&k, &Tensor::randn([4, 8], &mut rng), 2)
+                    }),
                 })
                 .collect();
             cache.push_step(StepCache { blocks });
@@ -472,8 +486,9 @@ mod tests {
         let mut bad = good.clone();
         bad[0] = b'X';
         assert!(decode(&bad).is_err());
-        // Bad version — 2 and 1 were once valid, and a v2 body read as
-        // v3 would parse shifted, so the version byte alone must reject.
+        // Bad version — 3, 2 and 1 were once valid, and a v2 body read
+        // as a later version would parse shifted, so the version byte
+        // alone must reject.
         let with_version = |v: u8| {
             let mut blob = good.clone();
             blob[4] = v;
@@ -486,6 +501,7 @@ mod tests {
         genuine_v2.insert(37, 0);
         for bad in [
             with_version(99),
+            with_version(3),
             with_version(2),
             with_version(1),
             genuine_v2,
@@ -525,8 +541,10 @@ mod tests {
                 let bs = (0..blocks)
                     .map(|_| BlockCache {
                         y: Tensor::randn([l, h], &mut rng),
-                        k: kv.then(|| Tensor::randn([l, h], &mut rng)),
-                        v: kv.then(|| Tensor::randn([l, h], &mut rng)),
+                        kv: kv.then(|| {
+                            let k = Tensor::randn([l, h], &mut rng);
+                            panels(&k, &Tensor::randn([l, h], &mut rng), 1)
+                        }),
                     })
                     .collect();
                 cache.push_step(StepCache { blocks: bs });
@@ -544,6 +562,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A blob the v3 writer produced for a K/V cache (K and V as
+    /// `[L, H]` tensors) is rejected by its version byte; read as v4 its
+    /// body would not even parse.
+    #[test]
+    fn v3_blobs_are_rejected() {
+        let mut rng = fps_tensor::rng::DetRng::new(3);
+        let (y, k, v) = (
+            Tensor::randn([3, 4], &mut rng),
+            Tensor::randn([3, 4], &mut rng),
+            Tensor::randn([3, 4], &mut rng),
+        );
+        let v3_body = |version: u8| {
+            let mut blob = CACHE_MAGIC.to_vec();
+            blob.push(version);
+            for word in [9u64, 3, 4] {
+                blob.extend(word.to_le_bytes());
+            }
+            blob.extend(1u32.to_le_bytes());
+            blob.extend(1u32.to_le_bytes());
+            blob.push(1);
+            for t in [&y, &k, &v] {
+                write_tensor(&mut blob, t).unwrap();
+            }
+            blob
+        };
+        assert_eq!(
+            decode(&v3_body(3)).unwrap_err(),
+            corrupt("unsupported version")
+        );
+        assert_eq!(
+            decode(&v3_body(CACHE_VERSION)).unwrap_err(),
+            corrupt("bad K/V panels")
+        );
+        // The same cache in v4 reads back.
+        let mut cache = TemplateCache::new(9, 3, 4);
+        cache.push_step(StepCache {
+            blocks: vec![BlockCache {
+                y,
+                kv: Some(panels(&k, &v, 2)),
+            }],
+        });
+        assert_same_cache(&cache, &decode(&cache.to_bytes()).unwrap(), 1);
     }
 
     #[test]

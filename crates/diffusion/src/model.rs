@@ -220,15 +220,13 @@ impl DiffusionModel {
         latent.recycle();
         for (block, (cross, ada)) in self.conditioned(prompt, step) {
             let out = block.forward_full(&x, cross, ada)?;
+            // The cache keeps the K/V panels the block's attention read,
+            // and a clone of Y, which also feeds the next block.
             captured.blocks.push(BlockCache {
                 y: out.y.clone(),
-                k: capture_kv.then(|| out.k.clone()),
-                v: capture_kv.then(|| out.v.clone()),
+                kv: capture_kv.then_some(out.kv),
             });
-            // The cache keeps clones; the originals feed the scratch pool.
             std::mem::replace(&mut x, out.y).recycle();
-            out.k.recycle();
-            out.v.recycle();
         }
         let xn = layer_norm(&x, &self.ln_f_g, &self.ln_f_b)?;
         x.recycle();
@@ -237,16 +235,17 @@ impl DiffusionModel {
         Ok((eps, captured))
     }
 
-    /// Mask-aware noise prediction for one step under a per-block plan.
+    /// Mask-aware noise prediction for one step under a per-block plan,
+    /// for every row: `[L, latent_channels]`.
     ///
     /// `sparse` is the session's mask-derived token plan (built once
     /// per edit); its active set lists the masked rows.
     ///
-    /// Rows of the returned `[L, latent_channels]` prediction at
-    /// unmasked positions are only meaningful insofar as the plan
-    /// materializes them (cached plans replenish them; masked-only plans
-    /// pass them through); the inpainting sampler overwrites unmasked
-    /// latents regardless.
+    /// Rows of the prediction at unmasked positions are only meaningful
+    /// insofar as the plan materializes them (cached plans replenish
+    /// them; masked-only plans pass them through). An inpainting edit
+    /// overwrites them, so it asks [`DiffusionModel::predict_planned_masked`]
+    /// for the masked rows alone.
     ///
     /// # Errors
     ///
@@ -265,6 +264,55 @@ impl DiffusionModel {
         plan: &StepPlan,
         cache: Option<&TemplateCache>,
         step: usize,
+    ) -> Result<Tensor> {
+        self.planned(latent, cond, prompt, sparse, plan, cache, step, true)
+    }
+
+    /// [`DiffusionModel::predict_planned`]'s masked rows only,
+    /// `[n, latent_channels]` in `sparse.active()` order — bitwise those
+    /// rows of its prediction, without computing the others: the input
+    /// projection, the final norm and the output projection run on the
+    /// masked rows, and runs of `CachedKv` and `MaskedOnly` blocks carry
+    /// them gathered, never building an `[L, H]` tensor.
+    ///
+    /// # Errors
+    ///
+    /// As [`DiffusionModel::predict_planned`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn predict_planned_masked(
+        &self,
+        latent: &Tensor,
+        cond: &StepCond,
+        prompt: &PromptCond,
+        sparse: &SparsePlan,
+        plan: &StepPlan,
+        cache: Option<&TemplateCache>,
+        step: usize,
+    ) -> Result<Tensor> {
+        self.planned(latent, cond, prompt, sparse, plan, cache, step, false)
+    }
+
+    /// The planned stack: every row of the prediction when `all_rows`,
+    /// else the masked rows.
+    ///
+    /// Between blocks the activations are either all `L` rows or the
+    /// `n` masked rows beside a record of where the other rows live
+    /// ([`Rows`]). Every op a masked block runs is row-independent and
+    /// bitwise the same on any row subset, so the gathered rows are the
+    /// rows the `[L, H]` tensor would hold; it is built only where
+    /// something reads an unmasked row — a `Full` or `CachedY` block, or
+    /// an all-rows output.
+    #[allow(clippy::too_many_arguments)]
+    fn planned(
+        &self,
+        latent: &Tensor,
+        cond: &StepCond,
+        prompt: &PromptCond,
+        sparse: &SparsePlan,
+        plan: &StepPlan,
+        cache: Option<&TemplateCache>,
+        step: usize,
+        all_rows: bool,
     ) -> Result<Tensor> {
         self.check_latent(latent)?;
         self.check_conds(prompt, cond)?;
@@ -288,53 +336,69 @@ impl DiffusionModel {
         }
         let masked_idx = sparse.active();
         let latent = self.apply_scaffold(latent)?;
-        let mut x = matmul(&latent, &self.in_proj)?;
+        // The input projection's unmasked rows are read only if the
+        // first block that does not pass them through (any but
+        // `MaskedOnly`) reads them, or, with no such block, the output
+        // does; a `CachedKv` block replaces them with its cached Y.
+        let first_reader = plan.modes.iter().find(|&&m| m != BlockMode::MaskedOnly);
+        let input_read = first_reader.map_or(all_rows, |m| {
+            matches!(m, BlockMode::Full | BlockMode::CachedY)
+        });
+        let mut x = if input_read {
+            Rows::All(matmul(&latent, &self.in_proj)?)
+        } else {
+            let lm = gather_rows(&latent, masked_idx)?;
+            let xm = matmul(&lm, &self.in_proj)?;
+            lm.recycle();
+            Rows::Masked(xm, Rest::Unread)
+        };
         latent.recycle();
         let blocks = self.conditioned(prompt, cond).zip(&plan.modes);
         for (i, ((block, (cross, ada)), mode)) in blocks.enumerate() {
-            match mode {
+            x = match mode {
                 BlockMode::Full => {
-                    let out = block.forward_full(&x, cross, ada)?;
-                    std::mem::replace(&mut x, out.y).recycle();
-                    out.k.recycle();
-                    out.v.recycle();
-                }
-                BlockMode::MaskedOnly => {
-                    let xm = gather_rows(&x, masked_idx)?;
-                    let ym = block.forward_masked(&xm, MaskedContext::SelfOnly, cross, ada)?;
-                    xm.recycle();
-                    scatter_rows_into(&mut x, &ym, masked_idx)?;
-                    ym.recycle();
+                    let xf = x.scattered(masked_idx)?;
+                    let y = block.forward_full(&xf, cross, ada)?.y;
+                    xf.recycle();
+                    Rows::All(y)
                 }
                 BlockMode::CachedY => {
                     let entry = self.cache_entry(cache, step, i)?;
                     // Y variant: masked queries attend over fresh K/V of
                     // the full (cache-replenished) token matrix.
-                    let ym = block.forward_masked_full_kv(&x, sparse, cross, ada)?;
-                    std::mem::replace(&mut x, entry.y.clone()).recycle();
-                    scatter_rows_into(&mut x, &ym, masked_idx)?;
-                    ym.recycle();
+                    let xf = x.scattered(masked_idx)?;
+                    let ym = block.forward_masked_full_kv(&xf, sparse, cross, ada)?;
+                    xf.recycle();
+                    Rows::Masked(ym, Rest::Cached(&entry.y))
                 }
                 BlockMode::CachedKv => {
                     let entry = self.cache_entry(cache, step, i)?;
-                    let (k, v) = match (&entry.k, &entry.v) {
-                        (Some(k), Some(v)) => (k, v),
-                        _ => return Err(DiffusionError::CacheMiss { step, block: i }),
-                    };
-                    let xm = gather_rows(&x, masked_idx)?;
-                    let ym = block.forward_masked(
-                        &xm,
-                        MaskedContext::CachedKv { k, v, masked_idx },
-                        cross,
-                        ada,
-                    )?;
+                    let kv = entry
+                        .kv
+                        .as_ref()
+                        .ok_or(DiffusionError::CacheMiss { step, block: i })?;
+                    let (xm, rest) = x.gathered(masked_idx)?;
+                    rest.recycle();
+                    let ctx = MaskedContext::CachedKv { kv, masked_idx };
+                    let ym = block.forward_masked(&xm, ctx, cross, ada)?;
                     xm.recycle();
-                    std::mem::replace(&mut x, entry.y.clone()).recycle();
-                    scatter_rows_into(&mut x, &ym, masked_idx)?;
-                    ym.recycle();
+                    Rows::Masked(ym, Rest::Cached(&entry.y))
                 }
-            }
+                BlockMode::MaskedOnly => {
+                    let (xm, rest) = x.gathered(masked_idx)?;
+                    let ym = block.forward_masked(&xm, MaskedContext::SelfOnly, cross, ada)?;
+                    xm.recycle();
+                    Rows::Masked(ym, rest)
+                }
+            };
         }
+        let x = if all_rows {
+            x.scattered(masked_idx)?
+        } else {
+            let (xm, rest) = x.gathered(masked_idx)?;
+            rest.recycle();
+            xm
+        };
         let xn = layer_norm(&x, &self.ln_f_g, &self.ln_f_b)?;
         x.recycle();
         let eps = matmul(&xn, &self.out_proj)?;
@@ -440,6 +504,66 @@ impl DiffusionModel {
     }
 }
 
+/// The block stack's activations between two blocks of a planned step.
+enum Rows<'a> {
+    /// Every row, `[L, H]`.
+    All(Tensor),
+    /// The masked rows, `[n, H]` in the sparse plan's order; the other
+    /// rows are the [`Rest`]'s.
+    Masked(Tensor, Rest<'a>),
+}
+
+/// Where the unmasked rows of gathered activations live.
+enum Rest<'a> {
+    /// In a cached `Y`: the last cached block's replenished them.
+    Cached(&'a Tensor),
+    /// In the `[L, H]` input of a run of `MaskedOnly` blocks, which pass
+    /// them through.
+    Input(Tensor),
+    /// Nowhere: the input projection skipped them, as nothing reads
+    /// them before a cached block replaces them.
+    Unread,
+}
+
+impl Rest<'_> {
+    fn recycle(self) {
+        if let Rest::Input(x) = self {
+            x.recycle();
+        }
+    }
+}
+
+impl<'a> Rows<'a> {
+    /// All `L` rows: the unmasked ones' home with the masked rows
+    /// scattered in.
+    fn scattered(self, masked_idx: &[usize]) -> Result<Tensor> {
+        let (xm, rest) = match self {
+            Rows::All(x) => return Ok(x),
+            Rows::Masked(xm, rest) => (xm, rest),
+        };
+        let mut x = match rest {
+            Rest::Cached(y) => y.clone(),
+            Rest::Input(x) => x,
+            Rest::Unread => {
+                return Err(DiffusionError::InvalidPlan {
+                    reason: "a block read unmasked rows the input projection skipped".into(),
+                })
+            }
+        };
+        scatter_rows_into(&mut x, &xm, masked_idx)?;
+        xm.recycle();
+        Ok(x)
+    }
+
+    /// The masked rows, and where the others live.
+    fn gathered(self, masked_idx: &[usize]) -> Result<(Tensor, Rest<'a>)> {
+        match self {
+            Rows::All(x) => Ok((gather_rows(&x, masked_idx)?, Rest::Input(x))),
+            Rows::Masked(xm, rest) => Ok((xm, rest)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,7 +603,7 @@ mod tests {
         let (eps, cap) = model.predict_full(&latent, &step, &prompt, true).unwrap();
         assert_eq!(eps.dims(), &[cfg.tokens(), cfg.latent_channels]);
         assert_eq!(cap.blocks.len(), cfg.blocks);
-        assert!(cap.blocks.iter().all(|b| b.k.is_some() && b.v.is_some()));
+        assert!(cap.blocks.iter().all(|b| b.kv.is_some()));
     }
 
     #[test]
@@ -685,6 +809,144 @@ mod tests {
                 .all(|(a, b)| (a - b).abs() < 1e-6);
             assert!(same, "unmasked row {tok} should be unaffected");
         }
+    }
+
+    /// The planned step as it was before masked rows stayed gathered:
+    /// every block's output scattered back into an `[L, H]` tensor, and
+    /// the final norm and projection over all rows. The reference the
+    /// gathered chain must match bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn predict_scattered(
+        model: &DiffusionModel,
+        latent: &Tensor,
+        cond: &StepCond,
+        prompt: &PromptCond,
+        sparse: &SparsePlan,
+        plan: &StepPlan,
+        cache: &TemplateCache,
+    ) -> Result<Tensor> {
+        let idx = sparse.active();
+        let mut x = matmul(&model.apply_scaffold(latent)?, &model.in_proj)?;
+        let blocks = model.conditioned(prompt, cond).zip(&plan.modes);
+        for (i, ((block, (cross, ada)), mode)) in blocks.enumerate() {
+            let entry = cache.get(0, i)?;
+            let ym = match mode {
+                BlockMode::Full => {
+                    x = block.forward_full(&x, cross, ada)?.y;
+                    continue;
+                }
+                BlockMode::MaskedOnly => {
+                    let xm = gather_rows(&x, idx)?;
+                    block.forward_masked(&xm, MaskedContext::SelfOnly, cross, ada)?
+                }
+                BlockMode::CachedY => {
+                    let ym = block.forward_masked_full_kv(&x, sparse, cross, ada)?;
+                    x = entry.y.clone();
+                    ym
+                }
+                BlockMode::CachedKv => {
+                    let kv = entry.kv.as_ref().expect("K/V primed");
+                    let ctx = MaskedContext::CachedKv {
+                        kv,
+                        masked_idx: idx,
+                    };
+                    let ym = block.forward_masked(&gather_rows(&x, idx)?, ctx, cross, ada)?;
+                    x = entry.y.clone();
+                    ym
+                }
+            };
+            scatter_rows_into(&mut x, &ym, idx)?;
+        }
+        let xn = layer_norm(&x, &model.ln_f_g, &model.ln_f_b)?;
+        Ok(matmul(&xn, &model.out_proj)?)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The gathered chain against the scattered reference, bitwise: the
+    /// all-rows prediction equals the reference, and the masked-rows one
+    /// equals its masked rows, for every plan of `plans` at masks of 0,
+    /// 1, 7 and all `L` tokens. A cache primed on another latent makes
+    /// every cached row differ from what the blocks would compute.
+    fn assert_gathered_matches_scattered(cfg: &ModelConfig, plans: &[StepPlan]) {
+        let model = DiffusionModel::new(cfg).unwrap();
+        let prompt = model.prompt_cond(&embed_prompt(cfg, "a door")).unwrap();
+        let step = model.step_cond(0.6).unwrap();
+        let shape = [cfg.tokens(), cfg.latent_channels];
+        let primed = Tensor::randn(shape, &mut DetRng::new(31));
+        let cache = prime(&model, &primed, &step, &prompt, true);
+        let latent = Tensor::randn(shape, &mut DetRng::new(32));
+        let mut rng = DetRng::new(33);
+        for n in [0, 1, 7, cfg.tokens()] {
+            let mut masked: Vec<usize> = (0..cfg.tokens()).collect();
+            for i in 0..n {
+                masked.swap(i, i + rng.below(cfg.tokens() - i));
+            }
+            let sparse = plan_of(cfg, &masked[..n]);
+            for plan in plans {
+                let label = format!("{} n={n} {:?}", cfg.name, plan.modes);
+                let reference =
+                    predict_scattered(&model, &latent, &step, &prompt, &sparse, plan, &cache);
+                let all =
+                    model.predict_planned(&latent, &step, &prompt, &sparse, plan, Some(&cache), 0);
+                let masked_rows = model.predict_planned_masked(
+                    &latent,
+                    &step,
+                    &prompt,
+                    &sparse,
+                    plan,
+                    Some(&cache),
+                    0,
+                );
+                match reference {
+                    Ok(reference) => {
+                        assert_eq!(bits(&all.unwrap()), bits(&reference), "{label}");
+                        let rows = gather_rows(&reference, sparse.active()).unwrap();
+                        assert_eq!(bits(&masked_rows.unwrap()), bits(&rows), "{label}");
+                    }
+                    // A masked-only block has no key to attend over at n = 0.
+                    Err(e) => {
+                        assert_eq!(all.unwrap_err(), e, "{label}");
+                        assert_eq!(masked_rows.unwrap_err(), e, "{label}");
+                    }
+                }
+            }
+        }
+    }
+
+    const MODES: [BlockMode; 4] = [
+        BlockMode::Full,
+        BlockMode::CachedY,
+        BlockMode::CachedKv,
+        BlockMode::MaskedOnly,
+    ];
+
+    #[test]
+    fn gathered_chain_matches_scattered_reference_on_every_tiny_plan() {
+        let cfg = ModelConfig::tiny();
+        assert_eq!(cfg.blocks, 2);
+        let plans: Vec<StepPlan> = MODES
+            .iter()
+            .flat_map(|&a| MODES.map(|b| StepPlan { modes: vec![a, b] }))
+            .collect();
+        assert_gathered_matches_scattered(&cfg, &plans);
+    }
+
+    #[test]
+    fn gathered_chain_matches_scattered_reference_on_sdxl_like() {
+        let cfg = ModelConfig::sdxl_like();
+        let mut rng = DetRng::new(34);
+        // The served plans, then seeded mixes of all four modes.
+        let mut plans = vec![
+            StepPlan::all_cached_kv(cfg.blocks),
+            StepPlan::all_cached_y(cfg.blocks),
+        ];
+        plans.extend((0..4).map(|_| StepPlan {
+            modes: (0..cfg.blocks).map(|_| MODES[rng.below(4)]).collect(),
+        }));
+        assert_gathered_matches_scattered(&cfg, &plans);
     }
 
     #[test]

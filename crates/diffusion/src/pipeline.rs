@@ -1,6 +1,7 @@
 //! End-to-end image editing pipeline: encode → denoise (under a serving
 //! strategy) → decode.
 
+use fps_tensor::ops::gather_rows;
 use fps_tensor::ops::sparse::SparsePlan;
 use fps_tensor::rng::{hash_bytes, DetRng};
 use fps_tensor::Tensor;
@@ -599,6 +600,10 @@ impl EditPipeline {
             false
         };
 
+        // The blend overwrites every unmasked row, so wherever it runs
+        // the step predicts and steps the masked rows alone.
+        let blend = !matches!(s.strategy, Strategy::NaiveDisregard);
+        let masked = s.plan.active();
         let eps = if skip {
             s.steps_skipped += 1;
             s.prev_eps
@@ -619,7 +624,19 @@ impl EditPipeline {
             let mut acc: Option<Tensor> = None;
             for (prompt, weight) in &s.passes {
                 let eps_pass = match &s.step_plan {
-                    None => self.model.predict_full(&s.x, cond, prompt, false)?.0,
+                    None => {
+                        let eps = self.model.predict_full(&s.x, cond, prompt, false)?.0;
+                        if blend {
+                            let rows = gather_rows(&eps, masked)?;
+                            eps.recycle();
+                            rows
+                        } else {
+                            eps
+                        }
+                    }
+                    Some(plan) if blend => self
+                        .model
+                        .predict_planned_masked(&s.x, cond, prompt, &s.plan, plan, cache, k)?,
                     Some(plan) => self
                         .model
                         .predict_planned(&s.x, cond, prompt, &s.plan, plan, cache, k)?,
@@ -643,23 +660,25 @@ impl EditPipeline {
         if matches!(s.strategy, Strategy::StepSkip { .. }) {
             s.prev_eps = Some(eps.clone());
         }
-        let next = ddim_step(
-            &s.x,
-            &eps,
-            self.schedule.abar(k),
-            self.schedule.abar_next(k),
-        )?;
-        std::mem::replace(&mut s.x, next).recycle();
-        eps.recycle();
-        if !matches!(s.strategy, Strategy::NaiveDisregard) {
-            inpaint_blend(
-                &mut s.x,
+        let (abar, abar_next) = (self.schedule.abar(k), self.schedule.abar_next(k));
+        let next = if blend {
+            let xm = gather_rows(&s.x, masked)?;
+            let stepped = ddim_step(&xm, &eps, abar, abar_next)?;
+            xm.recycle();
+            let next = inpaint_blend(
+                &stepped,
                 &s.z_template,
                 &s.template_noise,
-                self.schedule.abar_next(k),
-                &s.masked_idx,
+                abar_next,
+                masked,
             )?;
-        }
+            stepped.recycle();
+            next
+        } else {
+            ddim_step(&s.x, &eps, abar, abar_next)?
+        };
+        std::mem::replace(&mut s.x, next).recycle();
+        eps.recycle();
         s.step += 1;
         Ok(())
     }

@@ -8,7 +8,8 @@
 //! every step, latents at unmasked positions are overwritten with the
 //! appropriately re-noised template latent, so only masked tokens are
 //! actually generated — the mechanism behind every strategy this crate
-//! serves.
+//! serves. Rows are independent through both, so an edit steps only its
+//! masked rows and blends them into the re-noised template.
 
 use fps_tensor::ops::scatter_rows_into;
 use fps_tensor::Tensor;
@@ -125,28 +126,24 @@ pub fn ddim_step(x_t: &Tensor, eps: &Tensor, abar_t: f32, abar_next: f32) -> Res
         .add(&eps.scale((1.0 - abar_next).max(0.0).sqrt()))?)
 }
 
-/// The inpainting blend: overwrites *unmasked* rows of `x` with the
-/// template latent re-noised to level `ᾱ`, leaving masked rows (listed
-/// in `masked_idx`) untouched.
+/// The inpainting blend: the template latent re-noised to level `ᾱ`,
+/// with the generated masked rows (`masked`, row `j` at token
+/// `masked_idx[j]`) scattered in.
 ///
 /// # Errors
 ///
 /// Returns a shape error when operands disagree or indices are out of
 /// bounds.
 pub fn inpaint_blend(
-    x: &mut Tensor,
+    masked: &Tensor,
     template_latent: &Tensor,
     fixed_noise: &Tensor,
     abar: f32,
     masked_idx: &[usize],
-) -> Result<()> {
-    let renoised = noise_to_level(template_latent, fixed_noise, abar)?;
-    let total = x.dims()[0];
-    let masked: std::collections::HashSet<usize> = masked_idx.iter().copied().collect();
-    let unmasked: Vec<usize> = (0..total).filter(|i| !masked.contains(i)).collect();
-    let rows = fps_tensor::ops::gather_rows(&renoised, &unmasked)?;
-    scatter_rows_into(x, &rows, &unmasked)?;
-    Ok(())
+) -> Result<Tensor> {
+    let mut x = noise_to_level(template_latent, fixed_noise, abar)?;
+    scatter_rows_into(&mut x, masked, masked_idx)?;
+    Ok(x)
 }
 
 #[cfg(test)]
@@ -204,8 +201,8 @@ mod tests {
         let mut rng = DetRng::new(3);
         let template = Tensor::randn([5, 2], &mut rng);
         let noise = Tensor::randn([5, 2], &mut rng);
-        let mut x = Tensor::full([5, 2], 42.0);
-        inpaint_blend(&mut x, &template, &noise, 0.5, &[1, 3]).unwrap();
+        let x =
+            inpaint_blend(&Tensor::full([2, 2], 42.0), &template, &noise, 0.5, &[3, 1]).unwrap();
         // Masked rows untouched.
         assert!(x.row(1).unwrap().iter().all(|&v| v == 42.0));
         assert!(x.row(3).unwrap().iter().all(|&v| v == 42.0));

@@ -55,8 +55,7 @@ fn block_forwards_identical_across_paths() {
             .forward_masked(
                 &xm,
                 MaskedContext::CachedKv {
-                    k: &full.k,
-                    v: &full.v,
+                    kv: &full.kv,
                     masked_idx: &masked_idx,
                 },
                 &cross,
@@ -66,7 +65,8 @@ fn block_forwards_identical_across_paths() {
         let full_kv = block
             .forward_masked_full_kv(&x, &plan, &cross, &ada)
             .unwrap();
-        [full.y, full.k, full.v, self_only, cached_kv, full_kv]
+        let (k, v) = (full.kv.keys().clone(), full.kv.values().clone());
+        [full.y, k, v, self_only, cached_kv, full_kv]
     };
     let [serial, pooled] = EXECUTIONS.map(|min_work| with_min_parallel_work(min_work, run));
     let labels = [

@@ -22,7 +22,8 @@ use fps_simtime::{SimDuration, SimTime};
 pub enum Rung {
     /// FlashPS with KV-cache reuse — the premium serving path.
     FlashPsKv,
-    /// FlashPS without KV reuse: halves cache-load bytes per step.
+    /// FlashPS without KV reuse: a Y-only cache, a third of the K/V
+    /// variant's cache-load bytes per step.
     FlashPs,
     /// TeaCache at a high compute fraction (mild step skipping).
     TeaCacheHigh,

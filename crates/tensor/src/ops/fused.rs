@@ -13,11 +13,12 @@
 //!
 //! - [`ada_layer_norm`] — LayerNorm + AdaLN modulate in one pass over
 //!   groups of 8 rows whose sums advance together.
-//! - [`mha_fused`] / [`mha_fused_split`] — tiled per-head `QKᵀ →
-//!   softmax → ·V` over K/V panels packed once per call (optionally
-//!   from a cached base with fresh rows laid over it); four score rows
-//!   at a time instead of an `[N, L]` matrix per head, over 16 keys per
-//!   score tile (then 8, 4 and 1).
+//! - [`mha_fused`] / [`mha_panels`] — tiled per-head `QKᵀ → softmax →
+//!   ·V` over K/V in the kernel's [`AttnPanels`] layout: packed per call
+//!   by `mha_fused`, packed once by whoever keeps them for `mha_panels`
+//!   (which can lay fresh rows over a copy of cached panels); four score
+//!   rows at a time instead of an `[N, L]` matrix per head, over 16 keys
+//!   per score tile (then 8, 4 and 1).
 //! - [`matmul_gelu`] — FFN up-projection with GeLU applied to each
 //!   output row as it is produced.
 
@@ -131,31 +132,159 @@ const QB: usize = 4;
 /// build's sixteen 8-lane registers).
 const KB: usize = 16;
 
-/// Fresh key/value rows laid over a cached base: row `j` of `k`/`v`
-/// replaces base row `rows[j]` — what `scatter_rows_into` on a clone of
-/// the base would produce, without the clone.
-#[derive(Debug, Clone, Copy)]
-pub struct FreshKv<'a> {
-    /// Fresh keys `[rows.len(), H]`.
-    pub k: &'a Tensor,
-    /// Fresh values `[rows.len(), H]`.
-    pub v: &'a Tensor,
-    /// Base row each fresh row replaces (on duplicates the last wins,
-    /// as in `scatter_rows_into`).
-    pub rows: &'a [usize],
+/// The attention kernel's key/value operands in the layout its stages
+/// read: `Kᵀ` as `[H, L]` — head `g`'s `K_gᵀ` is its rows
+/// `g·dh..(g+1)·dh` — and each head's `V_g` as a contiguous `[L, dh]`
+/// panel, `[heads, L, dh]` in all.
+///
+/// A pack is a copy, so attention over panels is bitwise attention over
+/// the `[L, H]` keys and values they were packed from. Keys and values
+/// that outlive one call are therefore kept packed: a session's
+/// cross-attention K/V and a template cache's K/V are packed once and
+/// read by [`mha_panels`], with no transpose per call.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AttnPanels {
+    kt: Tensor,
+    vp: Tensor,
+}
+
+impl AttnPanels {
+    /// Packs `[L, H]` keys and values for `heads` attention heads into
+    /// freshly allocated storage, never a [`scratch`] buffer: a pooled
+    /// buffer kept by a template cache or a session leaves the pool to
+    /// refill around it, and panels that die young are dropped, since
+    /// fresh buffers handed to the pool grow it (both measured in peak
+    /// RSS; DESIGN.md, "Tiled attention").
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when `k`/`v` are not rank-2 tensors of one shape
+    /// or `heads` does not divide their width.
+    pub fn pack(k: &Tensor, v: &Tensor, heads: usize) -> Result<Self> {
+        Self::pack_with(k, v, heads, |len| vec![0.0; len])
+    }
+
+    /// [`AttnPanels::pack`] into storage from `alloc`, which returns
+    /// `len` zeros.
+    fn pack_with(
+        k: &Tensor,
+        v: &Tensor,
+        heads: usize,
+        alloc: fn(usize) -> Vec<f32>,
+    ) -> Result<Self> {
+        let (l, h) = rank2_dims("attn_panels", k)?;
+        if rank2_dims("attn_panels", v)? != (l, h) || heads == 0 || h % heads != 0 {
+            return Err(TensorError::ShapeMismatch {
+                op: "attn_panels",
+                lhs: vec![l, h, heads],
+                rhs: v.dims().to_vec(),
+            });
+        }
+        let dh = h / heads;
+        let mut kt = alloc(h * l);
+        let mut vp = alloc(l * h);
+        // Transpose K eight rows at a time so every store run is
+        // contiguous in `kt`.
+        const TB: usize = 8;
+        let kd = k.data();
+        let blocked = l - l % TB;
+        for j in (0..blocked).step_by(TB) {
+            for c in 0..h {
+                for (t, o) in kt[c * l + j..][..TB].iter_mut().enumerate() {
+                    *o = kd[(j + t) * h + c];
+                }
+            }
+        }
+        for (j, krow) in kd.chunks_exact(h).enumerate().skip(blocked) {
+            put_k(&mut kt, l, j, krow);
+        }
+        for (j, vrow) in v.data().chunks_exact(h).enumerate() {
+            put_v(&mut vp, l, dh, j, vrow);
+        }
+        Ok(Self {
+            kt: Tensor::from_vec(kt, [h, l])?,
+            vp: Tensor::from_vec(vp, [heads, l, dh])?,
+        })
+    }
+
+    /// Reassembles panels from the two tensors [`AttnPanels::keys`] and
+    /// [`AttnPanels::values`] return (how a cache codec reads them
+    /// back).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error unless `kt` is `[H, L]` and `vp` is
+    /// `[heads, L, H / heads]` with `heads > 0`.
+    pub fn from_parts(kt: Tensor, vp: Tensor) -> Result<Self> {
+        let (h, l) = rank2_dims("attn_panels", &kt)?;
+        let ok = matches!(vp.dims(), &[heads, lv, dh] if heads > 0 && lv == l && heads * dh == h);
+        if !ok {
+            return Err(TensorError::ShapeMismatch {
+                op: "attn_panels",
+                lhs: kt.dims().to_vec(),
+                rhs: vp.dims().to_vec(),
+            });
+        }
+        Ok(Self { kt, vp })
+    }
+
+    /// `Kᵀ`, `[H, L]`.
+    pub fn keys(&self) -> &Tensor {
+        &self.kt
+    }
+
+    /// The per-head value panels, `[heads, L, dh]`.
+    pub fn values(&self) -> &Tensor {
+        &self.vp
+    }
+
+    /// Hands the storage of panels packed from scratch back to the pool.
+    fn recycle(self) {
+        self.kt.recycle();
+        self.vp.recycle();
+    }
+
+    fn view(&self) -> PanelView<'_> {
+        PanelView {
+            kt: self.kt.data(),
+            vp: self.vp.data(),
+            l: self.kt.dims()[1],
+            h: self.kt.dims()[0],
+            dh: self.vp.dims()[2],
+        }
+    }
+
+    /// A copy of these panels with key/value row `rows[j]` replaced by
+    /// row `j` of `k`/`v` (`[rows.len(), H]`; on duplicates the last
+    /// wins): a copy of each panel into scratch, with no zero fill, then
+    /// the fresh rows written over it.
+    fn overlaid(&self, k: &Tensor, v: &Tensor, rows: &[usize]) -> Result<Self> {
+        let PanelView { l, h, dh, .. } = self.view();
+        let mut kt = scratch::take_copy(self.kt.data());
+        let mut vp = scratch::take_copy(self.vp.data());
+        let fresh = k.data().chunks_exact(h).zip(v.data().chunks_exact(h));
+        for (&j, (krow, vrow)) in rows.iter().zip(fresh) {
+            put_k(&mut kt, l, j, krow);
+            put_v(&mut vp, l, dh, j, vrow);
+        }
+        Ok(Self {
+            kt: Tensor::from_vec(kt, self.kt.dims())?,
+            vp: Tensor::from_vec(vp, self.vp.dims())?,
+        })
+    }
 }
 
 /// Fused multi-head scaled-dot-product attention, pre-output-
-/// projection. Per head the keys are packed once as `K_hᵀ` (`[dh][L]`)
-/// and the values as `V_h` (`[L][dh]`); the score rows `q·Kᵀ·scale` of
-/// four queries are then `dh` axpys over contiguous keys, softmaxed in
-/// place, and their context `probs·V` accumulates in registers — never
-/// materializing an `[N, L]` score tensor.
+/// projection: packs `k`/`v` into [`AttnPanels`], then runs
+/// [`mha_panels`]' tiled kernel over them.
 ///
-/// Matches the composed `matmul_bt → scale → softmax_rows → matmul`
-/// path bitwise: every score is still `((0 + q₀k₀) + q₁k₁) + …` in
-/// ascending `d`, every context element `((0 + p₀v₀) + p₁v₁) + …` in
-/// ascending key order, and no `mul_add` is used; tiling only changes
+/// Per head the score rows `q·Kᵀ·scale` of four queries are `dh` axpys
+/// over contiguous keys, softmaxed in place, and their context
+/// `probs·V` accumulates in registers — never materializing an `[N, L]`
+/// score tensor. Matches the composed `matmul_bt → scale → softmax_rows
+/// → matmul` path bitwise: every score is still `((0 + q₀k₀) + q₁k₁) +
+/// …` in ascending `d`, every context element `((0 + p₀v₀) + p₁v₁) + …`
+/// in ascending key order, and no `mul_add` is used; tiling only changes
 /// which independent sums advance together.
 ///
 /// # Errors
@@ -164,37 +293,6 @@ pub struct FreshKv<'a> {
 /// divide the hidden dimension, or `k`/`v` have no rows (the composed
 /// path rejects a zero-width softmax the same way).
 pub fn mha_fused(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, scale: f32) -> Result<Tensor> {
-    mha(q, k, v, None, heads, scale)
-}
-
-/// [`mha_fused`] over a split key/value source: `k`/`v` with the rows
-/// named by `fresh` replaced. The pack stage reads each row from
-/// whichever side holds it, so the result is bitwise
-/// `mha_fused(q, scatter(k), scatter(v))` with no `[L, H]` copies.
-///
-/// # Errors
-///
-/// As [`mha_fused`]; additionally when the fresh tensors are not
-/// `[fresh.rows.len(), H]` or a row index is out of bounds.
-pub fn mha_fused_split(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    fresh: FreshKv<'_>,
-    heads: usize,
-    scale: f32,
-) -> Result<Tensor> {
-    mha(q, k, v, Some(fresh), heads, scale)
-}
-
-fn mha(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    fresh: Option<FreshKv<'_>>,
-    heads: usize,
-    scale: f32,
-) -> Result<Tensor> {
     let (n, h) = rank2_dims("mha_fused", q)?;
     let (l, hk) = rank2_dims("mha_fused", k)?;
     let (lv, hv) = rank2_dims("mha_fused", v)?;
@@ -205,17 +303,60 @@ fn mha(
             rhs: vec![l, hk, hv, lv],
         });
     }
-    if let Some(f) = &fresh {
-        for t in [f.k, f.v] {
-            if rank2_dims("mha_fused", t)? != (f.rows.len(), h) {
+    if l == 0 {
+        return Err(TensorError::Empty { op: "mha_fused" });
+    }
+    let _span = ktrace::span("mha_fused");
+    if n == 0 {
+        return Tensor::from_vec(Vec::new(), [0, h]);
+    }
+    let panels = AttnPanels::pack_with(k, v, heads, scratch::take)?;
+    let out = attend(q, panels.view(), scale);
+    panels.recycle();
+    out
+}
+
+/// [`mha_fused`] over keys and values already packed into `panels`,
+/// optionally with fresh rows laid over them: `fresh = (k, v, rows)`
+/// replaces key/value row `rows[j]` by row `j` of `k`/`v`
+/// (`[rows.len(), H]`; on duplicate rows the last wins). The result is
+/// bitwise `mha_fused(q, k', v', ..)` for the `[L, H]` keys and values
+/// `k'`/`v'` the panels were packed from, with the fresh rows scattered
+/// in. Without fresh rows nothing is copied; with them, each panel is
+/// copied once and the fresh rows overwrite it — never a transpose of
+/// all `L` keys. Reports the `mha_fused` kernel span.
+///
+/// # Errors
+///
+/// Returns an error when `q` is not as wide as the panels, the fresh
+/// tensors are not `[rows.len(), H]`, a row index is out of bounds, or
+/// the panels hold no keys.
+pub fn mha_panels(
+    q: &Tensor,
+    panels: &AttnPanels,
+    fresh: Option<(&Tensor, &Tensor, &[usize])>,
+    scale: f32,
+) -> Result<Tensor> {
+    let (n, h) = rank2_dims("mha_fused", q)?;
+    let PanelView { l, h: hp, .. } = panels.view();
+    if hp != h {
+        return Err(TensorError::ShapeMismatch {
+            op: "mha_fused",
+            lhs: vec![n, h],
+            rhs: vec![hp, l],
+        });
+    }
+    if let Some((k, v, rows)) = fresh {
+        for t in [k, v] {
+            if rank2_dims("mha_fused", t)? != (rows.len(), h) {
                 return Err(TensorError::ShapeMismatch {
                     op: "mha_fused",
-                    lhs: vec![f.rows.len(), h],
+                    lhs: vec![rows.len(), h],
                     rhs: t.dims().to_vec(),
                 });
             }
         }
-        if let Some(&bad) = f.rows.iter().find(|&&r| r >= l) {
+        if let Some(&bad) = rows.iter().find(|&&r| r >= l) {
             return Err(TensorError::IndexOutOfBounds {
                 op: "mha_fused",
                 index: bad,
@@ -224,19 +365,25 @@ fn mha(
         }
     }
     if l == 0 {
-        // The composed path feeds `[N, 0]` scores into softmax_rows,
-        // which rejects zero-width rows; keep that contract.
         return Err(TensorError::Empty { op: "mha_fused" });
     }
     let _span = ktrace::span("mha_fused");
-    let dh = h / heads;
-    let mut out = scratch::take(n * h);
-    if n == 0 {
-        return Tensor::from_vec(out, [n, h]);
+    match fresh {
+        _ if n == 0 => Tensor::from_vec(Vec::new(), [0, h]),
+        None => attend(q, panels.view(), scale),
+        Some((k, v, rows)) => {
+            let split = panels.overlaid(k, v, rows)?;
+            let out = attend(q, split.view(), scale);
+            split.recycle();
+            out
+        }
     }
-    // Pack once, outside the pooled region: every row chunk reads the
-    // same panels.
-    let panels = AttnPanels::pack(k.data(), v.data(), fresh, l, h, dh);
+}
+
+/// Attention of the rows of `q` (validated against `p`) over `p`.
+fn attend(q: &Tensor, p: PanelView<'_>, scale: f32) -> Result<Tensor> {
+    let (n, h, l) = (q.dims()[0], p.h, p.l);
+    let mut out = scratch::take(n * h);
     let qd = q.data();
     // A query row costs 0.25–0.33 ns per `h·l` in the AVX2 build (the
     // two matmul stages' 4·h·l multiply-adds plus the softmax), 12–16
@@ -252,76 +399,30 @@ fn mha(
             for (bi, oblock) in chunk.chunks_mut(QB * h).enumerate() {
                 let qblock = &qd[(r0 + bi * QB) * h..];
                 if oblock.len() == QB * h {
-                    panels.attend::<QB>(oblock, qblock, &mut probs, scale);
+                    p.attend::<QB>(oblock, qblock, &mut probs, scale);
                 } else {
                     for (orow, qrow) in oblock.chunks_exact_mut(h).zip(qblock.chunks_exact(h)) {
-                        panels.attend::<1>(orow, qrow, &mut probs, scale);
+                        p.attend::<1>(orow, qrow, &mut probs, scale);
                     }
                 }
             }
             scratch::give(probs);
         },
     );
-    panels.recycle();
     Tensor::from_vec(out, [n, h])
 }
 
-/// The attention kernel's packed operands: `kt` is `Kᵀ`, `[H][L]` —
-/// head `g`'s `K_gᵀ` is its rows `g·dh..(g+1)·dh` — and `vp` holds each
-/// head's `V_g` as a contiguous `[L][dh]` panel at `g·dh·L`.
-struct AttnPanels {
-    kt: Vec<f32>,
-    vp: Vec<f32>,
+/// [`AttnPanels`] as the slices and sizes the kernel's loops read.
+#[derive(Clone, Copy)]
+struct PanelView<'a> {
+    kt: &'a [f32],
+    vp: &'a [f32],
     l: usize,
     h: usize,
     dh: usize,
 }
 
-impl AttnPanels {
-    /// Packs the `[L, H]` keys and values, then lays the fresh rows
-    /// over them.
-    fn pack(
-        k: &[f32],
-        v: &[f32],
-        fresh: Option<FreshKv<'_>>,
-        l: usize,
-        h: usize,
-        dh: usize,
-    ) -> Self {
-        let mut kt = scratch::take(h * l);
-        let mut vp = scratch::take(l * h);
-        // Transpose K eight rows at a time so every store run is
-        // contiguous in `kt`.
-        const TB: usize = 8;
-        let blocked = l - l % TB;
-        for j in (0..blocked).step_by(TB) {
-            for c in 0..h {
-                for (t, o) in kt[c * l + j..][..TB].iter_mut().enumerate() {
-                    *o = k[(j + t) * h + c];
-                }
-            }
-        }
-        for (j, krow) in k.chunks_exact(h).enumerate().skip(blocked) {
-            put_k(&mut kt, l, j, krow);
-        }
-        for (j, vrow) in v.chunks_exact(h).enumerate() {
-            put_v(&mut vp, l, dh, j, vrow);
-        }
-        if let Some(f) = fresh {
-            let (fk, fv) = (f.k.data().chunks_exact(h), f.v.data().chunks_exact(h));
-            for (&j, (krow, vrow)) in f.rows.iter().zip(fk.zip(fv)) {
-                put_k(&mut kt, l, j, krow);
-                put_v(&mut vp, l, dh, j, vrow);
-            }
-        }
-        Self { kt, vp, l, h, dh }
-    }
-
-    fn recycle(self) {
-        scratch::give(self.kt);
-        scratch::give(self.vp);
-    }
-
+impl PanelView<'_> {
     /// Attention of `R` query rows (`q`, stride `h`) over every head,
     /// written to `out` (`R` rows of stride `h`). `probs` is `QB · l`
     /// scratch. Each of the three stages runs its AVX2 build where the
@@ -609,10 +710,11 @@ mod tests {
             );
             if pool::wide_isa_or_skip("every_key_count_matches_composition_and_the_baseline_build")
             {
-                let panels = AttnPanels::pack(k.data(), v.data(), None, l, h, h / heads);
-                let (base, wide) = attend_both_builds::<QB>(&panels, q.data(), scale);
+                let panels = AttnPanels::pack(&k, &v, heads).unwrap();
+                let (base, wide) = attend_both_builds::<QB>(panels.view(), q.data(), scale);
                 assert_eq!(base, wide, "l={l}, {QB} queries");
-                let (base, wide) = attend_both_builds::<1>(&panels, &q.data()[QB * h..], scale);
+                let (base, wide) =
+                    attend_both_builds::<1>(panels.view(), &q.data()[QB * h..], scale);
                 assert_eq!(base, wide, "l={l}, 1 query");
             }
         }
@@ -645,10 +747,12 @@ mod tests {
             crate::ops::scatter_rows_into(&mut k_full, &fk, &rows).unwrap();
             crate::ops::scatter_rows_into(&mut v_full, &fv, &rows).unwrap();
             let scale = 1.0 / ((h / heads) as f32).sqrt();
-            let fresh = FreshKv { k: &fk, v: &fv, rows: &rows };
+            let panels = AttnPanels::pack(&k, &v, heads).unwrap();
             let split = with_min_parallel_work(0, || {
-                mha_fused_split(&q, &k, &v, fresh, heads, scale).unwrap()
+                mha_panels(&q, &panels, Some((&fk, &fv, &rows)), scale).unwrap()
             });
+            // The cached panels themselves are never written.
+            proptest::prop_assert_eq!(&panels, &AttnPanels::pack(&k, &v, heads).unwrap());
             let dense = mha_fused(&q, &k_full, &v_full, heads, scale).unwrap();
             proptest::prop_assert_eq!(bits(&split), bits(&dense));
             proptest::prop_assert_eq!(
@@ -689,11 +793,11 @@ mod tests {
         }
     }
 
-    /// `R` query rows of `AttnPanels::attend` as bit patterns, from the
+    /// `R` query rows of `PanelView::attend` as bit patterns, from the
     /// baseline build (its three stages called directly, not through
     /// `with_wide_isa`) and as served (the AVX2 build on this host).
     fn attend_both_builds<const R: usize>(
-        p: &AttnPanels,
+        p: PanelView<'_>,
         q: &[f32],
         scale: f32,
     ) -> (Vec<u32>, Vec<u32>) {
@@ -756,13 +860,15 @@ mod tests {
                 let rows: Vec<usize> = (0..l).filter(|j| j % 3 == 1).collect();
                 let fk = Tensor::randn([rows.len(), h], &mut rng);
                 let fv = Tensor::randn([rows.len(), h], &mut rng);
-                let fresh = split.then_some(FreshKv { k: &fk, v: &fv, rows: &rows });
-                let panels = AttnPanels::pack(k.data(), v.data(), fresh, l, h, dh);
+                let mut panels = AttnPanels::pack(&k, &v, heads).unwrap();
+                if split {
+                    panels = panels.overlaid(&fk, &fv, &rows).unwrap();
+                }
                 let scale = scale_mul / (dh as f32).sqrt();
                 let (base, wide) = if four {
-                    attend_both_builds::<QB>(&panels, q.data(), scale)
+                    attend_both_builds::<QB>(panels.view(), q.data(), scale)
                 } else {
-                    attend_both_builds::<1>(&panels, q.data(), scale)
+                    attend_both_builds::<1>(panels.view(), q.data(), scale)
                 };
                 proptest::prop_assert_eq!(base, wide);
             }
@@ -770,12 +876,13 @@ mod tests {
     }
 
     #[test]
-    fn mha_fused_split_validates_fresh_rows() {
+    fn mha_panels_validates_fresh_rows() {
         let q = Tensor::zeros([2, 4]);
         let kv = Tensor::zeros([3, 4]);
+        let panels = AttnPanels::pack(&kv, &kv, 2).unwrap();
         let one = Tensor::zeros([1, 4]);
         let split = |k: &Tensor, v: &Tensor, rows: &[usize]| {
-            mha_fused_split(&q, &kv, &kv, FreshKv { k, v, rows }, 2, 1.0)
+            mha_panels(&q, &panels, Some((k, v, rows)), 1.0)
         };
         assert!(split(&one, &one, &[2]).is_ok());
         assert!(matches!(
@@ -784,6 +891,37 @@ mod tests {
         ));
         assert!(split(&one, &one, &[0, 1]).is_err(), "row count");
         assert!(split(&one, &Tensor::zeros([1, 6]), &[0]).is_err(), "width");
+        assert!(
+            mha_panels(&Tensor::zeros([2, 6]), &panels, None, 1.0).is_err(),
+            "query width"
+        );
+    }
+
+    #[test]
+    fn panels_reassemble_from_their_parts_and_validate_shapes() {
+        let mut rng = DetRng::new(16);
+        let k = Tensor::randn([5, 6], &mut rng);
+        let v = Tensor::randn([5, 6], &mut rng);
+        let p = AttnPanels::pack(&k, &v, 3).unwrap();
+        assert_eq!(
+            (p.keys().dims(), p.values().dims()),
+            (&[6, 5][..], &[3, 5, 2][..])
+        );
+        assert_eq!(p.keys(), &k.transpose().unwrap());
+        let back = AttnPanels::from_parts(p.keys().clone(), p.values().clone()).unwrap();
+        assert_eq!(back, p);
+        for (kt, vp) in [
+            ([6, 5], vec![3, 4, 2]),
+            ([6, 5], vec![4, 5, 2]),
+            ([5, 6], vec![3, 5, 2]),
+        ] {
+            let parts = AttnPanels::from_parts(Tensor::zeros(kt), Tensor::zeros(vp.clone()));
+            assert!(parts.is_err(), "{kt:?} / {vp:?}");
+        }
+        assert!(AttnPanels::from_parts(Tensor::zeros([0, 5]), Tensor::zeros([0, 5, 2])).is_err());
+        assert!(AttnPanels::pack(&k, &Tensor::zeros([4, 6]), 3).is_err());
+        assert!(AttnPanels::pack(&k, &v, 4).is_err(), "heads ∤ hidden");
+        assert!(AttnPanels::pack(&k, &v, 0).is_err());
     }
 
     #[test]

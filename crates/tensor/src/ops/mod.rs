@@ -33,7 +33,7 @@ pub mod sparse;
 
 pub use activation::{gelu, silu};
 pub use conv::conv3x3;
-pub use fused::{ada_layer_norm, matmul_gelu, mha_fused, mha_fused_split, FreshKv};
+pub use fused::{ada_layer_norm, matmul_gelu, mha_fused, mha_panels, AttnPanels};
 pub use gather::{gather_rows, scatter_rows_into};
 pub use matmul::{matmul, matmul_bt, matmul_naive};
 pub use norm::{group_norm, layer_norm, modulate};

@@ -50,6 +50,42 @@ pub fn softmax_rows(x: &Tensor) -> Result<Tensor> {
     Tensor::from_vec(out, [rows, cols])
 }
 
+/// A pass of the attention kernel's softmax stage, for
+/// [`softmax_stage_pass`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SoftmaxPass {
+    /// [`exp_f32`] of every element.
+    Exp,
+    /// The whole row softmax: maximum, shifted `exp_f32`, lane sum and
+    /// scale, over each row.
+    Row,
+}
+
+/// Runs `pass` in place over `data`, rows `cols` wide: through the AVX2
+/// build when `wide` is set and the host has AVX2, as the attention
+/// kernel runs its softmax stage, else through the baseline build, as
+/// [`softmax_rows`] runs on every host. No kernel calls this; it exists
+/// so a benchmark can time the two builds of the stage apart.
+pub fn softmax_stage_pass(data: &mut [f32], cols: usize, pass: SoftmaxPass, wide: bool) {
+    if wide {
+        pool::with_wide_isa(
+            #[inline(always)]
+            || stage_pass_body(data, cols, pass),
+        );
+    } else {
+        stage_pass_body(data, cols, pass);
+    }
+}
+
+/// [`softmax_stage_pass`]'s one body for both builds.
+#[inline(always)]
+fn stage_pass_body(data: &mut [f32], cols: usize, pass: SoftmaxPass) {
+    match pass {
+        SoftmaxPass::Exp => data.iter_mut().for_each(|v| *v = exp_f32(*v)),
+        SoftmaxPass::Row => data.chunks_exact_mut(cols).for_each(softmax_row_inplace),
+    }
+}
+
 /// Accumulator lanes of the row reductions: two SSE2 registers, and
 /// the width the reductions' results are defined over — see
 /// [`lane_sum`].
@@ -217,6 +253,21 @@ mod tests {
         let sx = softmax_rows(&x).unwrap();
         let sy = softmax_rows(&y).unwrap();
         assert!(sx.max_abs_diff(&sy).unwrap() < 1e-5);
+    }
+
+    #[test]
+    fn stage_passes_match_the_kernels_in_both_builds() {
+        let x = Tensor::randn([3, 37], &mut DetRng::new(9)).scale(3.0);
+        let want_row = softmax_rows(&x).unwrap();
+        let want_exp = x.map(exp_f32);
+        for wide in [false, true] {
+            let mut row = x.data().to_vec();
+            softmax_stage_pass(&mut row, 37, SoftmaxPass::Row, wide);
+            assert_eq!(row, want_row.data(), "row pass, wide {wide}");
+            let mut exp = x.data().to_vec();
+            softmax_stage_pass(&mut exp, 37, SoftmaxPass::Exp, wide);
+            assert_eq!(exp, want_exp.data(), "exp pass, wide {wide}");
+        }
     }
 
     #[test]

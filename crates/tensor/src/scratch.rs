@@ -9,9 +9,9 @@
 //!
 //! The pool is thread-local — each serving worker recycles its own
 //! buffers with no locking — and deterministic: [`take`] always returns
-//! a zero-filled buffer, so a recycled buffer is indistinguishable from
-//! a fresh `vec![0.0; n]` and kernel outputs cannot depend on what
-//! previously occupied the storage.
+//! a zero-filled buffer and [`take_copy`] an exact copy of its source,
+//! so a recycled buffer is indistinguishable from a fresh one and kernel
+//! outputs cannot depend on what previously occupied the storage.
 //!
 //! [`Tensor::recycle`]: crate::Tensor::recycle
 
@@ -49,6 +49,27 @@ pub struct Stats {
 /// Returns a zero-filled buffer of exactly `len` elements, reusing a
 /// recycled buffer when one is large enough (best fit by capacity).
 pub fn take(len: usize) -> Vec<f32> {
+    match recycled(len) {
+        Some(mut buf) => {
+            buf.resize(len, 0.0);
+            buf
+        }
+        None => vec![0.0; len],
+    }
+}
+
+/// Returns a copy of `src` in a pooled buffer — [`take`] then a copy,
+/// without the zero fill the copy would overwrite.
+pub fn take_copy(src: &[f32]) -> Vec<f32> {
+    let mut buf = recycled(src.len()).unwrap_or_else(|| Vec::with_capacity(src.len()));
+    buf.extend_from_slice(src);
+    buf
+}
+
+/// An emptied recycled buffer with room for `len` elements (best fit by
+/// capacity), counted as a hit; `None`, counted as a miss, when no
+/// pooled buffer is large enough.
+fn recycled(len: usize) -> Option<Vec<f32>> {
     POOL.with(|p| {
         let mut pool = p.borrow_mut();
         let best = pool
@@ -63,12 +84,11 @@ pub fn take(len: usize) -> Vec<f32> {
                 pool.stats.hits += 1;
                 let mut buf = pool.bufs.swap_remove(i);
                 buf.clear();
-                buf.resize(len, 0.0);
-                buf
+                Some(buf)
             }
             None => {
                 pool.stats.misses += 1;
-                vec![0.0; len]
+                None
             }
         }
     })
@@ -112,6 +132,15 @@ mod tests {
         give(buf);
         let again = take(8);
         assert_eq!(again, vec![0.0; 8]);
+    }
+
+    #[test]
+    fn take_copy_holds_exactly_the_source() {
+        let mut buf = take(9);
+        buf.iter_mut().for_each(|v| *v = 7.5);
+        give(buf);
+        let src = [1.0, -2.0, 3.5];
+        assert_eq!(take_copy(&src), src);
     }
 
     #[test]

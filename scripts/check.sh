@@ -59,12 +59,14 @@ echo "==> fps-tensor tests in release (AVX2 build vs baseline build, bitwise)"
 # tests only compare two vectorised builds when compiled with -O.
 cargo test --release -q -p fps-tensor
 
-echo "==> frozen whole-edit fingerprints in release"
+echo "==> fps-diffusion tests in release (frozen whole-edit fingerprints included)"
 # The benchmark serves the optimised build, where the kernels' register
 # tiles and AVX2 build are what actually runs; the workspace tests above
-# run unoptimised. The fingerprints pin whole-edit bits, so they must
-# hold in the build that is served, not only in the debug one.
-cargo test --release -q -p fps-diffusion --test frozen_fingerprint
+# run unoptimised. The fingerprints pin whole-edit bits, and the
+# gathered-chain tests pin the masked-row path against the scattered
+# one, so both must hold in the build that is served, not only in the
+# debug one.
+cargo test --release -q -p fps-diffusion
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -107,16 +109,21 @@ echo "==> benchmark/run.sh --smoke (BENCHMARK.json schema + output checks, ~1 mi
 # byte-checked. A schema and correctness check, not a measurement.
 benchmark/run.sh --smoke > /dev/null
 
-echo "==> seeded artifacts replay byte-identically (~3 s)"
+echo "==> seeded artifacts replay byte-identically (~16 s)"
 # Every virtual-time bench, and fig3's mask-ratio sampler, is seeded and
 # deterministic, so a rerun must reproduce its committed results/ files
 # to the byte. A refactor that moves one number fails here; a deliberate
 # change commits the new files. The full runs also assert each bin's own gates: the affinity
 # and chaos-recovery wins, the stage-graph disaggregation win, the
 # placement legacy fingerprint and the feedback-routing fetch-p95 win.
+# fig13_examples, table2_quality and ablation_kv_cache run real edits:
+# they pin the outputs of every serving strategy, including the
+# masked-only and naive paths the frozen fingerprints do not cover
+# (fig13's PPMs are the diffusers, fisedit, naive, teacache, flashps
+# and flashps-kv images).
 for bin in fig16_fleet fig_chaos_fleet fig_cache_placement fig_stagegraph \
     fig16_balance fig16_batching fig4_motivation ablation_cb_baselines fig9_pipeline \
-    fig3_mask_dist; do
+    fig3_mask_dist fig13_examples table2_quality ablation_kv_cache; do
     cargo run --release -q -p fps-bench --bin "$bin" > /dev/null
 done
 cargo run --release -q -p fps-bench --bin fig12_e2e -- --quick > /dev/null
@@ -128,6 +135,8 @@ git diff --exit-code -- \
     results/fig16_balance.txt results/fig16_batching.txt \
     results/fig4_motivation.txt results/ablation_cb_baselines.txt \
     results/fig9_pipeline.txt results/fig3_mask_dist.txt \
-    results/fig12_e2e.txt results/fig12_e2e.json
+    results/fig12_e2e.txt results/fig12_e2e.json \
+    results/fig13_examples.txt results/fig13_*.ppm \
+    results/table2_quality.txt results/ablation_kv_cache.txt
 
 echo "All checks passed."
