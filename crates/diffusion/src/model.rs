@@ -347,9 +347,7 @@ impl DiffusionModel {
         let mut x = if input_read {
             Rows::All(matmul(&latent, &self.in_proj)?)
         } else {
-            let lm = gather_rows(&latent, masked_idx)?;
-            let xm = matmul(&lm, &self.in_proj)?;
-            lm.recycle();
+            let xm = matmul(&gather_rows(&latent, masked_idx)?, &self.in_proj)?;
             Rows::Masked(xm, Rest::Unread)
         };
         latent.recycle();

@@ -664,16 +664,13 @@ impl EditPipeline {
         let next = if blend {
             let xm = gather_rows(&s.x, masked)?;
             let stepped = ddim_step(&xm, &eps, abar, abar_next)?;
-            xm.recycle();
-            let next = inpaint_blend(
+            inpaint_blend(
                 &stepped,
                 &s.z_template,
                 &s.template_noise,
                 abar_next,
                 masked,
-            )?;
-            stepped.recycle();
-            next
+            )?
         } else {
             ddim_step(&s.x, &eps, abar, abar_next)?
         };
