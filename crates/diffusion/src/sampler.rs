@@ -201,11 +201,11 @@ mod tests {
         let mut rng = DetRng::new(3);
         let template = Tensor::randn([5, 2], &mut rng);
         let noise = Tensor::randn([5, 2], &mut rng);
-        let x =
-            inpaint_blend(&Tensor::full([2, 2], 42.0), &template, &noise, 0.5, &[3, 1]).unwrap();
-        // Masked rows untouched.
-        assert!(x.row(1).unwrap().iter().all(|&v| v == 42.0));
-        assert!(x.row(3).unwrap().iter().all(|&v| v == 42.0));
+        let masked = Tensor::from_vec(vec![42.0, 42.0, 7.0, 7.0], [2, 2]).unwrap();
+        let x = inpaint_blend(&masked, &template, &noise, 0.5, &[3, 1]).unwrap();
+        // Masked row `j` lands at token `masked_idx[j]`.
+        assert_eq!(x.row(3).unwrap(), &[42.0, 42.0]);
+        assert_eq!(x.row(1).unwrap(), &[7.0, 7.0]);
         // Unmasked rows equal the re-noised template.
         let expected = noise_to_level(&template, &noise, 0.5).unwrap();
         for tok in [0usize, 2, 4] {

@@ -38,9 +38,9 @@ struct Pool {
 /// Counters describing the calling thread's scratch pool traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stats {
-    /// `take` calls satisfied from a recycled buffer.
+    /// `take`/`take_copy` calls satisfied from a recycled buffer.
     pub hits: u64,
-    /// `take` calls that fell back to a fresh allocation.
+    /// `take`/`take_copy` calls that fell back to a fresh allocation.
     pub misses: u64,
     /// Buffers handed back via `give`.
     pub returns: u64,
