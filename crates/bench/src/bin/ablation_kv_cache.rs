@@ -33,8 +33,8 @@ fn main() {
         for m in [0.1, 0.2, 0.35] {
             let batch = [BatchItem { mask_ratio: m }];
             let steps = cm.model.steps as f64;
-            let (y_lat, _) = cm.step_latency_mask_aware(&batch, false);
-            let (kv_lat, _) = cm.step_latency_mask_aware(&batch, true);
+            let y_lat = cm.step_latency_mask_aware(&batch, false).latency;
+            let kv_lat = cm.step_latency_mask_aware(&batch, true).latency;
             let y_s = y_lat.as_secs_f64() * steps;
             let kv_s = kv_lat.as_secs_f64() * steps;
             let y_gib = cm.model.cache_bytes_total(m) as f64 / (1u64 << 30) as f64;

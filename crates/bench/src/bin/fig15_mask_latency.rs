@@ -73,7 +73,9 @@ fn main() {
         let steps = cm.model.steps as f64;
         let full_lat = cm.step_latency_full(1).as_secs_f64() * steps;
         for &m in &ratios {
-            let (aware, _) = cm.step_latency_mask_aware(&[BatchItem { mask_ratio: m }], false);
+            let aware = cm
+                .step_latency_mask_aware(&[BatchItem { mask_ratio: m }], false)
+                .latency;
             let aware_lat = aware.as_secs_f64() * steps;
             table.row(&[
                 cm.model.name.clone(),
@@ -94,7 +96,9 @@ fn main() {
     for setup in eval_setup() {
         let cm = setup.cost_model();
         let full_lat = cm.step_latency_full(1).as_secs_f64();
-        let (aware, _) = cm.step_latency_mask_aware(&[BatchItem { mask_ratio: 0.2 }], false);
+        let aware = cm
+            .step_latency_mask_aware(&[BatchItem { mask_ratio: 0.2 }], false)
+            .latency;
         line.push_str(&format!(
             "{} {:.2}x  ",
             cm.model.name,

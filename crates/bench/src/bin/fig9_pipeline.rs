@@ -69,12 +69,12 @@ fn main() {
                 format!("{:.4}", naive_sync * cm.model.steps as f64),
                 format!("{:.2}x", naive_sync / ideal),
                 format!("{:.2}x", dp / ideal),
-                format!("{}/{}", plan.use_cache.iter().filter(|&&b| b).count(), n),
+                format!("{}/{}", plan.cached, n),
             ]);
             if trace_sink.is_enabled() && m == 0.11 {
                 let per_block = vec![costs; n];
                 let schemes: [(&str, Vec<bool>, bool); 3] = [
-                    ("dp", plan.use_cache.clone(), false),
+                    ("dp", plan.use_cache(), false),
                     ("strawman", vec![true; n], false),
                     ("naive", vec![true; n], true),
                 ];

@@ -42,12 +42,12 @@ fn replay_point(cm: &fps_serving::CostModel, ratio: f64) -> (Trace, Vec<SchemeBu
     let n = cm.model.blocks;
     let steps = cm.model.steps;
     let per_block = vec![costs; n];
-    let dp_plan = plan_uniform(n, costs);
+    let dp_plan = plan_uniform(n, costs).use_cache();
     let all_cached = vec![true; n];
 
     let sink = TraceSink::recording(Clock::Virtual);
     let schemes: [(&'static str, &[bool], bool); 3] = [
-        ("dp", &dp_plan.use_cache, false),
+        ("dp", &dp_plan, false),
         ("strawman", &all_cached, false),
         ("naive", &all_cached, true),
     ];

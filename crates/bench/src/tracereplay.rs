@@ -164,11 +164,11 @@ mod tests {
     #[test]
     fn pipelined_replay_matches_simulate_plan() {
         let c = costs(8);
-        let plan = plan_uniform(8, c[0]);
+        let plan = plan_uniform(8, c[0]).use_cache();
         let sink = TraceSink::recording(Clock::Virtual);
         let tracks = ReplayTracks::labelled(&sink, 0, "dp");
-        let finish = replay_request(&sink, tracks, 0, 3, &c, &plan.use_cache, false);
-        let per_step = simulate_plan(&c, &plan.use_cache).unwrap();
+        let finish = replay_request(&sink, tracks, 0, 3, &c, &plan, false);
+        let per_step = simulate_plan(&c, &plan).unwrap();
         assert_eq!(finish, 3 * per_step.as_nanos());
         let t = sink.drain().unwrap();
         assert_eq!(t.spans_named("request").count(), 1);

@@ -195,13 +195,14 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
         .unwrap_or(1);
     let cm = setup.cost_model();
     let items = vec![BatchItem { mask_ratio: ratio }; batch.max(1)];
-    let (latency, plan) = cm.step_latency_mask_aware(&items, false);
+    let plan = cm.step_latency_mask_aware(&items, false);
+    let latency = plan.latency;
     let full = cm.step_latency_full(batch.max(1));
     println!(
         "{} on {}: mask {ratio:.2}, batch {batch}",
         cm.model.name, cm.gpu.name
     );
-    let picto: String = plan.iter().map(|&c| if c { 'C' } else { 'F' }).collect();
+    let picto = "F".repeat(plan.full) + &"C".repeat(plan.cached);
     println!("Algorithm 1 plan (C = cached, F = full): {picto}");
     println!(
         "step latency {:.1} ms (full recompute {:.1} ms, {:.2}x); request ≈ {:.2}s over {} steps",

@@ -3,7 +3,7 @@
 //! For each candidate worker, the scheduler forms the hypothetical
 //! batch `running_batch + new_request`, estimates its per-step compute
 //! and cache-load latencies with the offline-fitted regression models
-//! (Fig. 11), runs Algorithm 1's pipeline DP over those estimates, and
+//! (Fig. 11), runs Algorithm 1's pipeline planner over those estimates, and
 //! scores the worker by the pipeline latency scaled by the batch's
 //! remaining denoising work. The request goes to the lowest-scoring
 //! worker.

@@ -423,11 +423,10 @@ impl FlashPs {
     /// Algorithm 1's block plan for a mask ratio under the planner's
     /// cost model (batch size 1).
     pub fn plan_for_ratio(&self, mask_ratio: f64) -> Vec<bool> {
-        let (_, plan) = self
-            .config
+        self.config
             .planner
-            .step_latency_mask_aware(&[BatchItem { mask_ratio }], self.config.capture_kv);
-        plan
+            .step_latency_mask_aware(&[BatchItem { mask_ratio }], self.config.capture_kv)
+            .use_cache()
     }
 
     /// Edits a registered template with FlashPS's mask-aware strategy.

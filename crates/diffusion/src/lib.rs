@@ -12,7 +12,7 @@
 //!   token.
 //! - **Mask-aware with cached Y** (FlashPS, Fig. 5-bottom): blocks
 //!   compute only masked tokens and replenish unmasked rows from the
-//!   activation cache; the bubble-free pipeline DP decides per block.
+//!   activation cache; the bubble-free pipeline plan decides per block.
 //! - **Mask-aware with cached K/V** (Fig. 7 alternative): masked queries
 //!   attend over cached full-length keys/values.
 //! - **Masked-only** (FISEdit-style): masked tokens only, no cache, no

@@ -22,7 +22,7 @@ pub mod replica;
 pub mod store;
 
 pub use error::CacheError;
-pub use pipeline::{BlockCosts, PipelinePlan};
+pub use pipeline::{BlockCosts, PipelinePlan, TailPlan};
 pub use placement::{
     PlacementContext, PlacementPlan, PlacementPolicy, PlacementSpec, PopularityPolicy,
     RingOrderPolicy, ShardBudget,

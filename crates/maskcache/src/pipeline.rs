@@ -1,4 +1,4 @@
-//! Algorithm 1: the bubble-free pipeline dynamic program.
+//! Algorithm 1: the bubble-free pipeline planner.
 //!
 //! Model (Fig. 9 of the paper): a denoising step runs `N` transformer
 //! blocks in order on the *compute stream* while cached activations
@@ -14,10 +14,11 @@
 //!
 //! The objective is the compute stream's finish time. When per-block
 //! costs are uniform (the common case: every block of a model has the
-//! same shape) an O(N²) DP over `(block, #cached)` is exact because a
-//! block's cache-ready time depends only on how many loads precede it.
-//! For heterogeneous costs a Pareto-frontier DP over
-//! `(compute_finish, load_finish)` states is used.
+//! same shape) the optimum has a closed form: compute the first `N − j`
+//! blocks in full and cache the last `j`, for the best `j` — an O(N)
+//! scan ([`plan_uniform`]), the paper's O(N) planner. For heterogeneous
+//! costs a Pareto-frontier DP over `(compute_finish, load_finish)`
+//! states is used.
 
 use fps_simtime::SimDuration;
 
@@ -46,6 +47,53 @@ pub struct PipelinePlan {
     pub latency: SimDuration,
 }
 
+/// Algorithm 1's plan under uniform per-block costs: the first `full`
+/// blocks compute without cache and the last `cached` consume cached
+/// activations.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TailPlan {
+    /// Leading blocks computed without cache.
+    pub full: usize,
+    /// Trailing blocks that consume cached activations.
+    pub cached: usize,
+    /// End-to-end latency of the compute stream under this plan.
+    pub latency: SimDuration,
+}
+
+impl TailPlan {
+    /// Number of blocks the plan covers.
+    pub fn blocks(&self) -> usize {
+        self.full + self.cached
+    }
+
+    /// The per-block decisions (`true` → the block consumes cached
+    /// activations), for callers that apply the plan block by block.
+    pub fn use_cache(&self) -> Vec<bool> {
+        let mut decisions = vec![false; self.full];
+        decisions.resize(self.blocks(), true);
+        decisions
+    }
+}
+
+/// Compute-stream finish time of blocks run in order with the given
+/// decisions. Loads are issued eagerly in block order on the copy
+/// stream; block `i`'s compute starts at `max(compute_finish, its
+/// load's finish)`.
+fn walk<'a>(blocks: impl Iterator<Item = (&'a BlockCosts, bool)>) -> SimDuration {
+    let mut compute_finish = SimDuration::ZERO;
+    let mut load_finish = SimDuration::ZERO;
+    for (c, cached) in blocks {
+        if cached {
+            load_finish += c.load;
+            let start = compute_finish.max(load_finish);
+            compute_finish = start + c.compute_cached;
+        } else {
+            compute_finish += c.compute_full;
+        }
+    }
+    compute_finish
+}
+
 /// Evaluates the pipeline latency of a given plan.
 ///
 /// Loads are issued eagerly in block order on the copy stream; block
@@ -64,18 +112,7 @@ pub fn simulate_plan(costs: &[BlockCosts], use_cache: &[bool]) -> Result<SimDura
             ),
         });
     }
-    let mut compute_finish = SimDuration::ZERO;
-    let mut load_finish = SimDuration::ZERO;
-    for (c, &cached) in costs.iter().zip(use_cache.iter()) {
-        if cached {
-            load_finish += c.load;
-            let start = compute_finish.max(load_finish);
-            compute_finish = start + c.compute_cached;
-        } else {
-            compute_finish += c.compute_full;
-        }
-    }
-    Ok(compute_finish)
+    Ok(walk(costs.iter().zip(use_cache.iter().copied())))
 }
 
 /// Naive sequential schedule (Fig. 9-top): load *all* cached
@@ -91,7 +128,7 @@ pub fn naive_sequential_latency(costs: &[BlockCosts]) -> SimDuration {
 /// Strawman pipeline (Fig. 9-middle): every block uses cache, loads
 /// overlapped block-wise — bubbles appear when loads outpace compute.
 pub fn strawman_pipeline_latency(costs: &[BlockCosts]) -> SimDuration {
-    simulate_plan(costs, &vec![true; costs.len()]).expect("lengths match by construction")
+    walk(costs.iter().map(|c| (c, true)))
 }
 
 /// Ideal latency (Fig. 4-left "ideal"): cached compute with load
@@ -102,76 +139,56 @@ pub fn ideal_latency(costs: &[BlockCosts]) -> SimDuration {
         .fold(SimDuration::ZERO, |acc, c| acc + c.compute_cached)
 }
 
-/// Algorithm 1 for uniform per-block costs: O(N²) DP over
-/// `(block index, number of cached blocks so far)`.
+/// Algorithm 1 for uniform per-block costs, in closed form: an O(N)
+/// scan that allocates nothing.
 ///
-/// Exactness: with uniform costs, the copy stream finishes the `j`-th
-/// issued load at `j · load`, so a cached block's ready time depends
-/// only on its rank among cached blocks — captured by the DP state.
-pub fn plan_uniform(n_blocks: usize, costs: BlockCosts) -> PipelinePlan {
-    if n_blocks == 0 {
-        return PipelinePlan {
-            use_cache: Vec::new(),
-            latency: SimDuration::ZERO,
-        };
-    }
+/// With `C_f = compute_full`, `C_c = compute_cached` and `L = load`,
+/// computing the first `N − j` blocks in full and caching the last `j`
+/// finishes at
+///
+/// ```text
+/// finish(0) = N·C_f
+/// finish(j) = max((N − j)·C_f + j·C_c,  j·L + C_c,  L + j·C_c)
+/// ```
+///
+/// The first term is compute-bound; the other two bound the stall
+/// behind the `k`-th load (ready at `k·L`, followed by `j − k + 1`
+/// cached blocks) at its extremes `k = j` and `k = 1`. A cached tail is
+/// optimal: in the exact DP over (block `i`, `j` cached so far), with
+/// `A = (i − j)·C_f + j·C_c`, `B_0 = 0` and
+/// `B_j = max(j·L + C_c, L + j·C_c)`,
+/// 1. the best `i`-block prefix with `j` cached finishes at
+///    `max(A, B_j)`, by induction on `i`;
+/// 2. reaching `(i + 1, j)` by a full block costs `max(A', B_j + C_f)`
+///    and by a cached one `max(A', B_j)`, where `A' = A + C_f`;
+/// 3. so the last block of any optimal prefix with `j ≥ 1` is cached,
+///    and the cached blocks form the tail.
+///
+/// Ties go to the smallest `j`. Products saturate, and
+/// `latency == simulate_plan(.., &plan.use_cache())` for every input.
+pub fn plan_uniform(n_blocks: usize, costs: BlockCosts) -> TailPlan {
     let load = costs.load.as_nanos();
     let cc = costs.compute_cached.as_nanos();
     let cf = costs.compute_full.as_nanos();
-    const INF: u64 = u64::MAX / 4;
-    // dp[j] = minimal compute-finish after the current prefix with j
-    // cached blocks; parent[i][j] = whether block i-1 was cached on the
-    // optimal path reaching (i, j).
-    let mut dp = vec![INF; n_blocks + 1];
-    dp[0] = 0;
-    let mut parent = vec![vec![false; n_blocks + 1]; n_blocks + 1];
-    for i in 0..n_blocks {
-        let mut next = vec![INF; n_blocks + 1];
-        let mut choice = vec![false; n_blocks + 1];
-        for j in 0..=i {
-            let cur = dp[j];
-            if cur >= INF {
-                continue;
-            }
-            // Skip cache.
-            let skip = cur + cf;
-            if skip < next[j] {
-                next[j] = skip;
-                choice[j] = false;
-            }
-            // Use cache: this is the (j+1)-th load, ready at (j+1)·load.
-            let ready = (j as u64 + 1) * load;
-            let use_c = cur.max(ready) + cc;
-            if use_c < next[j + 1] {
-                next[j + 1] = use_c;
-                choice[j + 1] = true;
-            }
-        }
-        dp = next;
-        parent[i + 1] = choice;
-    }
-    // Best final state.
-    let (best_j, &best) = dp
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, &v)| v)
-        .expect("dp is non-empty");
-    // Backtrack decisions.
-    let mut use_cache = vec![false; n_blocks];
-    let mut j = best_j;
-    for i in (0..n_blocks).rev() {
-        let cached = parent[i + 1][j];
-        use_cache[i] = cached;
-        if cached {
-            j -= 1;
+    let n = n_blocks as u64;
+    let (mut cached, mut latency) = (0, n.saturating_mul(cf));
+    for j in 1..=n_blocks {
+        let jn = j as u64;
+        let compute = (n - jn)
+            .saturating_mul(cf)
+            .saturating_add(jn.saturating_mul(cc));
+        let last_load = jn.saturating_mul(load).saturating_add(cc);
+        let first_load = load.saturating_add(jn.saturating_mul(cc));
+        let finish = compute.max(last_load).max(first_load);
+        if finish < latency {
+            (cached, latency) = (j, finish);
         }
     }
-    // Recompute exactly through the simulator to keep the invariant
-    // latency == simulate_plan(plan).
-    let costs_vec = vec![costs; n_blocks];
-    let latency = simulate_plan(&costs_vec, &use_cache).expect("lengths match");
-    debug_assert_eq!(latency.as_nanos(), best);
-    PipelinePlan { use_cache, latency }
+    TailPlan {
+        full: n_blocks - cached,
+        cached,
+        latency: SimDuration::from_nanos(latency),
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -226,6 +243,8 @@ pub fn plan_general(costs: &[BlockCosts]) -> PipelinePlan {
         }
         frontier = pruned;
     }
+    // Pruning keeps the least-load state and skipping adds no load, so
+    // the frontier is never empty.
     let best = frontier
         .into_iter()
         .min_by_key(|s| s.compute_finish)
@@ -241,16 +260,16 @@ pub fn plan_general(costs: &[BlockCosts]) -> PipelinePlan {
 pub fn plan_brute_force(costs: &[BlockCosts]) -> PipelinePlan {
     let n = costs.len();
     assert!(n <= 20, "brute force is exponential; use plan_general");
+    let decisions = |bits: u32| (0..n).map(move |i| bits >> i & 1 == 1);
     let mut best = PipelinePlan {
         use_cache: vec![false; n],
-        latency: simulate_plan(costs, &vec![false; n]).expect("lengths match"),
+        latency: walk(costs.iter().zip(decisions(0))),
     };
     for bits in 0u32..(1u32 << n) {
-        let plan: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-        let lat = simulate_plan(costs, &plan).expect("lengths match");
+        let lat = walk(costs.iter().zip(decisions(bits)));
         if lat < best.latency {
             best = PipelinePlan {
-                use_cache: plan,
+                use_cache: decisions(bits).collect(),
                 latency: lat,
             };
         }
@@ -275,13 +294,126 @@ mod tests {
         }
     }
 
+    /// The O(N²) DP over `(block index, number of cached blocks so far)`
+    /// that `plan_uniform` replaced, kept as its differential reference.
+    ///
+    /// Exactness: with uniform costs, the copy stream finishes the `j`-th
+    /// issued load at `j · load`, so a cached block's ready time depends
+    /// only on its rank among cached blocks — captured by the DP state.
+    fn plan_uniform_dp(n_blocks: usize, costs: BlockCosts) -> PipelinePlan {
+        if n_blocks == 0 {
+            return PipelinePlan {
+                use_cache: Vec::new(),
+                latency: SimDuration::ZERO,
+            };
+        }
+        let load = costs.load.as_nanos();
+        let cc = costs.compute_cached.as_nanos();
+        let cf = costs.compute_full.as_nanos();
+        const INF: u64 = u64::MAX / 4;
+        // dp[j] = minimal compute-finish after the current prefix with j
+        // cached blocks; parent[i][j] = whether block i-1 was cached on the
+        // optimal path reaching (i, j).
+        let mut dp = vec![INF; n_blocks + 1];
+        dp[0] = 0;
+        let mut parent = vec![vec![false; n_blocks + 1]; n_blocks + 1];
+        for i in 0..n_blocks {
+            let mut next = vec![INF; n_blocks + 1];
+            let mut choice = vec![false; n_blocks + 1];
+            for j in 0..=i {
+                let cur = dp[j];
+                if cur >= INF {
+                    continue;
+                }
+                // Skip cache.
+                let skip = cur + cf;
+                if skip < next[j] {
+                    next[j] = skip;
+                    choice[j] = false;
+                }
+                // Use cache: this is the (j+1)-th load, ready at (j+1)·load.
+                let ready = (j as u64 + 1) * load;
+                let use_c = cur.max(ready) + cc;
+                if use_c < next[j + 1] {
+                    next[j + 1] = use_c;
+                    choice[j + 1] = true;
+                }
+            }
+            dp = next;
+            parent[i + 1] = choice;
+        }
+        // Best final state.
+        let (best_j, &best) = dp
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &v)| v)
+            .expect("dp is non-empty");
+        // Backtrack decisions.
+        let mut use_cache = vec![false; n_blocks];
+        let mut j = best_j;
+        for i in (0..n_blocks).rev() {
+            let cached = parent[i + 1][j];
+            use_cache[i] = cached;
+            if cached {
+                j -= 1;
+            }
+        }
+        // Recompute exactly through the simulator to keep the invariant
+        // latency == simulate_plan(plan).
+        let costs_vec = vec![costs; n_blocks];
+        let latency = simulate_plan(&costs_vec, &use_cache).expect("lengths match");
+        debug_assert_eq!(latency.as_nanos(), best);
+        PipelinePlan { use_cache, latency }
+    }
+
+    /// `plan_uniform` against the DP, `simulate_plan` and (for small
+    /// `n`) brute force: the plan vector and latency bit for bit.
+    fn assert_matches_references(n: usize, c: BlockCosts) {
+        let plan = plan_uniform(n, c);
+        let use_cache = plan.use_cache();
+        let dp = plan_uniform_dp(n, c);
+        assert_eq!(use_cache, dp.use_cache, "n={n} {c:?}: plan vector");
+        assert_eq!(plan.latency, dp.latency, "n={n} {c:?}: latency");
+        assert_eq!(
+            simulate_plan(&vec![c; n], &use_cache).unwrap(),
+            plan.latency,
+            "n={n} {c:?}: simulated latency"
+        );
+        if n <= 12 {
+            assert_eq!(
+                plan_brute_force(&vec![c; n]).latency,
+                plan.latency,
+                "n={n} {c:?}: brute force"
+            );
+        }
+    }
+
+    /// One cost triple from a regime the closed form must get right:
+    /// nanosecond ties, costs up to 1 s, zero loads, `C_cached =
+    /// C_full`, `C_cached > C_full`, loads ≫ compute, and constructed
+    /// exact ties between caching every block and all but the first.
+    fn regime_costs(regime: u8, tiny: (u64, u64, u64), wide: (u64, u64, u64)) -> BlockCosts {
+        let (ta, tb, tc) = tiny;
+        let (wa, wb, wc) = wide;
+        match regime {
+            0 => costs(ta, tb, tc),
+            1 => costs(wa, wb, wc),
+            2 => costs(wa.min(wb), wa.max(wb), 0),
+            3 => costs(wa, wa, wc),
+            4 => costs(wa.max(wb), wa.min(wb), wc),
+            5 => costs(ta, ta + tb, wc),
+            // finish(N) = L + N·C_c = C_f + (N − 1)·C_c = finish(N − 1).
+            _ => costs(wa.max(wb), wa.max(wb) + wa.min(wb), wa.min(wb)),
+        }
+    }
+
     #[test]
     fn compute_bound_case_caches_everything() {
         // Loads are cheap: caching every block is optimal and the
         // pipeline hides all but the first load.
         let c = costs(10, 100, 2);
         let plan = plan_uniform(8, c);
-        assert!(plan.use_cache.iter().all(|&b| b));
+        assert_eq!((plan.full, plan.cached), (0, 8));
         // First block waits for its load (2), then compute dominates.
         assert_eq!(plan.latency, ns(2 + 8 * 10));
     }
@@ -301,8 +433,8 @@ mod tests {
             plan.latency,
             strawman
         );
-        assert!(plan.use_cache.iter().any(|&b| !b), "some blocks skip cache");
-        assert!(plan.use_cache.iter().any(|&b| b), "some blocks still cache");
+        assert!(plan.full > 0, "some blocks skip cache");
+        assert!(plan.cached > 0, "some blocks still cache");
     }
 
     #[test]
@@ -316,14 +448,14 @@ mod tests {
         let c = costs(50, 60, 100);
         let plan = plan_uniform(6, c);
         assert!(plan.latency < ns(6 * 60));
-        assert!(plan.use_cache.iter().any(|&b| b));
+        assert!(plan.cached > 0);
         assert_eq!(plan.latency, plan_brute_force(&[c; 6]).latency);
     }
 
     #[test]
     fn zero_blocks() {
         let plan = plan_uniform(0, costs(1, 2, 3));
-        assert!(plan.use_cache.is_empty());
+        assert!(plan.use_cache().is_empty());
         assert_eq!(plan.latency, SimDuration::ZERO);
     }
 
@@ -404,10 +536,80 @@ mod tests {
         let c = costs(50, 60, 10);
         let plan = plan_uniform(6, c);
         // Fully cached: first load (10) then compute-bound, 10 + 6·50.
-        // (Computing the first block in full instead ties at 60 + 5·50;
-        // either plan is optimal.)
+        // Computing the first block in full instead ties at 60 + 5·50;
+        // ties go to the fewest cached blocks, as in the DP.
         assert_eq!(plan.latency, ns(10 + 6 * 50));
-        assert!(plan.use_cache.iter().filter(|&&b| b).count() >= 5);
+        assert_eq!((plan.full, plan.cached), (1, 5));
+        assert_matches_references(6, c);
+    }
+
+    #[test]
+    fn uniform_matches_dp_on_fixed_cases() {
+        for (cc, cf, ld) in [
+            (10, 100, 2),
+            (10, 25, 40),
+            (50, 60, 100),
+            (50, 60, 10),
+            (0, 0, 0),
+            (5, 5, 5),
+            (7, 3, 1),
+            (1, 1, 0),
+            (0, 1, 1_000_000_000),
+        ] {
+            for n in [0usize, 1, 2, 3, 6, 12, 57, 128] {
+                assert_matches_references(n, costs(cc, cf, ld));
+            }
+        }
+    }
+
+    #[test]
+    fn use_cache_caches_the_tail() {
+        let plan = TailPlan {
+            full: 2,
+            cached: 3,
+            latency: SimDuration::ZERO,
+        };
+        assert_eq!(plan.use_cache(), [false, false, true, true, true]);
+        assert_eq!(plan.blocks(), 5);
+    }
+
+    #[test]
+    fn extreme_costs_saturate_without_panicking() {
+        let max = SimDuration::from_nanos(u64::MAX);
+        for c in [
+            BlockCosts {
+                compute_cached: max,
+                compute_full: max,
+                load: max,
+            },
+            costs(u64::MAX / 3, u64::MAX / 2, 1),
+            costs(1, u64::MAX / 2, u64::MAX / 3),
+        ] {
+            for n in [1usize, 57, 1000] {
+                let plan = plan_uniform(n, c);
+                assert_eq!(plan.blocks(), n);
+                assert_eq!(
+                    simulate_plan(&vec![c; n], &plan.use_cache()).unwrap(),
+                    plan.latency
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_uniform_matches_dp(
+            regime in 0u8..7,
+            tiny in (0u64..10, 0u64..10, 0u64..10),
+            wide in (0u64..1_000_000_000, 0u64..1_000_000_000, 0u64..1_000_000_000),
+            n in 0usize..=128,
+        ) {
+            let c = regime_costs(regime, tiny, wide);
+            assert_matches_references(n, c);
+            assert_matches_references(n % 13, c);
+        }
     }
 
     proptest! {

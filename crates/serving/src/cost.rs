@@ -243,20 +243,23 @@ impl CostModel {
         }
     }
 
-    /// Latency of one mask-aware step for a batch: Algorithm 1's
-    /// optimal pipeline over the per-block costs. Also returns the
-    /// per-block cache decisions.
+    /// One mask-aware step for a batch: Algorithm 1's optimal pipeline
+    /// over the per-block costs, with its latency and the number of
+    /// trailing blocks that use the cache. Allocates nothing.
     pub fn step_latency_mask_aware(
         &self,
         batch: &[BatchItem],
         kv_variant: bool,
-    ) -> (SimDuration, Vec<bool>) {
+    ) -> fps_maskcache::TailPlan {
         if batch.is_empty() {
-            return (SimDuration::ZERO, Vec::new());
+            return fps_maskcache::TailPlan {
+                full: 0,
+                cached: 0,
+                latency: SimDuration::ZERO,
+            };
         }
         let costs = self.mask_aware_block_costs(batch, kv_variant);
-        let plan = fps_maskcache::pipeline::plan_uniform(self.model.blocks, costs);
-        (plan.latency, plan.use_cache)
+        fps_maskcache::pipeline::plan_uniform(self.model.blocks, costs)
     }
 
     /// Latency of one FISEdit-style sparse step: masked tokens only,
@@ -322,9 +325,10 @@ mod tests {
         let cm = h800_sdxl();
         let batch = vec![BatchItem { mask_ratio: 0.2 }; 4];
         let full = cm.step_latency_full(4);
-        let (aware, plan) = cm.step_latency_mask_aware(&batch, false);
+        let plan = cm.step_latency_mask_aware(&batch, false);
+        let aware = plan.latency;
         assert!(aware < full, "mask-aware {aware} should beat full {full}");
-        assert_eq!(plan.len(), cm.model.blocks);
+        assert_eq!(plan.blocks(), cm.model.blocks);
         // The paper reports ~2.2× speedup for SDXL at m = 0.2 including
         // loading overheads; expect the same ballpark (1.5–4×).
         let speedup = full.as_secs_f64() / aware.as_secs_f64();
@@ -338,7 +342,7 @@ mod tests {
         let cm = h800_sdxl();
         let lat = |m: f64| {
             cm.step_latency_mask_aware(&[BatchItem { mask_ratio: m }], false)
-                .0
+                .latency
                 .as_secs_f64()
         };
         let l01 = lat(0.1);
@@ -357,7 +361,7 @@ mod tests {
         // well below the FLOP ratio.
         let cm = CostModel::new(GpuSpec::h800(), ModelConfig::paper_flux());
         let item = BatchItem { mask_ratio: 0.11 };
-        let (aware_1, _) = cm.step_latency_mask_aware(&[item], false);
+        let aware_1 = cm.step_latency_mask_aware(&[item], false).latency;
         let full_1 = cm.step_latency_full(1);
         let flop_ratio = 0.11f64;
         let latency_ratio = aware_1.as_secs_f64() / full_1.as_secs_f64();
@@ -367,7 +371,7 @@ mod tests {
         );
         // Batching restores the advantage: per-request step time at
         // B=8 is much lower than at B=1.
-        let (aware_8, _) = cm.step_latency_mask_aware(&[item; 8], false);
+        let aware_8 = cm.step_latency_mask_aware(&[item; 8], false).latency;
         let per_req_8 = aware_8.as_secs_f64() / 8.0;
         let per_req_1 = aware_1.as_secs_f64();
         assert!(
@@ -407,9 +411,9 @@ mod tests {
     #[test]
     fn empty_batch_is_free() {
         let cm = h800_sdxl();
-        let (lat, plan) = cm.step_latency_mask_aware(&[], false);
-        assert_eq!(lat, SimDuration::ZERO);
-        assert!(plan.is_empty());
+        let plan = cm.step_latency_mask_aware(&[], false);
+        assert_eq!(plan.latency, SimDuration::ZERO);
+        assert_eq!(plan.blocks(), 0);
     }
 
     #[test]

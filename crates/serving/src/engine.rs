@@ -62,7 +62,7 @@ impl EngineKind {
         }
         match *self {
             Self::Diffusers => cm.step_latency_full(batch.len()),
-            Self::FlashPs { kv } => cm.step_latency_mask_aware(batch, kv).0,
+            Self::FlashPs { kv } => cm.step_latency_mask_aware(batch, kv).latency,
             Self::FisEdit => cm.step_latency_sparse(batch),
             Self::TeaCache { compute_fraction } => cm
                 .step_latency_full(batch.len())

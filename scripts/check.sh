@@ -109,7 +109,7 @@ echo "==> benchmark/run.sh --smoke (BENCHMARK.json schema + output checks, ~1 mi
 # byte-checked. A schema and correctness check, not a measurement.
 benchmark/run.sh --smoke > /dev/null
 
-echo "==> seeded artifacts replay byte-identically (~16 s)"
+echo "==> seeded artifacts replay byte-identically (~18 s)"
 # Every virtual-time bench, and fig3's mask-ratio sampler, is seeded and
 # deterministic, so a rerun must reproduce its committed results/ files
 # to the byte. A refactor that moves one number fails here; a deliberate
@@ -120,10 +120,14 @@ echo "==> seeded artifacts replay byte-identically (~16 s)"
 # they pin the outputs of every serving strategy, including the
 # masked-only and naive paths the frozen fingerprints do not cover
 # (fig13's PPMs are the diffusers, fisedit, naive, teacache, flashps
-# and flashps-kv images).
+# and flashps-kv images). fig14_throughput, fig11_regression and
+# table1_flops pin the cost model and the Algorithm 1 plans it feeds;
+# fig6_similarity and ablation_storage pin the seeded activation
+# similarity and the storage tiers.
 for bin in fig16_fleet fig_chaos_fleet fig_cache_placement fig_stagegraph \
     fig16_balance fig16_batching fig4_motivation ablation_cb_baselines fig9_pipeline \
-    fig3_mask_dist fig13_examples table2_quality ablation_kv_cache; do
+    fig3_mask_dist fig13_examples table2_quality ablation_kv_cache \
+    fig14_throughput ablation_storage fig11_regression fig6_similarity table1_flops; do
     cargo run --release -q -p fps-bench --bin "$bin" > /dev/null
 done
 cargo run --release -q -p fps-bench --bin fig12_e2e -- --quick > /dev/null
@@ -137,6 +141,9 @@ git diff --exit-code -- \
     results/fig9_pipeline.txt results/fig3_mask_dist.txt \
     results/fig12_e2e.txt results/fig12_e2e.json \
     results/fig13_examples.txt results/fig13_*.ppm \
-    results/table2_quality.txt results/ablation_kv_cache.txt
+    results/table2_quality.txt results/ablation_kv_cache.txt \
+    results/fig14_throughput.txt results/ablation_storage.txt \
+    results/fig11_regression.txt results/fig6_similarity.txt \
+    results/table1_flops.txt
 
 echo "All checks passed."

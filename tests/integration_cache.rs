@@ -28,7 +28,8 @@ fn dp_plans_from_real_cost_models_are_optimal() {
                 let bf = plan_brute_force(&vec![costs; cm.model.blocks]);
                 assert_eq!(dp.latency, bf.latency, "{} m={m} b={b}", cm.model.name);
                 assert_eq!(
-                    simulate_plan(&vec![costs; cm.model.blocks], &dp.use_cache).expect("simulate"),
+                    simulate_plan(&vec![costs; cm.model.blocks], &dp.use_cache())
+                        .expect("simulate"),
                     dp.latency
                 );
             }
