@@ -80,8 +80,8 @@ fn main() {
         let mut min_unmasked: f32 = 1.0;
         let mut sum_masked = 0.0f32;
         for b in 0..cfg.blocks {
-            let ya = &cap_a.blocks[b].y;
-            let yb = &cap_b.blocks[b].y;
+            let ya = cap_a.blocks[b].y().expect("primed without K/V");
+            let yb = cap_b.blocks[b].y().expect("primed without K/V");
             let mean_cos = |idx: &[usize]| -> f32 {
                 let mut acc = 0.0;
                 for &i in idx {

@@ -41,8 +41,10 @@ pub struct FlashPsConfig {
     /// preset's architecture on an H800.
     pub planner: CostModel,
     /// Capture K/V activations at priming (enables the Fig. 7
-    /// variant). A K/V template holds Y, K and V: 3× the bytes of a
-    /// Y-only one (4,976,640 against 1,658,880 B on sdxl-like).
+    /// variant). A K/V template holds K and V and no Y: 2× the bytes of
+    /// a Y-only one (3,317,760 against 1,658,880 B on sdxl-like), as
+    /// the paper and the cost model size it. The Y strategy serves
+    /// from it too, reading the panels in place of Y.
     pub capture_kv: bool,
     /// Host-memory budget for primed template caches, in bytes
     /// (`u64::MAX` = unbounded). When a registration would exceed the
@@ -337,7 +339,7 @@ impl FlashPs {
     /// fit the budget.
     fn admit(&mut self, cache: TemplateCache, image: Image) -> Result<()> {
         let template_id = cache.template_id;
-        let bytes = cache.bytes_y() + cache.bytes_kv();
+        let bytes = cache.bytes();
         self.store
             .insert(template_id, bytes, self.time.now(), None)?;
         // A new cache for the id: an older spill file no longer holds it.
@@ -400,9 +402,10 @@ impl FlashPs {
         self.templates.len()
     }
 
-    /// Cache bytes held for a template (Y variant), if resident.
+    /// Cache bytes held for a resident template: what the host budget
+    /// charges for it.
     pub fn template_cache_bytes(&self, template_id: u64) -> Option<u64> {
-        self.templates.get(&template_id).map(|c| c.bytes_y())
+        self.templates.get(&template_id).map(TemplateCache::bytes)
     }
 
     /// Looks up a registered template's cache and image.

@@ -2,11 +2,11 @@
 //!
 //! A [`TemplateCache`] holds, for one image template, the activations
 //! captured during a *priming* inference: for every denoising step and
-//! every transformer block, the full-length block output `Y` (and
-//! optionally the attention keys/values `K`, `V` for the Fig. 7
-//! alternative, kept in the attention kernel's panel layout). A
-//! subsequent edit request with any mask can then replenish its unmasked
-//! rows from the cache.
+//! every transformer block, either the full-length block output `Y`
+//! (Fig. 5) or, for the Fig. 7 variant, the attention keys/values `K`,
+//! `V` kept in the attention kernel's panel layout — 2× the bytes of
+//! `Y`, and no `Y` beside them. A subsequent edit request with any mask
+//! can then replenish its unmasked rows from the cache.
 //!
 //! The numeric substrate keeps caches in memory; `fps-maskcache` layers
 //! the hierarchical HBM/host/disk placement, sizing, and load-latency
@@ -25,35 +25,63 @@ const CACHE_MAGIC: &[u8; 4] = b"FPSC";
 /// Serialization format version. Version 2 carried a per-step flag
 /// byte (and optional UNet scaffold tensor) that version 3 dropped, so a
 /// v2 blob parsed as v3 would read shifted. Version 3 stored K and V as
-/// `[L, H]` tensors; version 4 streams them as attention panels (`Kᵀ`
-/// `[H, L]`, then `V` `[heads, L, dh]`). Older blobs are rejected by
-/// version.
-const CACHE_VERSION: u8 = 4;
+/// `[L, H]` tensors; version 4 streamed them as attention panels (`Kᵀ`
+/// `[H, L]`, then `V` `[heads, L, dh]`) after `Y`; version 5 stores a
+/// block's `Y` *or* its panels, behind a tag byte. Older blobs are
+/// rejected by version.
+const CACHE_VERSION: u8 = 5;
+/// Block tag of a `Y` entry in format v5.
+const TAG_Y: u8 = 0;
+/// Block tag of a K/V entry in format v5.
+const TAG_KV: u8 = 1;
 
-/// Cached activations of one transformer block at one denoising step.
-#[derive(Debug, Clone)]
-pub struct BlockCache {
+/// Cached activations of one transformer block at one denoising step:
+/// its output `Y`, or the keys and values its attention read — never
+/// both. A K/V template needs no `Y`: where a block's input rows are
+/// the previous block's cached output, the block's own panels are
+/// those rows' `K` and `V` (`DiffusionModel::predict_planned`).
+#[derive(Debug, Clone, PartialEq)]
+pub enum BlockCache {
     /// Full-length block output `[L, H]` (the `Y` matrix of Fig. 5).
-    pub y: Tensor,
+    Y(Tensor),
     /// Full-length attention keys and values of all `L` tokens, packed
-    /// as the attention kernel reads them; present only when the cache
-    /// was primed for the K/V variant.
-    pub kv: Option<AttnPanels>,
+    /// as the attention kernel reads them (Fig. 7).
+    Kv(AttnPanels),
 }
 
 impl BlockCache {
-    /// Bytes of the Y-variant payload.
-    pub fn bytes_y(&self) -> u64 {
-        self.y.numel() as u64 * 4
+    /// The cached block output, if this is a `Y` entry.
+    pub fn y(&self) -> Option<&Tensor> {
+        match self {
+            Self::Y(y) => Some(y),
+            Self::Kv(_) => None,
+        }
     }
 
-    /// Bytes of the K and V payload (2× the Y payload, so a K/V
-    /// template holds 3× the bytes of a Y-only one), or 0 when K/V were
-    /// not captured.
+    /// The cached key/value panels, if this is a K/V entry.
+    pub fn kv(&self) -> Option<&AttnPanels> {
+        match self {
+            Self::Y(_) => None,
+            Self::Kv(kv) => Some(kv),
+        }
+    }
+
+    /// Bytes of the `Y` payload, or 0 for a K/V entry.
+    pub fn bytes_y(&self) -> u64 {
+        self.y().map_or(0, |y| y.numel() as u64 * 4)
+    }
+
+    /// Bytes of the K and V payload (2× the `Y` bytes at the same
+    /// shape), or 0 for a `Y` entry.
     pub fn bytes_kv(&self) -> u64 {
-        self.kv
-            .as_ref()
+        self.kv()
             .map_or(0, |p| (p.keys().numel() + p.values().numel()) as u64 * 4)
+    }
+
+    /// Bytes held: [`BlockCache::bytes_y`] plus
+    /// [`BlockCache::bytes_kv`].
+    pub fn bytes(&self) -> u64 {
+        self.bytes_y() + self.bytes_kv()
     }
 }
 
@@ -109,22 +137,25 @@ impl TemplateCache {
             .ok_or(DiffusionError::CacheMiss { step, block })
     }
 
-    /// Total bytes of the Y-variant cache across all steps and blocks.
-    pub fn bytes_y(&self) -> u64 {
-        self.steps
-            .iter()
-            .flat_map(|s| s.blocks.iter())
-            .map(BlockCache::bytes_y)
-            .sum()
+    /// Every block's entry, step by step.
+    fn entries(&self) -> impl Iterator<Item = &BlockCache> {
+        self.steps.iter().flat_map(|s| s.blocks.iter())
     }
 
-    /// Total bytes of the K/V-variant cache across all steps and blocks.
+    /// Total bytes of the `Y` entries across all steps and blocks.
+    pub fn bytes_y(&self) -> u64 {
+        self.entries().map(BlockCache::bytes_y).sum()
+    }
+
+    /// Total bytes of the K/V entries across all steps and blocks.
     pub fn bytes_kv(&self) -> u64 {
-        self.steps
-            .iter()
-            .flat_map(|s| s.blocks.iter())
-            .map(BlockCache::bytes_kv)
-            .sum()
+        self.entries().map(BlockCache::bytes_kv).sum()
+    }
+
+    /// Total bytes the cache holds: what a host-memory budget charges
+    /// for it.
+    pub fn bytes(&self) -> u64 {
+        self.entries().map(BlockCache::bytes).sum()
     }
 
     /// Serializes the cache to a compact binary blob (magic, version,
@@ -132,7 +163,7 @@ impl TemplateCache {
     /// spilled caches take on disk or in the hierarchical store's
     /// payload path. A buffered [`TemplateCache::write_to`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.bytes_y() as usize + self.bytes_kv() as usize);
+        let mut out = Vec::with_capacity(64 + self.bytes() as usize);
         self.write_to(&mut out)
             .expect("writing into a Vec<u8> cannot fail");
         out
@@ -155,11 +186,16 @@ impl TemplateCache {
         for step in &self.steps {
             w.write_all(&(step.blocks.len() as u32).to_le_bytes())?;
             for b in &step.blocks {
-                w.write_all(&[u8::from(b.kv.is_some())])?;
-                write_tensor(&mut w, &b.y)?;
-                if let Some(kv) = &b.kv {
-                    write_tensor(&mut w, kv.keys())?;
-                    write_tensor(&mut w, kv.values())?;
+                match b {
+                    BlockCache::Y(y) => {
+                        w.write_all(&[TAG_Y])?;
+                        write_tensor(&mut w, y)?;
+                    }
+                    BlockCache::Kv(kv) => {
+                        w.write_all(&[TAG_KV])?;
+                        write_tensor(&mut w, kv.keys())?;
+                        write_tensor(&mut w, kv.values())?;
+                    }
                 }
             }
         }
@@ -184,8 +220,9 @@ impl TemplateCache {
     /// # Errors
     ///
     /// Returns [`DiffusionError::InvalidConfig`] for truncated,
-    /// corrupt, or version-mismatched input, trailing bytes, and read
-    /// failures.
+    /// corrupt, or version-mismatched input, an unknown block tag, a
+    /// tensor whose shape disagrees with the header's token and hidden
+    /// sizes, trailing bytes, and read failures.
     pub fn read_from(r: impl Read) -> Result<Self> {
         let mut r = Reader(r);
         if &r.array::<4>()? != CACHE_MAGIC {
@@ -203,16 +240,20 @@ impl TemplateCache {
             let n_blocks = r.u32()?;
             let mut step = StepCache::default();
             for _ in 0..n_blocks {
-                let has_kv = r.array::<1>()?[0] != 0;
-                let y = read_tensor(&mut r)?;
-                let kv = if has_kv {
-                    let kt = read_tensor(&mut r)?;
-                    let vp = read_tensor(&mut r)?;
-                    Some(AttnPanels::from_parts(kt, vp).map_err(|_| corrupt("bad K/V panels"))?)
-                } else {
-                    None
+                let block = match r.array::<1>()?[0] {
+                    TAG_Y => BlockCache::Y(read_tensor(&mut r, "Y", |d| d == [tokens, hidden])?),
+                    TAG_KV => {
+                        let kt = read_tensor(&mut r, "K", |d| d == [hidden, tokens])?;
+                        // `from_parts` checks V against `Kᵀ`.
+                        let vp = read_tensor(&mut r, "V", |_| true)?;
+                        BlockCache::Kv(
+                            AttnPanels::from_parts(kt, vp)
+                                .map_err(|_| corrupt("bad K/V panels"))?,
+                        )
+                    }
+                    _ => return Err(corrupt("bad block tag")),
                 };
-                step.blocks.push(BlockCache { y, kv });
+                step.blocks.push(block);
             }
             cache.push_step(step);
         }
@@ -224,12 +265,7 @@ impl TemplateCache {
 
     /// Whether K/V activations were captured for every block.
     pub fn has_kv(&self) -> bool {
-        !self.steps.is_empty()
-            && self
-                .steps
-                .iter()
-                .flat_map(|s| s.blocks.iter())
-                .all(|b| b.kv.is_some())
+        !self.steps.is_empty() && self.entries().all(|b| b.kv().is_some())
     }
 }
 
@@ -300,7 +336,13 @@ fn write_tensor(w: &mut impl Write, t: &Tensor) -> io::Result<()> {
     Ok(())
 }
 
-fn read_tensor<R: Read>(r: &mut Reader<R>) -> Result<Tensor> {
+/// Reads one tensor whose dims must satisfy `expected`; `what` names
+/// it in the error. The dims are checked before the payload is read.
+fn read_tensor<R: Read>(
+    r: &mut Reader<R>,
+    what: &str,
+    expected: impl Fn(&[usize]) -> bool,
+) -> Result<Tensor> {
     let rank = r.u32()?;
     if rank > 8 {
         return Err(corrupt("implausible rank"));
@@ -308,6 +350,11 @@ fn read_tensor<R: Read>(r: &mut Reader<R>) -> Result<Tensor> {
     let mut dims = Vec::with_capacity(rank as usize);
     for _ in 0..rank {
         dims.push(r.usize()?);
+    }
+    if !expected(&dims) {
+        return Err(corrupt(&format!(
+            "{what} shape {dims:?} disagrees with the header"
+        )));
     }
     // The element count comes from the input: bound it before the
     // allocation it sizes, which is exact so a read cache carries no
@@ -346,9 +393,27 @@ mod tests {
 
     fn block(l: usize, h: usize, kv: bool) -> BlockCache {
         let zeros = Tensor::zeros([l, h]);
-        BlockCache {
-            y: zeros.clone(),
-            kv: kv.then(|| panels(&zeros, &zeros, 1)),
+        if kv {
+            BlockCache::Kv(panels(&zeros, &zeros, 1))
+        } else {
+            BlockCache::Y(zeros)
+        }
+    }
+
+    /// A random `[l, h]` entry: K/V panels over `heads` heads when `kv`,
+    /// else a `Y`.
+    fn random_block(
+        l: usize,
+        h: usize,
+        kv: bool,
+        heads: usize,
+        rng: &mut fps_tensor::rng::DetRng,
+    ) -> BlockCache {
+        let a = Tensor::randn([l, h], rng);
+        if kv {
+            BlockCache::Kv(panels(&a, &Tensor::randn([l, h], rng), heads))
+        } else {
+            BlockCache::Y(a)
         }
     }
 
@@ -371,21 +436,30 @@ mod tests {
 
     #[test]
     fn byte_accounting() {
-        let mut cache = TemplateCache::new(1, 4, 8);
-        cache.push_step(StepCache {
-            blocks: vec![block(4, 8, true); 3],
-        });
-        cache.push_step(StepCache {
-            blocks: vec![block(4, 8, true); 3],
-        });
-        // Y: 2 steps × 3 blocks × 4×8 floats × 4 bytes.
-        assert_eq!(cache.bytes_y(), 2 * 3 * 4 * 8 * 4);
-        // K and V are 2× the Y bytes, so a K/V template holds 3× a Y one.
-        assert_eq!(cache.bytes_kv(), 2 * cache.bytes_y());
-        assert!(cache.has_kv());
+        let cache_of = |kv: bool| {
+            let mut cache = TemplateCache::new(1, 4, 8);
+            for _ in 0..2 {
+                cache.push_step(StepCache {
+                    blocks: vec![block(4, 8, kv); 3],
+                });
+            }
+            cache
+        };
+        let (y, kv) = (cache_of(false), cache_of(true));
+        // Y: 2 steps × 3 blocks × 4×8 floats × 4 bytes, and nothing else.
+        assert_eq!(y.bytes_y(), 2 * 3 * 4 * 8 * 4);
+        assert_eq!((y.bytes_kv(), y.bytes()), (0, y.bytes_y()));
+        assert!(!y.has_kv());
+        // A K/V template holds K and V only: 2× the Y template's bytes.
+        assert_eq!((kv.bytes_y(), kv.bytes_kv()), (0, 2 * y.bytes()));
+        assert_eq!(kv.bytes(), 2 * y.bytes());
+        assert!(kv.has_kv());
+        let entry = kv.get(1, 2).unwrap();
+        assert_eq!((entry.y(), entry.bytes()), (None, 2 * 4 * 8 * 4));
+        assert!(y.get(1, 2).unwrap().kv().is_none());
     }
 
-    /// Asserts `back` holds exactly `cache`'s header and tensors.
+    /// Asserts `back` holds exactly `cache`'s header and entries.
     fn assert_same_cache(cache: &TemplateCache, back: &TemplateCache, blocks: usize) {
         assert_eq!(back.template_id, cache.template_id);
         assert_eq!(back.tokens, cache.tokens);
@@ -393,10 +467,7 @@ mod tests {
         assert_eq!(back.num_steps(), cache.num_steps());
         for s in 0..cache.num_steps() {
             for b in 0..blocks {
-                let a = cache.get(s, b).unwrap();
-                let z = back.get(s, b).unwrap();
-                assert_eq!(a.y, z.y);
-                assert_eq!(a.kv, z.kv);
+                assert_eq!(cache.get(s, b).unwrap(), back.get(s, b).unwrap());
             }
         }
     }
@@ -434,22 +505,29 @@ mod tests {
         trickled
     }
 
-    /// Format v4 round trips, K/V panels included, through a writer
-    /// that flushes every 7 bytes and a reader that gets at most 7 bytes
-    /// per `read`.
+    /// The bytes of a blob's header for one step of `blocks` blocks:
+    /// magic, `version`, id, tokens, hidden, step and block counts.
+    fn header(version: u8, [id, tokens, hidden]: [u64; 3], blocks: u32) -> Vec<u8> {
+        let mut blob = CACHE_MAGIC.to_vec();
+        blob.push(version);
+        for word in [id, tokens, hidden] {
+            blob.extend(word.to_le_bytes());
+        }
+        blob.extend(1u32.to_le_bytes());
+        blob.extend(blocks.to_le_bytes());
+        blob
+    }
+
+    /// Format v5 round trips, both block kinds included, through a
+    /// writer that flushes every 7 bytes and a reader that gets at most
+    /// 7 bytes per `read`.
     #[test]
     fn serialization_round_trips() {
         let mut cache = TemplateCache::new(42, 4, 8);
         let mut rng = fps_tensor::rng::DetRng::new(1);
         for _ in 0..3 {
             let blocks = (0..2)
-                .map(|i| BlockCache {
-                    y: Tensor::randn([4, 8], &mut rng),
-                    kv: (i == 0).then(|| {
-                        let k = Tensor::randn([4, 8], &mut rng);
-                        panels(&k, &Tensor::randn([4, 8], &mut rng), 2)
-                    }),
-                })
+                .map(|i| random_block(4, 8, i == 0, 2, &mut rng))
                 .collect();
             cache.push_step(StepCache { blocks });
         }
@@ -486,9 +564,9 @@ mod tests {
         let mut bad = good.clone();
         bad[0] = b'X';
         assert!(decode(&bad).is_err());
-        // Bad version — 3, 2 and 1 were once valid, and a v2 body read
-        // as a later version would parse shifted, so the version byte
-        // alone must reject.
+        // Bad version — 4, 3, 2 and 1 were once valid, and a v2 body
+        // read as a later version would parse shifted, so the version
+        // byte alone must reject.
         let with_version = |v: u8| {
             let mut blob = good.clone();
             blob[4] = v;
@@ -501,6 +579,7 @@ mod tests {
         genuine_v2.insert(37, 0);
         for bad in [
             with_version(99),
+            with_version(4),
             with_version(3),
             with_version(2),
             with_version(1),
@@ -523,29 +602,84 @@ mod tests {
         assert_eq!(decode(&bad).unwrap_err(), corrupt("trailing bytes"));
     }
 
+    /// A block tag other than `Y` or K/V, a `Y` or `Kᵀ` whose shape
+    /// disagrees with the header's token and hidden sizes (caught before
+    /// its payload is read), and value panels that disagree with `Kᵀ`
+    /// are errors: a damaged spill file fails to parse rather than
+    /// serving rows of the wrong shape.
+    #[test]
+    fn bad_tags_and_shapes_are_rejected() {
+        let mut cache = TemplateCache::new(1, 4, 8);
+        cache.push_step(StepCache {
+            blocks: vec![block(4, 8, true)],
+        });
+        let good = cache.to_bytes();
+        assert_same_cache(&cache, &decode(&good).unwrap(), 1);
+        // The first block's tag follows the 37-byte header.
+        assert_eq!(good[37], TAG_KV);
+        for tag in [2, 7, 255] {
+            let mut bad = good.clone();
+            bad[37] = tag;
+            assert_eq!(
+                decode(&bad).unwrap_err(),
+                corrupt("bad block tag"),
+                "tag {tag}"
+            );
+        }
+        let shape_error = |what: &str, dims: &[usize]| {
+            corrupt(&format!("{what} shape {dims:?} disagrees with the header"))
+        };
+        // A K/V entry read as `Y`: its `Kᵀ` is `[H, L]`, not `[L, H]`.
+        let mut as_y = good.clone();
+        as_y[37] = TAG_Y;
+        assert_eq!(decode(&as_y).unwrap_err(), shape_error("Y", &[8, 4]));
+        // Entries of another template size than the header's.
+        let mut y_cache = TemplateCache::new(1, 4, 8);
+        y_cache.push_step(StepCache {
+            blocks: vec![block(4, 6, false)],
+        });
+        assert_eq!(
+            decode(&y_cache.to_bytes()).unwrap_err(),
+            shape_error("Y", &[4, 6])
+        );
+        let mut kv_cache = TemplateCache::new(1, 5, 8);
+        kv_cache.push_step(StepCache {
+            blocks: vec![block(4, 8, true)],
+        });
+        assert_eq!(
+            decode(&kv_cache.to_bytes()).unwrap_err(),
+            shape_error("K", &[8, 4])
+        );
+        // Value panels that do not tile `[heads, L, H / heads]`.
+        for dims in [[2, 4, 3], [2, 5, 4], [0, 4, 2]] {
+            let mut blob = header(CACHE_VERSION, [1, 4, 8], 1);
+            blob.push(TAG_KV);
+            write_tensor(&mut blob, &Tensor::zeros([8, 4])).unwrap();
+            write_tensor(&mut blob, &Tensor::zeros(dims)).unwrap();
+            assert_eq!(decode(&blob).unwrap_err(), corrupt("bad K/V panels"));
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
+        // Caches of any mix of `Y` and K/V entries round trip.
         #[test]
         fn prop_serialization_round_trips(
             steps in 0usize..4,
-            blocks in 1usize..4,
+            kinds in proptest::collection::vec(proptest::bool::ANY, 1..4),
             l in 1usize..6,
             h in 1usize..6,
-            kv in proptest::bool::ANY,
+            multi_head in proptest::bool::ANY,
             seed in 0u64..1000,
         ) {
             let mut rng = fps_tensor::rng::DetRng::new(seed);
+            let heads = if multi_head { h } else { 1 };
             let mut cache = TemplateCache::new(seed, l, h);
             for _ in 0..steps {
-                let bs = (0..blocks)
-                    .map(|_| BlockCache {
-                        y: Tensor::randn([l, h], &mut rng),
-                        kv: kv.then(|| {
-                            let k = Tensor::randn([l, h], &mut rng);
-                            panels(&k, &Tensor::randn([l, h], &mut rng), 1)
-                        }),
-                    })
+                let bs = kinds
+                    .iter()
+                    .map(|&kv| random_block(l, h, kv, heads, &mut rng))
                     .collect();
                 cache.push_step(StepCache { blocks: bs });
             }
@@ -553,20 +687,21 @@ mod tests {
             proptest::prop_assert_eq!(back.num_steps(), steps);
             proptest::prop_assert_eq!(back.bytes_y(), cache.bytes_y());
             proptest::prop_assert_eq!(back.bytes_kv(), cache.bytes_kv());
+            proptest::prop_assert_eq!(back.has_kv(), cache.has_kv());
             for s in 0..steps {
-                for b in 0..blocks {
+                for b in 0..kinds.len() {
                     proptest::prop_assert_eq!(
-                        &cache.get(s, b).expect("entry").y,
-                        &back.get(s, b).expect("entry").y
+                        cache.get(s, b).expect("entry"),
+                        back.get(s, b).expect("entry")
                     );
                 }
             }
         }
     }
 
-    /// A blob the v3 writer produced for a K/V cache (K and V as
-    /// `[L, H]` tensors) is rejected by its version byte; read as v4 its
-    /// body would not even parse.
+    /// A blob the v3 writer produced for a K/V cache (`Y`, then K and V
+    /// as `[L, H]` tensors) is rejected by its version byte; read as v5
+    /// its body would not even parse.
     #[test]
     fn v3_blobs_are_rejected() {
         let mut rng = fps_tensor::rng::DetRng::new(3);
@@ -576,13 +711,7 @@ mod tests {
             Tensor::randn([3, 4], &mut rng),
         );
         let v3_body = |version: u8| {
-            let mut blob = CACHE_MAGIC.to_vec();
-            blob.push(version);
-            for word in [9u64, 3, 4] {
-                blob.extend(word.to_le_bytes());
-            }
-            blob.extend(1u32.to_le_bytes());
-            blob.extend(1u32.to_le_bytes());
+            let mut blob = header(version, [9, 3, 4], 1);
             blob.push(1);
             for t in [&y, &k, &v] {
                 write_tensor(&mut blob, t).unwrap();
@@ -595,17 +724,56 @@ mod tests {
         );
         assert_eq!(
             decode(&v3_body(CACHE_VERSION)).unwrap_err(),
-            corrupt("bad K/V panels")
+            corrupt("K shape [3, 4] disagrees with the header")
         );
-        // The same cache in v4 reads back.
+        // The same cache's K and V in v5 read back.
         let mut cache = TemplateCache::new(9, 3, 4);
         cache.push_step(StepCache {
-            blocks: vec![BlockCache {
-                y,
-                kv: Some(panels(&k, &v, 2)),
-            }],
+            blocks: vec![BlockCache::Kv(panels(&k, &v, 2))],
         });
         assert_same_cache(&cache, &decode(&cache.to_bytes()).unwrap(), 1);
+    }
+
+    /// A blob the v4 writer produced for a K/V cache (a flag byte, `Y`,
+    /// then the panels) is rejected by its version byte; read as v5 its
+    /// `Y` would stand where `Kᵀ` belongs, which the shape check
+    /// catches. Its Y-only blobs differ from v5's in the version byte
+    /// alone, which still rejects them.
+    #[test]
+    fn v4_blobs_are_rejected() {
+        let mut rng = fps_tensor::rng::DetRng::new(4);
+        let (y, k, v) = (
+            Tensor::randn([3, 4], &mut rng),
+            Tensor::randn([3, 4], &mut rng),
+            Tensor::randn([3, 4], &mut rng),
+        );
+        let kv = panels(&k, &v, 2);
+        let v4_body = |version: u8, with_kv: bool| {
+            let mut blob = header(version, [9, 3, 4], 1);
+            blob.push(u8::from(with_kv));
+            write_tensor(&mut blob, &y).unwrap();
+            if with_kv {
+                write_tensor(&mut blob, kv.keys()).unwrap();
+                write_tensor(&mut blob, kv.values()).unwrap();
+            }
+            blob
+        };
+        for with_kv in [false, true] {
+            assert_eq!(
+                decode(&v4_body(4, with_kv)).unwrap_err(),
+                corrupt("unsupported version"),
+                "kv {with_kv}"
+            );
+        }
+        assert_eq!(
+            decode(&v4_body(CACHE_VERSION, true)).unwrap_err(),
+            corrupt("K shape [3, 4] disagrees with the header")
+        );
+        let mut y_cache = TemplateCache::new(9, 3, 4);
+        y_cache.push_step(StepCache {
+            blocks: vec![BlockCache::Y(y.clone())],
+        });
+        assert_eq!(v4_body(CACHE_VERSION, false), y_cache.to_bytes());
     }
 
     #[test]

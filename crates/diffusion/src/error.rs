@@ -27,6 +27,15 @@ pub enum DiffusionError {
         /// Transformer block index of the miss.
         block: usize,
     },
+    /// A block or the all-rows output read the unmasked rows a cached
+    /// block left, but that block's cache entry holds K/V panels, not
+    /// its output `Y`.
+    YNotCached {
+        /// Denoising step index of the read.
+        step: usize,
+        /// Transformer block whose `Y` was needed.
+        block: usize,
+    },
     /// A compute plan is incompatible with the request (for example, a
     /// cached-K/V plan mixing in non-K/V blocks).
     InvalidPlan {
@@ -53,6 +62,10 @@ impl fmt::Display for DiffusionError {
             Self::CacheMiss { step, block } => {
                 write!(f, "activation cache miss at step {step}, block {block}")
             }
+            Self::YNotCached { step, block } => write!(
+                f,
+                "step {step}, block {block}: the cache holds K/V panels, not the output rows read"
+            ),
             Self::InvalidPlan { reason } => write!(f, "invalid compute plan: {reason}"),
             Self::ImageShapeMismatch { expected, actual } => write!(
                 f,

@@ -21,10 +21,14 @@ pub enum BlockMode {
     /// also re-inject cross-region context.
     Full,
     /// Compute masked tokens only; replenish unmasked rows from the
-    /// cached block output `Y` (Fig. 5-bottom).
+    /// cached block output `Y` (Fig. 5-bottom). On a K/V entry, right
+    /// after another cached block, the block attends over its cached
+    /// panels instead, which are bitwise the K/V it would recompute.
     CachedY,
     /// Compute masked tokens only; attend over cached full-length `K`/
-    /// `V` and replenish unmasked rows from cached `Y` (Fig. 7).
+    /// `V` (Fig. 7). The unmasked rows are the cached output, which a
+    /// K/V entry does not hold: only a next cached block reads them,
+    /// through its own panels.
     CachedKv,
     /// Compute masked tokens only with no cache; unmasked rows pass
     /// through unchanged (FISEdit-style sparse editing).
@@ -200,7 +204,9 @@ impl DiffusionModel {
     /// the per-block activations so priming runs can populate the
     /// template cache.
     ///
-    /// `capture_kv` additionally stores `K`/`V` for the Fig. 7 variant.
+    /// Each block's entry is its output `Y`, or with `capture_kv` the
+    /// `K`/`V` panels its attention read (the Fig. 7 variant) and no
+    /// `Y`.
     ///
     /// # Errors
     ///
@@ -221,10 +227,11 @@ impl DiffusionModel {
         for (block, (cross, ada)) in self.conditioned(prompt, step) {
             let out = block.forward_full(&x, cross, ada)?;
             // The cache keeps the K/V panels the block's attention read,
-            // and a clone of Y, which also feeds the next block.
-            captured.blocks.push(BlockCache {
-                y: out.y.clone(),
-                kv: capture_kv.then_some(out.kv),
+            // or a clone of Y, which also feeds the next block.
+            captured.blocks.push(if capture_kv {
+                BlockCache::Kv(out.kv)
+            } else {
+                BlockCache::Y(out.y.clone())
             });
             std::mem::replace(&mut x, out.y).recycle();
         }
@@ -252,8 +259,10 @@ impl DiffusionModel {
     /// Returns [`DiffusionError::InvalidPlan`] when the plan length
     /// disagrees with the block count or the sparse plan's row count
     /// disagrees with the token count, [`DiffusionError::CacheMiss`]
-    /// when a cached mode lacks its entry, and propagates tensor shape
-    /// errors.
+    /// when a cached mode lacks its entry (or a `CachedKv` block's entry
+    /// holds no panels), [`DiffusionError::YNotCached`] when something
+    /// reads the unmasked rows of a block whose entry holds panels, not
+    /// `Y`, and propagates tensor shape errors.
     #[allow(clippy::too_many_arguments)]
     pub fn predict_planned(
         &self,
@@ -302,6 +311,13 @@ impl DiffusionModel {
     /// rows the `[L, H]` tensor would hold; it is built only where
     /// something reads an unmasked row — a `Full` or `CachedY` block, or
     /// an all-rows output.
+    ///
+    /// A K/V entry holds no `Y`. Where a block's unmasked input rows are
+    /// the previous block's cached output, its cached panels are bitwise
+    /// those rows' `K` and `V` (AdaLN and the projections are row-wise),
+    /// so a `CachedY` block on a K/V entry there attends over them as a
+    /// `CachedKv` block does. Anything else that reads a K/V entry's
+    /// rows fails with [`DiffusionError::YNotCached`].
     #[allow(clippy::too_many_arguments)]
     fn planned(
         &self,
@@ -339,7 +355,7 @@ impl DiffusionModel {
         // The input projection's unmasked rows are read only if the
         // first block that does not pass them through (any but
         // `MaskedOnly`) reads them, or, with no such block, the output
-        // does; a `CachedKv` block replaces them with its cached Y.
+        // does; a `CachedKv` block replaces them with its cached output.
         let first_reader = plan.modes.iter().find(|&&m| m != BlockMode::MaskedOnly);
         let input_read = first_reader.map_or(all_rows, |m| {
             matches!(m, BlockMode::Full | BlockMode::CachedY)
@@ -355,32 +371,44 @@ impl DiffusionModel {
         for (i, ((block, (cross, ada)), mode)) in blocks.enumerate() {
             x = match mode {
                 BlockMode::Full => {
-                    let xf = x.scattered(masked_idx)?;
+                    let xf = x.scattered(masked_idx, step)?;
                     let y = block.forward_full(&xf, cross, ada)?.y;
                     xf.recycle();
                     Rows::All(y)
                 }
                 BlockMode::CachedY => {
                     let entry = self.cache_entry(cache, step, i)?;
-                    // Y variant: masked queries attend over fresh K/V of
-                    // the full (cache-replenished) token matrix.
-                    let xf = x.scattered(masked_idx)?;
-                    let ym = block.forward_masked_full_kv(&xf, sparse, cross, ada)?;
-                    xf.recycle();
-                    Rows::Masked(ym, Rest::Cached(&entry.y))
+                    let ym = match (x, entry.kv()) {
+                        // The unmasked rows are block i − 1's cached
+                        // output, so the panels are their K and V.
+                        (Rows::Masked(xm, Rest::Cached(prev, _)), Some(kv)) if prev + 1 == i => {
+                            let ctx = MaskedContext::CachedKv { kv, masked_idx };
+                            let ym = block.forward_masked(&xm, ctx, cross, ada)?;
+                            xm.recycle();
+                            ym
+                        }
+                        // Y variant: masked queries attend over fresh K/V
+                        // of the full (cache-replenished) token matrix.
+                        (x, _) => {
+                            let xf = x.scattered(masked_idx, step)?;
+                            let ym = block.forward_masked_full_kv(&xf, sparse, cross, ada)?;
+                            xf.recycle();
+                            ym
+                        }
+                    };
+                    Rows::Masked(ym, Rest::Cached(i, entry.y()))
                 }
                 BlockMode::CachedKv => {
                     let entry = self.cache_entry(cache, step, i)?;
                     let kv = entry
-                        .kv
-                        .as_ref()
+                        .kv()
                         .ok_or(DiffusionError::CacheMiss { step, block: i })?;
                     let (xm, rest) = x.gathered(masked_idx)?;
                     rest.recycle();
                     let ctx = MaskedContext::CachedKv { kv, masked_idx };
                     let ym = block.forward_masked(&xm, ctx, cross, ada)?;
                     xm.recycle();
-                    Rows::Masked(ym, Rest::Cached(&entry.y))
+                    Rows::Masked(ym, Rest::Cached(i, entry.y()))
                 }
                 BlockMode::MaskedOnly => {
                     let (xm, rest) = x.gathered(masked_idx)?;
@@ -391,7 +419,7 @@ impl DiffusionModel {
             };
         }
         let x = if all_rows {
-            x.scattered(masked_idx)?
+            x.scattered(masked_idx, step)?
         } else {
             let (xm, rest) = x.gathered(masked_idx)?;
             rest.recycle();
@@ -513,8 +541,10 @@ enum Rows<'a> {
 
 /// Where the unmasked rows of gathered activations live.
 enum Rest<'a> {
-    /// In a cached `Y`: the last cached block's replenished them.
-    Cached(&'a Tensor),
+    /// In the cache: the output of the last cached block (its index),
+    /// which replenished them; `None` when its entry holds K/V panels,
+    /// not that `Y`.
+    Cached(usize, Option<&'a Tensor>),
     /// In the `[L, H]` input of a run of `MaskedOnly` blocks, which pass
     /// them through.
     Input(Tensor),
@@ -533,14 +563,16 @@ impl Rest<'_> {
 
 impl<'a> Rows<'a> {
     /// All `L` rows: the unmasked ones' home with the masked rows
-    /// scattered in.
-    fn scattered(self, masked_idx: &[usize]) -> Result<Tensor> {
+    /// scattered in; `step` labels the error when the cache does not
+    /// hold them.
+    fn scattered(self, masked_idx: &[usize], step: usize) -> Result<Tensor> {
         let (xm, rest) = match self {
             Rows::All(x) => return Ok(x),
             Rows::Masked(xm, rest) => (xm, rest),
         };
         let mut x = match rest {
-            Rest::Cached(y) => y.clone(),
+            Rest::Cached(_, Some(y)) => y.clone(),
+            Rest::Cached(block, None) => return Err(DiffusionError::YNotCached { step, block }),
             Rest::Input(x) => x,
             Rest::Unread => {
                 return Err(DiffusionError::InvalidPlan {
@@ -601,7 +633,15 @@ mod tests {
         let (eps, cap) = model.predict_full(&latent, &step, &prompt, true).unwrap();
         assert_eq!(eps.dims(), &[cfg.tokens(), cfg.latent_channels]);
         assert_eq!(cap.blocks.len(), cfg.blocks);
-        assert!(cap.blocks.iter().all(|b| b.kv.is_some()));
+        assert!(cap
+            .blocks
+            .iter()
+            .all(|b| b.kv().is_some() && b.y().is_none()));
+        let (_, cap) = model.predict_full(&latent, &step, &prompt, false).unwrap();
+        assert!(cap
+            .blocks
+            .iter()
+            .all(|b| b.kv().is_none() && b.y().is_some()));
     }
 
     #[test]
@@ -659,14 +699,16 @@ mod tests {
     fn cached_kv_is_closer_to_full_than_cached_y() {
         // The K/V variant gives masked queries the full attention
         // context, so its masked-row error w.r.t. the full computation
-        // must not exceed the Y variant's.
+        // must not exceed the Y variant's. Each variant runs on the cache
+        // primed for it, and only the masked rows are predicted: a K/V
+        // cache holds no Y to replenish the others from.
         let (cfg, model, prompt, step, latent) = setup();
-        let cache = prime(&model, &latent, &step, &prompt, true);
         let masked: Vec<usize> = vec![2, 5, 7, 12];
         let (eps_ref, _) = model.predict_full(&latent, &step, &prompt, false).unwrap();
-        let err = |plan: &StepPlan| {
+        let err = |plan: &StepPlan, kv: bool| {
+            let cache = prime(&model, &latent, &step, &prompt, kv);
             let eps = model
-                .predict_planned(
+                .predict_planned_masked(
                     &latent,
                     &step,
                     &prompt,
@@ -678,8 +720,9 @@ mod tests {
                 .unwrap();
             masked
                 .iter()
-                .map(|&tok| {
-                    eps.row(tok)
+                .enumerate()
+                .map(|(row, &tok)| {
+                    eps.row(row)
                         .unwrap()
                         .iter()
                         .zip(eps_ref.row(tok).unwrap().iter())
@@ -688,8 +731,8 @@ mod tests {
                 })
                 .fold(0.0f32, f32::max)
         };
-        let err_y = err(&StepPlan::all_cached_y(cfg.blocks));
-        let err_kv = err(&StepPlan::all_cached_kv(cfg.blocks));
+        let err_y = err(&StepPlan::all_cached_y(cfg.blocks), false);
+        let err_kv = err(&StepPlan::all_cached_kv(cfg.blocks), true);
         assert!(
             err_kv <= err_y + 1e-6,
             "KV variant ({err_kv}) should be at least as accurate as Y variant ({err_y})"
@@ -811,8 +854,10 @@ mod tests {
 
     /// The planned step as it was before masked rows stayed gathered:
     /// every block's output scattered back into an `[L, H]` tensor, and
-    /// the final norm and projection over all rows. The reference the
-    /// gathered chain must match bit for bit.
+    /// the final norm and projection over all rows, with `Y` from
+    /// `y_cache` and K/V from `kv_cache`, as when one entry held both.
+    /// The reference the gathered chain must match bit for bit wherever
+    /// its cache serves the plan.
     #[allow(clippy::too_many_arguments)]
     fn predict_scattered(
         model: &DiffusionModel,
@@ -821,13 +866,14 @@ mod tests {
         prompt: &PromptCond,
         sparse: &SparsePlan,
         plan: &StepPlan,
-        cache: &TemplateCache,
+        y_cache: &TemplateCache,
+        kv_cache: &TemplateCache,
     ) -> Result<Tensor> {
         let idx = sparse.active();
         let mut x = matmul(&model.apply_scaffold(latent)?, &model.in_proj)?;
         let blocks = model.conditioned(prompt, cond).zip(&plan.modes);
         for (i, ((block, (cross, ada)), mode)) in blocks.enumerate() {
-            let entry = cache.get(0, i)?;
+            let y = y_cache.get(0, i)?.y().expect("Y primed");
             let ym = match mode {
                 BlockMode::Full => {
                     x = block.forward_full(&x, cross, ada)?.y;
@@ -839,17 +885,17 @@ mod tests {
                 }
                 BlockMode::CachedY => {
                     let ym = block.forward_masked_full_kv(&x, sparse, cross, ada)?;
-                    x = entry.y.clone();
+                    x = y.clone();
                     ym
                 }
                 BlockMode::CachedKv => {
-                    let kv = entry.kv.as_ref().expect("K/V primed");
+                    let kv = kv_cache.get(0, i)?.kv().expect("K/V primed");
                     let ctx = MaskedContext::CachedKv {
                         kv,
                         masked_idx: idx,
                     };
                     let ym = block.forward_masked(&gather_rows(&x, idx)?, ctx, cross, ada)?;
-                    x = entry.y.clone();
+                    x = y.clone();
                     ym
                 }
             };
@@ -859,22 +905,83 @@ mod tests {
         Ok(matmul(&xn, &model.out_proj)?)
     }
 
+    /// The error `plan` must fail with on `cache` (step 0) because the
+    /// cache does not hold what it reads, if any: a `CachedKv` block
+    /// without panels, or a read of the unmasked rows a K/V entry's
+    /// block left. Only a `CachedY` block with panels right after a
+    /// cached block reads such rows through its panels.
+    fn unserved(plan: &StepPlan, cache: &TemplateCache, all_rows: bool) -> Option<DiffusionError> {
+        let cached = |m: &BlockMode| matches!(m, BlockMode::CachedY | BlockMode::CachedKv);
+        // The K/V-cached block whose output the unmasked rows are.
+        let mut unheld: Option<usize> = None;
+        for (i, mode) in plan.modes.iter().enumerate() {
+            let entry = cache.get(0, i).unwrap();
+            let via_panels = entry.kv().is_some() && i > 0 && cached(&plan.modes[i - 1]);
+            let reads = match mode {
+                BlockMode::Full => true,
+                BlockMode::CachedY => !via_panels,
+                BlockMode::CachedKv | BlockMode::MaskedOnly => false,
+            };
+            if let (true, Some(block)) = (reads, unheld) {
+                return Some(DiffusionError::YNotCached { step: 0, block });
+            }
+            match mode {
+                BlockMode::CachedKv if entry.kv().is_none() => {
+                    return Some(DiffusionError::CacheMiss { step: 0, block: i })
+                }
+                BlockMode::Full => unheld = None,
+                m if cached(m) => unheld = entry.y().is_none().then_some(i),
+                _ => {}
+            }
+        }
+        unheld
+            .filter(|_| all_rows)
+            .map(|block| DiffusionError::YNotCached { step: 0, block })
+    }
+
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The gathered chain against the scattered reference, bitwise: the
-    /// all-rows prediction equals the reference, and the masked-rows one
-    /// equals its masked rows, for every plan of `plans` at masks of 0,
-    /// 1, 7 and all `L` tokens. A cache primed on another latent makes
-    /// every cached row differ from what the blocks would compute.
+    /// A cache holding each block's entry from `kv_cache` where `plan`
+    /// runs it `CachedKv`, else from `y_cache`.
+    fn mixed_cache(
+        plan: &StepPlan,
+        y_cache: &TemplateCache,
+        kv_cache: &TemplateCache,
+    ) -> TemplateCache {
+        let mut cache = TemplateCache::new(7, y_cache.tokens, y_cache.hidden);
+        let blocks = plan.modes.iter().enumerate().map(|(i, m)| {
+            let from = if *m == BlockMode::CachedKv {
+                kv_cache
+            } else {
+                y_cache
+            };
+            from.get(0, i).unwrap().clone()
+        });
+        cache.push_step(StepCache {
+            blocks: blocks.collect(),
+        });
+        cache
+    }
+
+    /// The gathered chain against the scattered reference, bitwise, for
+    /// every plan of `plans` at masks of 0, 1, 7 and all `L` tokens, on
+    /// three caches of one priming: Y-only, K/V-only, and per plan one
+    /// with K/V exactly at its `CachedKv` blocks. Where the cache serves
+    /// the plan, the all-rows prediction equals the reference and the
+    /// masked-rows one equals its masked rows; where it does not, both
+    /// fail with the typed error [`unserved`] names. A cache primed on
+    /// another latent makes every cached row differ from what the blocks
+    /// would compute.
     fn assert_gathered_matches_scattered(cfg: &ModelConfig, plans: &[StepPlan]) {
         let model = DiffusionModel::new(cfg).unwrap();
         let prompt = model.prompt_cond(&embed_prompt(cfg, "a door")).unwrap();
         let step = model.step_cond(0.6).unwrap();
         let shape = [cfg.tokens(), cfg.latent_channels];
         let primed = Tensor::randn(shape, &mut DetRng::new(31));
-        let cache = prime(&model, &primed, &step, &prompt, true);
+        let y_cache = prime(&model, &primed, &step, &prompt, false);
+        let kv_cache = prime(&model, &primed, &step, &prompt, true);
         let latent = Tensor::randn(shape, &mut DetRng::new(32));
         let mut rng = DetRng::new(33);
         for n in [0, 1, 7, cfg.tokens()] {
@@ -884,31 +991,46 @@ mod tests {
             }
             let sparse = plan_of(cfg, &masked[..n]);
             for plan in plans {
-                let label = format!("{} n={n} {:?}", cfg.name, plan.modes);
-                let reference =
-                    predict_scattered(&model, &latent, &step, &prompt, &sparse, plan, &cache);
-                let all =
-                    model.predict_planned(&latent, &step, &prompt, &sparse, plan, Some(&cache), 0);
-                let masked_rows = model.predict_planned_masked(
-                    &latent,
-                    &step,
-                    &prompt,
-                    &sparse,
-                    plan,
-                    Some(&cache),
-                    0,
+                let reference = predict_scattered(
+                    &model, &latent, &step, &prompt, &sparse, plan, &y_cache, &kv_cache,
                 );
-                match reference {
-                    Ok(reference) => {
-                        assert_eq!(bits(&all.unwrap()), bits(&reference), "{label}");
-                        let rows = gather_rows(&reference, sparse.active()).unwrap();
-                        assert_eq!(bits(&masked_rows.unwrap()), bits(&rows), "{label}");
-                    }
-                    // A masked-only block has no key to attend over at n = 0.
-                    Err(e) => {
-                        assert_eq!(all.unwrap_err(), e, "{label}");
-                        assert_eq!(masked_rows.unwrap_err(), e, "{label}");
-                    }
+                let mixed = mixed_cache(plan, &y_cache, &kv_cache);
+                for (kind, cache) in [("Y", &y_cache), ("K/V", &kv_cache), ("mixed", &mixed)] {
+                    let label = format!("{} n={n} {:?} on {kind}", cfg.name, plan.modes);
+                    let run = |all_rows| {
+                        let got = model.planned(
+                            &latent,
+                            &step,
+                            &prompt,
+                            &sparse,
+                            plan,
+                            Some(cache),
+                            0,
+                            all_rows,
+                        );
+                        let want = match (&reference, unserved(plan, cache, all_rows)) {
+                            // A masked-only block has no key to attend
+                            // over at n = 0; either failure may come first.
+                            (Err(e), missing) => {
+                                let got = got.unwrap_err();
+                                assert!(got == *e || Some(&got) == missing.as_ref(), "{label}");
+                                return;
+                            }
+                            (Ok(_), Some(missing)) => {
+                                assert_eq!(got.unwrap_err(), missing, "{label}");
+                                return;
+                            }
+                            (Ok(r), None) if all_rows => r.clone(),
+                            (Ok(r), None) => gather_rows(r, sparse.active()).unwrap(),
+                        };
+                        assert_eq!(
+                            bits(&got.unwrap()),
+                            bits(&want),
+                            "{label} all_rows {all_rows}"
+                        );
+                    };
+                    run(true);
+                    run(false);
                 }
             }
         }
@@ -936,10 +1058,17 @@ mod tests {
     fn gathered_chain_matches_scattered_reference_on_sdxl_like() {
         let cfg = ModelConfig::sdxl_like();
         let mut rng = DetRng::new(34);
-        // The served plans, then seeded mixes of all four modes.
+        // The served plans; a `CachedY` block behind a masked-only one
+        // behind a cached one, whose K/V panels do not stand for the
+        // rows the masked-only block passed through; then seeded mixes
+        // of all four modes.
+        use BlockMode::{CachedY, Full, MaskedOnly};
         let mut plans = vec![
             StepPlan::all_cached_kv(cfg.blocks),
             StepPlan::all_cached_y(cfg.blocks),
+            StepPlan {
+                modes: vec![Full, CachedY, MaskedOnly, CachedY, CachedY, MaskedOnly],
+            },
         ];
         plans.extend((0..4).map(|_| StepPlan {
             modes: (0..cfg.blocks).map(|_| MODES[rng.below(4)]).collect(),

@@ -781,7 +781,9 @@ mod tests {
         assert_eq!(cache.num_steps(), cfg.steps);
         assert!(cache.get(cfg.steps - 1, cfg.blocks - 1).is_ok());
         assert!(cache.has_kv());
-        assert!(cache.bytes_y() > 0);
+        // A K/V template holds the panels alone: 2× the bytes of Y.
+        assert_eq!(cache.bytes_y(), 0);
+        assert_eq!(cache.bytes(), 2 * cfg.cache_bytes_total(0.0));
     }
 
     #[test]

@@ -22,8 +22,9 @@ use fps_simtime::{SimDuration, SimTime};
 pub enum Rung {
     /// FlashPS with KV-cache reuse — the premium serving path.
     FlashPsKv,
-    /// FlashPS without KV reuse: a Y-only cache, a third of the K/V
-    /// variant's cache-load bytes per step.
+    /// FlashPS without KV reuse: a Y-only cache, half the K/V variant's
+    /// cache-load bytes per step. Served from a K/V template, it reads
+    /// the panels in place of `Y` from the second cached block on.
     FlashPs,
     /// TeaCache at a high compute fraction (mild step skipping).
     TeaCacheHigh,

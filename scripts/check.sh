@@ -39,6 +39,10 @@ echo "==> cargo build --release (benchmark/, its own workspace)"
 # Built here, the benchmark/run.sh --smoke step below finds it built.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> cargo test --release (benchmark/ unit tests: generator, percentile, compare, schema)"
+# The workspace test run below never reaches benchmark/ either.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test --workspace -q (in a fresh TMPDIR; no spill directory may survive)"
 # FlashPs streams evicted template caches into a private
 # flashps-spill-* directory under the temp dir and deletes it when the

@@ -91,14 +91,26 @@ fn store_under_serving_pressure_keeps_hot_templates_resident() {
 #[test]
 fn numeric_cache_bytes_match_analytic_sizing() {
     // The priming cache held by the FlashPS system must match the
-    // Table 1 sizing formula at mask ratio 0 (all tokens cached).
+    // Table 1 sizing formula at mask ratio 0 (all tokens cached): Y
+    // once, or K and V (2×, as the paper and the cost model size the
+    // Fig. 7 variant) with no Y beside them.
     let cfg = ModelConfig::sdxl_like();
-    let mut sys = FlashPs::new(FlashPsConfig::new(cfg.clone())).expect("system");
-    sys.register_template(3, &Image::template(cfg.pixel_h(), cfg.pixel_w(), 1))
-        .expect("register");
-    let actual = sys.template_cache_bytes(3).expect("registered");
     let expected = cfg.cache_bytes_total(0.0);
-    assert_eq!(actual, expected);
+    for (capture_kv, factor) in [(false, 1), (true, 2)] {
+        let mut config = FlashPsConfig::new(cfg.clone());
+        config.capture_kv = capture_kv;
+        let mut sys = FlashPs::new(config).expect("system");
+        sys.register_template(3, &Image::template(cfg.pixel_h(), cfg.pixel_w(), 1))
+            .expect("register");
+        let actual = sys.template_cache_bytes(3).expect("registered");
+        assert_eq!(actual, factor * expected, "capture_kv {capture_kv}");
+        // What the host budget charges is what the template holds.
+        assert_eq!(
+            sys.cache_bytes_resident(),
+            actual,
+            "capture_kv {capture_kv}"
+        );
+    }
 }
 
 #[test]
