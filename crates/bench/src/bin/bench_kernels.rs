@@ -1,51 +1,32 @@
-//! Compute-plane regression baseline: the hot kernels, serial vs
-//! pooled, at the SD2.1/SDXL/Flux substrate shapes.
+//! Compute-plane regression baseline: the hot kernels, each on the
+//! calling thread, at the SD2.1/SDXL/Flux substrate shapes.
 //!
-//! Five claims are checked every run and recorded in
-//! `BENCH_kernels.json`:
+//! A full run records four sets of numbers in `BENCH_kernels.json`,
+//! and every run checks the gates among them:
 //!
-//! 1. **Identity** — for every benchmarked kernel and for a whole
-//!    `EditPipeline::edit`, three executions produce byte-identical
-//!    results (`f32::to_bits` compare; no tolerance): pinned serial
-//!    (`with_min_parallel_work(usize::MAX)`), the calibrated default
-//!    dispatch, and forced-pooled (`with_min_parallel_work(0)`). The
-//!    sparse GEMM is additionally checked against its row-split
-//!    contract: dense bits at the plan's rows, template bits elsewhere.
-//! 2. **Tiled-GEMM gate** — on **one thread** (both kernels pinned
-//!    serial, so the ratio does not depend on core count) the tiled
-//!    GEMM on the largest shape (the flux-like FFN GEMM) is at least
-//!    1.3× faster, measured wall, than the frozen pre-tiling kernel
-//!    (`matmul_naive`, kept in-tree as the baseline oracle, and never
-//!    built for AVX2); the bench host measures ≈ 3.6× with the AVX2
-//!    kernel build and ≈ 1.5× with the baseline one. Which build ran is
-//!    recorded as `isa`. Beside it, reported and no longer a pass/fail, is
-//!    the *modeled* pooled speedup: each row chunk of the pool's actual
-//!    decomposition ([`pool::chunk_rows_for`]) is timed for real,
-//!    serially, with the tiled kernel, and the makespan on 4 virtual
-//!    lanes under the pool's dynamic next-chunk assignment is compared
-//!    against the naive kernel's serial wall time.
+//! 1. **Timings** — per-kernel wall times at each model shape
+//!    (including the `[L, H] × [H, latent_channels]` noise projection
+//!    and the GEMMs of a masked step on `MASKED_ROWS` gathered rows),
+//!    the regression baseline future sessions diff against.
+//! 2. **Tiled-GEMM gate** — on the largest shape (the flux-like FFN
+//!    GEMM) the tiled GEMM is at least 1.3× faster, measured wall, than
+//!    the frozen pre-tiling kernel (`matmul_naive`, kept in-tree as the
+//!    baseline oracle, and never built for AVX2); the bench host
+//!    measures ≈ 3.6× with the AVX2 kernel build and ≈ 1.5× with the
+//!    baseline one. Which build ran is recorded as `isa`.
 //! 3. **Sparse gate** — the mask-sparse GEMM sweeps mask ratios
-//!    {5, 10, 25, 50}% at the flux FFN shape; at 10% it must be ≥ 3×
-//!    faster than the dense kernel (measured wall, both on one thread —
-//!    the win is FLOP-driven, not thread-driven), and on full runs its
-//!    wall-time fraction must track the
-//!    [`fps_diffusion::flops::sparse_gemm_flops`] estimator within 2×
-//!    across the sweep.
-//! 4. **Timings** — per-kernel serial and pooled (calibrated default
-//!    dispatch) wall times at each model shape (including the
-//!    `[L, H] × [H, latent_channels]` noise projection and the GEMMs of
-//!    a masked step on `MASKED_ROWS` gathered rows), the regression
-//!    baseline future sessions diff against — with regression asserts on the
-//!    shapes a pooled dispatch once made slower (small-shape pooled must
-//!    stay within 1.3× of serial now that thresholds are calibrated at
-//!    pool init).
-//!
-//! 5. **Transcendentals** — `softmax_rows` and `gelu` in ns/element at
+//!    {5, 10, 25, 50}% at the flux FFN shape, checking at each its
+//!    row-split contract (dense bits at the plan's rows, template bits
+//!    elsewhere); at 10% it must be ≥ 3× faster than the dense kernel
+//!    (measured wall), and on full runs its wall-time fraction must
+//!    track the [`fps_diffusion::flops::sparse_gemm_flops`] estimator
+//!    within 2× across the sweep.
+//! 4. **Transcendentals** — `softmax_rows` and `gelu` in ns/element at
 //!    the sdxl/flux attention and FFN widths, beside bench-local loops
 //!    over `f32::exp` / `f32::tanh` (the library may not call libm; the
 //!    bench may). On full runs the in-tree GeLU must be ≥ 4× the
-//!    `tanhf` loop, single-threaded measured wall; the softmax ratio is
-//!    reported only (most of a softmax row is max, sum and scale).
+//!    `tanhf` loop, measured wall; the softmax ratio is reported only
+//!    (most of a softmax row is max, sum and scale).
 //!    `softmax_rows` runs the baseline build on every host, so beside
 //!    it the attention kernel's softmax stage — the `exp_f32` pass and
 //!    the whole row, at the sdxl-like and flux-like key counts — is
@@ -70,7 +51,7 @@ use fps_bench::save_artifact;
 use fps_diffusion::block::TransformerBlock;
 use fps_diffusion::embedding::{embed_prompt, embed_timestep, pool_condition};
 use fps_diffusion::flops::sparse_gemm_flops;
-use fps_diffusion::{EditPipeline, Image, ModelConfig, Strategy};
+use fps_diffusion::ModelConfig;
 use fps_json::Json;
 use fps_metrics::Table;
 use fps_tensor::ops::softmax::{softmax_stage_pass, SoftmaxPass};
@@ -79,12 +60,10 @@ use fps_tensor::ops::{
     ada_layer_norm, conv3x3, gelu, layer_norm, matmul, matmul_gelu, matmul_naive, mha_fused,
     mha_panels, scatter_rows_into, softmax_rows, AttnPanels,
 };
-use fps_tensor::pool::{self, with_min_parallel_work};
 use fps_tensor::rng::DetRng;
 use fps_tensor::Tensor;
 
-/// The tiled-GEMM gate: tiled ≥ 1.3× the frozen naive kernel, both on
-/// one thread.
+/// The tiled-GEMM gate: tiled ≥ 1.3× the frozen naive kernel.
 const GATE_SPEEDUP: f64 = 1.3;
 
 /// The sparse gate: sparse GEMM ≥ 3× dense at a 10% mask.
@@ -92,9 +71,6 @@ const SPARSE_GATE_SPEEDUP: f64 = 3.0;
 
 /// The transcendental gate: in-tree GeLU ≥ 4× a `tanhf` loop.
 const GELU_GATE_SPEEDUP: f64 = 4.0;
-
-/// Virtual lanes of the modeled pooled speedup.
-const MODEL_LANES: usize = 4;
 
 /// Gathered rows of the masked-step GEMM rows: an sdxl-like edit at the
 /// production traffic's mean mask ratio (0.11) computes ≈ 12–16 of its
@@ -111,11 +87,6 @@ fn isa() -> &'static str {
         return "avx2";
     }
     "baseline"
-}
-
-/// Runs `f` with every kernel pinned to the calling thread.
-fn serial<T>(f: impl FnOnce() -> T) -> T {
-    with_min_parallel_work(usize::MAX, f)
 }
 
 /// Wall time of the fastest of `reps` runs, in microseconds.
@@ -145,28 +116,11 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Asserts `f` is bitwise identical pinned serial, under the
-/// calibrated default dispatch and forced-pooled, and returns its
-/// serial and default-dispatch wall times (µs).
-fn bench_kernel(label: &str, reps: usize, f: &dyn Fn() -> Tensor) -> (f64, f64) {
-    let reference = serial(|| bits(&f()));
-    assert_eq!(bits(&f()), reference, "{label}: default dispatch differs");
-    let run = || {
-        std::hint::black_box(f());
-    };
-    let times = time_pair_us(reps, || serial(run), run);
-    let forced = with_min_parallel_work(0, || bits(&f()));
-    assert_eq!(forced, reference, "{label}: forced-pooled differs");
-    times
-}
-
 struct KernelRow {
     config: &'static str,
     kernel: &'static str,
-    /// Every kernel pinned to the calling thread.
+    /// Best-of-`reps` wall time on the calling thread.
     serial_us: f64,
-    /// The calibrated default dispatch — what serving runs.
-    pooled_us: f64,
 }
 
 /// Times every hot kernel at one model shape.
@@ -191,12 +145,13 @@ fn bench_config(cfg: &ModelConfig, name: &'static str, reps: usize, rows: &mut V
     let scale = 1.0 / ((h / heads) as f32).sqrt();
 
     let mut push = |kernel: &'static str, f: &dyn Fn() -> Tensor| {
-        let (serial_us, pooled_us) = bench_kernel(&format!("{name}/{kernel}"), reps, f);
+        let serial_us = time_us(reps, || {
+            std::hint::black_box(f());
+        });
         rows.push(KernelRow {
             config: name,
             kernel,
             serial_us,
-            pooled_us,
         });
     };
     push("ffn_gemm", &|| matmul(&x, &w_up).unwrap());
@@ -256,59 +211,17 @@ fn bench_config(cfg: &ModelConfig, name: &'static str, reps: usize, rows: &mut V
 }
 
 /// Measured-wall gate: flux FFN GEMM, the frozen pre-tiling kernel vs
-/// the tiled kernel, both pinned to one thread. Returns the two wall
-/// times (µs), naive first.
+/// the tiled kernel. Returns the two wall times (µs), naive first.
 fn measured_gate(a: &Tensor, b: &Tensor, reps: usize) -> (f64, f64) {
-    serial(|| {
-        time_pair_us(
-            reps,
-            || {
-                std::hint::black_box(matmul_naive(a, b).unwrap());
-            },
-            || {
-                std::hint::black_box(matmul(a, b).unwrap());
-            },
-        )
-    })
-}
-
-/// Modeled pooled speedup (reported, not gated): time each row chunk
-/// of the pool's decomposition serially with the tiled kernel, then
-/// compute the makespan on `MODEL_LANES` virtual lanes under the pool's
-/// dynamic next-chunk-to-idle-lane assignment. Speedup = naive serial
-/// wall / tiled makespan. Chunk cost and the tiled kernel's raw speed
-/// are measured on real hardware; only the lane count is virtual.
-fn modeled_speedup(a: &Tensor, b: &Tensor, naive_us: f64, reps: usize) -> f64 {
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    let n = b.dims()[1];
-    let chunk_rows = pool::chunk_rows_for(m, MODEL_LANES);
-    let mut chunks_us = Vec::new();
-    let mut r0 = 0;
-    while r0 < m {
-        let r1 = (r0 + chunk_rows).min(m);
-        let sub =
-            Tensor::from_vec(a.data()[r0 * k..r1 * k].to_vec(), [r1 - r0, k]).expect("row slice");
-        let us = serial(|| {
-            time_us(reps, || {
-                std::hint::black_box(matmul(&sub, b).unwrap());
-            })
-        });
-        chunks_us.push(us);
-        r0 = r1;
-    }
-    let mut lane_end = [0.0f64; MODEL_LANES];
-    for &c in &chunks_us {
-        let idle = lane_end
-            .iter()
-            .enumerate()
-            .min_by(|x, y| x.1.partial_cmp(y.1).expect("finite"))
-            .expect("non-empty")
-            .0;
-        lane_end[idle] += c;
-    }
-    let makespan = lane_end.iter().fold(0.0f64, |acc, &e| acc.max(e));
-    assert!(n > 0 && makespan > 0.0);
-    naive_us / makespan
+    time_pair_us(
+        reps,
+        || {
+            std::hint::black_box(matmul_naive(a, b).unwrap());
+        },
+        || {
+            std::hint::black_box(matmul(a, b).unwrap());
+        },
+    )
 }
 
 /// One point of the sparse mask-ratio sweep.
@@ -333,17 +246,10 @@ struct SparseRow {
 fn sparse_sweep(a: &Tensor, b: &Tensor, reps: usize) -> (f64, Vec<SparseRow>) {
     let (m, k) = (a.dims()[0], a.dims()[1]);
     let n = b.dims()[1];
-    let dense_ref = serial(|| matmul(a, b).unwrap());
+    let dense_ref = matmul(a, b).unwrap();
     let template = Tensor::randn([m, n], &mut DetRng::new(0x7E3A));
-    // The dense wall the sparse GEMM competes with: the same tiled
-    // kernel on one thread, like the sparse GEMM itself (it never fans
-    // out). A pooled reference makes both sparse asserts depend on
-    // whether the pool got a second core: 211 vs 342 µs was seen on
-    // the 2-core bench host, a 2.7× "tracking" miss at the 5% mask.
-    let dense_us = serial(|| {
-        time_us(reps, || {
-            std::hint::black_box(matmul(a, b).unwrap());
-        })
+    let dense_us = time_us(reps, || {
+        std::hint::black_box(matmul(a, b).unwrap());
     });
     let full_flops = sparse_gemm_flops(m, k, n, 1.0) as f64;
     let mut rows = Vec::new();
@@ -417,8 +323,8 @@ fn gelu_libm(x: &Tensor) -> Tensor {
     x.map(|v| 0.5 * v * (1.0 + (SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)).tanh()))
 }
 
-/// Times `softmax_rows` and `gelu` against their libm twins on one
-/// thread, on unit-normal inputs (FFN pre-activations and scaled
+/// Times `softmax_rows` and `gelu` against their libm twins, on
+/// unit-normal inputs (FFN pre-activations and scaled
 /// attention scores are about that wide), checking first that each
 /// pair computes the same function to 1e-6.
 fn transcendental_rows(reps: usize) -> Vec<TranscendentalRow> {
@@ -431,32 +337,30 @@ fn transcendental_rows(reps: usize) -> Vec<TranscendentalRow> {
         ("gelu", gelu, gelu_libm, [256, 256]),
     ];
     let mut rng = DetRng::new(0x7A4E);
-    serial(|| {
-        cases
-            .into_iter()
-            .map(|(kernel, ours, libm, [rows, cols])| {
-                let x = Tensor::randn([rows, cols], &mut rng);
-                let diff = ours(&x).max_abs_diff(&libm(&x)).expect("same shape");
-                assert!(
-                    diff <= 1e-6,
-                    "{kernel} [{rows},{cols}] is {diff:e} from libm"
-                );
-                let ns = |f: Kernel| {
-                    let us = time_us(reps * 5, || {
-                        std::hint::black_box(f(&x));
-                    });
-                    us * 1e3 / (rows * cols) as f64
-                };
-                TranscendentalRow {
-                    kernel,
-                    rows,
-                    cols,
-                    ns: ns(ours),
-                    libm_ns: ns(libm),
-                }
-            })
-            .collect()
-    })
+    cases
+        .into_iter()
+        .map(|(kernel, ours, libm, [rows, cols])| {
+            let x = Tensor::randn([rows, cols], &mut rng);
+            let diff = ours(&x).max_abs_diff(&libm(&x)).expect("same shape");
+            assert!(
+                diff <= 1e-6,
+                "{kernel} [{rows},{cols}] is {diff:e} from libm"
+            );
+            let ns = |f: Kernel| {
+                let us = time_us(reps * 5, || {
+                    std::hint::black_box(f(&x));
+                });
+                us * 1e3 / (rows * cols) as f64
+            };
+            TranscendentalRow {
+                kernel,
+                rows,
+                cols,
+                ns: ns(ours),
+                libm_ns: ns(libm),
+            }
+        })
+        .collect()
 }
 
 /// One build of one pass of the attention kernel's softmax stage.
@@ -504,61 +408,10 @@ fn attention_stage_rows(reps: usize) -> Vec<StageRow> {
     out
 }
 
-/// Whole-pipeline identity: one edit on the tiny model pinned serial,
-/// under the default dispatch and forced-pooled must produce
-/// byte-identical images.
-fn pipeline_identity() {
-    let cfg = ModelConfig::tiny();
-    let pipe = EditPipeline::new(&cfg).expect("pipeline");
-    let template = Image::template(cfg.pixel_h(), cfg.pixel_w(), 7);
-    let masked = [5usize, 6, 9, 10];
-    let strat = Strategy::MaskAware {
-        use_cache: vec![true; cfg.blocks],
-        kv: false,
-    };
-    let run = || {
-        let cache = pipe.prime(&template, 1, false).expect("prime");
-        pipe.edit(&template, 1, &masked, "bench", 3, &strat, Some(&cache))
-            .expect("edit")
-            .image
-    };
-    let reference = serial(run);
-    assert_eq!(
-        run(),
-        reference,
-        "default-dispatch edit differs from serial"
-    );
-    assert_eq!(
-        with_min_parallel_work(0, run),
-        reference,
-        "forced-pooled edit differs from serial"
-    );
-}
-
-/// Shapes a pooled dispatch once regressed: with thresholds calibrated
-/// at pool init, the default dispatch must stay within 1.3× of serial on
-/// small kernels (it may legitimately fall back to serial).
-fn assert_no_parallel_regression(rows: &[KernelRow]) {
-    for (config, kernel) in [("sd21-like", "ffn_gemm"), ("sdxl-like", "layer_norm")] {
-        let r = rows
-            .iter()
-            .find(|r| r.config == config && r.kernel == kernel)
-            .expect("benched row");
-        assert!(
-            r.pooled_us <= r.serial_us * 1.3,
-            "{config}/{kernel}: pooled {:.1}us vs serial {:.1}us — small-shape regression",
-            r.pooled_us,
-            r.serial_us
-        );
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let reps = if smoke { 10 } else { 20 };
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-
-    pipeline_identity();
 
     let mut rows = Vec::new();
     let configs = [
@@ -569,7 +422,6 @@ fn main() {
     for (cfg, name) in &configs {
         bench_config(cfg, name, reps, &mut rows);
     }
-    assert_no_parallel_regression(&rows);
 
     // The gates run on the largest shape: the flux-like FFN GEMM.
     let flux = ModelConfig::flux_like();
@@ -584,9 +436,8 @@ fn main() {
     assert!(
         speedup >= GATE_SPEEDUP,
         "tiled flux FFN GEMM at {tiled_us:.1}us is {speedup:.2}x the naive kernel's \
-         {naive_us:.1}us on one thread, below the {GATE_SPEEDUP}x gate"
+         {naive_us:.1}us, below the {GATE_SPEEDUP}x gate"
     );
-    let modeled = modeled_speedup(&a, &b, naive_us, reps);
 
     // Sparse sweep + gates. The ≥3× gate is measured wall: the sparse
     // win comes from skipping FLOPs, not threads.
@@ -628,13 +479,12 @@ fn main() {
         }
     }
 
-    let mut table = Table::new(&["config", "kernel", "serial(us)", "pooled(us)"]);
+    let mut table = Table::new(&["config", "kernel", "serial(us)"]);
     for r in &rows {
         table.row(&[
             r.config.to_string(),
             r.kernel.to_string(),
             format!("{:.1}", r.serial_us),
-            format!("{:.1}", r.pooled_us),
         ]);
     }
     let mut sparse_table = Table::new(&[
@@ -681,15 +531,13 @@ fn main() {
         ]);
     }
     let mut out = format!(
-        "Compute-plane baseline: serial vs pooled (calibrated default dispatch) kernels, bitwise \
-         identical\nKernel build (isa): {}\n\n",
+        "Compute-plane baseline: every kernel on the calling thread\nKernel build (isa): {}\n\n",
         isa()
     );
     out.push_str(&table.render());
     out.push_str(&format!(
-        "\nGate: flux-like FFN GEMM, one thread, tiled {tiled_us:.1}us vs the frozen naive kernel's \
-         {naive_us:.1}us:\n{speedup:.2}x (measured wall, threshold {GATE_SPEEDUP}x). Modeled on \
-         {MODEL_LANES} virtual lanes: {modeled:.2}x (reported, not gated).\n\
+        "\nGate: flux-like FFN GEMM, tiled {tiled_us:.1}us vs the frozen naive kernel's \
+         {naive_us:.1}us:\n{speedup:.2}x (measured wall, threshold {GATE_SPEEDUP}x).\n\
          \nSparse GEMM sweep at the flux FFN shape (dense wall {dense_us:.1}us):\n\n"
     ));
     out.push_str(&sparse_table.render());
@@ -698,24 +546,19 @@ fn main() {
          wall). Both\nsides run the same row kernel, so a faster kernel build lowers this ratio \
          without\nthe sparse GEMM slowing: the AVX2 build speeds the dense reference more \
          than the\nsparse GEMM, whose template fill and B packing are memory traffic \
-         (6.4x with the\nbaseline build).\n\nTranscendentals, one thread, beside bench-local f32::exp / f32::tanh loops (gate: \
+         (6.4x with the\nbaseline build).\n\nTranscendentals, beside bench-local f32::exp / f32::tanh loops (gate: \
          gelu >= {GELU_GATE_SPEEDUP}x,\nfull runs only; softmax reported, not gated):\n\n",
         at_10.speedup,
         at_10.ratio * 100.0,
     ));
     out.push_str(&transcendental_table.render());
     out.push_str(
-        "\nAttention's softmax stage, one thread: softmax_rows above runs the baseline build on \
+        "\nAttention's softmax stage: softmax_rows above runs the baseline build on \
          every\nhost; the attention kernel runs the stage in the AVX2 build where the host has \
          one.\n\n",
     );
     out.push_str(&stage_table.render());
-    out.push_str(&format!(
-        "\nHost: {cores} cores, pool {} lanes.\nAll kernels and a whole tiny-model edit are \
-         byte-identical serial, under the\ndefault dispatch and forced-pooled (asserted every \
-         run).\n",
-        pool::global().threads(),
-    ));
+    out.push_str(&format!("\nHost: {cores} cores.\n"));
     println!("{out}");
 
     if !smoke {
@@ -726,7 +569,6 @@ fn main() {
                     .with("config", r.config)
                     .with("kernel", r.kernel)
                     .with("serial_us", r.serial_us)
-                    .with("pooled_us", r.pooled_us)
             })
             .collect();
         let sweep_json: Vec<Json> = sweep
@@ -766,12 +608,7 @@ fn main() {
         let json = Json::object()
             .with("bench", "kernels")
             .with("isa", isa())
-            .with(
-                "host",
-                Json::object()
-                    .with("cores", cores)
-                    .with("pool_threads", pool::global().threads()),
-            )
+            .with("host", Json::object().with("cores", cores))
             .with(
                 "gate",
                 Json::object()
@@ -784,9 +621,7 @@ fn main() {
                     .with("naive_us", naive_us)
                     .with("tiled_us", tiled_us)
                     .with("speedup", speedup)
-                    .with("threshold", GATE_SPEEDUP)
-                    .with("modeled_speedup", modeled)
-                    .with("virtual_lanes", MODEL_LANES),
+                    .with("threshold", GATE_SPEEDUP),
             )
             .with(
                 "sparse",
@@ -807,10 +642,7 @@ fn main() {
             .with("attention_softmax_stage", Json::Array(stage_json))
             .with(
                 "identity",
-                Json::object()
-                    .with("kernels_bitwise_identical", true)
-                    .with("sparse_row_split_identical", true)
-                    .with("pipeline_bytes_identical", true),
+                Json::object().with("sparse_row_split_identical", true),
             )
             .with("kernels", Json::Array(kernels));
         std::fs::write("BENCH_kernels.json", json.to_string_pretty() + "\n")

@@ -95,11 +95,11 @@ const IDLE_POLL: Duration = Duration::from_millis(10);
 /// Configuration of the threaded server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads (one "GPU" each). `0` auto-sizes to the shared
-    /// kernel pool's lane count
-    /// ([`fps_tensor::pool::WorkPool::threads`]), so one knob
-    /// (`FPS_POOL_THREADS`) governs both the compute plane and the
-    /// serving plane.
+    /// Worker threads (one "GPU" each). A worker serves its batch on
+    /// its own thread, and every kernel runs on the thread that calls
+    /// it, so workers are the server's only parallelism. `0` sizes the
+    /// server to the host: one worker per
+    /// [`std::thread::available_parallelism`].
     pub workers: usize,
     /// Maximum sessions a worker interleaves.
     pub max_batch: usize,
@@ -493,7 +493,7 @@ impl ThreadedServer {
         // the plane's (wall) clock domain.
         let plane = plane.with_trace(config.trace.clone());
         let workers = match config.workers {
-            0 => fps_tensor::pool::global().threads(),
+            0 => std::thread::available_parallelism().map_or(1, usize::from),
             n => n,
         };
         let control = Arc::new(Mutex::new(ControlState {
@@ -1228,14 +1228,14 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_auto_sizes_from_kernel_pool() {
-        // `workers: 0` delegates sizing to the shared compute pool, and
-        // the named service threads still serve jobs correctly.
+    fn zero_workers_auto_sizes_from_available_parallelism() {
+        // `workers: 0` runs one worker per hardware thread, and the
+        // named service threads still serve jobs correctly.
         let server = server(0, 2);
         assert_eq!(
             server.handles.len(),
-            fps_tensor::pool::global().threads(),
-            "worker count should match the kernel pool's lanes"
+            std::thread::available_parallelism().map_or(1, usize::from),
+            "worker count should match the host's parallelism"
         );
         let ticket = server.submit(job(0, 1)).unwrap();
         assert!(ticket.wait().is_ok());

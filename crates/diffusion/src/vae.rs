@@ -10,7 +10,7 @@
 //! distortion, which is the property the editing experiments rely on.
 
 use fps_tensor::rng::DetRng;
-use fps_tensor::{pool, scratch, Tensor};
+use fps_tensor::{scratch, Tensor};
 
 use crate::config::ModelConfig;
 use crate::error::DiffusionError;
@@ -75,40 +75,23 @@ impl PatchVae {
         let l = self.latent_h * self.latent_w;
         let mut out = scratch::take(l * self.latent_channels);
         let pdim = self.patch * self.patch * 3;
-        // Parallel over latent tokens; each token's projection is
-        // independent and its reduction order matches the serial loop,
-        // so the result is bitwise identical serial or pooled. One
-        // dot-product chain per channel measures 0.31–0.54 ns per
-        // multiply or add, 9–16 units of the Gemm class (which
-        // calibrates on the tiled GEMM rows).
-        pool::for_each_row_chunk(
-            &mut out,
-            l,
-            self.latent_channels,
-            24 * pdim * self.latent_channels,
-            pool::KernelClass::Gemm,
-            |r0, chunk| {
-                let mut patch_buf = scratch::take(pdim);
-                for (i, orow) in chunk.chunks_exact_mut(self.latent_channels).enumerate() {
-                    let tok = r0 + i;
-                    self.read_patch(
-                        img,
-                        tok / self.latent_w,
-                        tok % self.latent_w,
-                        &mut patch_buf,
-                    );
-                    for (c, o) in orow.iter_mut().enumerate() {
-                        let erow = &self.enc.data()[c * pdim..(c + 1) * pdim];
-                        *o = erow
-                            .iter()
-                            .zip(patch_buf.iter())
-                            .map(|(&e, &x)| e * x)
-                            .sum();
-                    }
-                }
-                scratch::give(patch_buf);
-            },
-        );
+        let mut patch_buf = scratch::take(pdim);
+        for (tok, orow) in out.chunks_exact_mut(self.latent_channels).enumerate() {
+            self.read_patch(
+                img,
+                tok / self.latent_w,
+                tok % self.latent_w,
+                &mut patch_buf,
+            );
+            for (o, erow) in orow.iter_mut().zip(self.enc.data().chunks_exact(pdim)) {
+                *o = erow
+                    .iter()
+                    .zip(patch_buf.iter())
+                    .map(|(&e, &x)| e * x)
+                    .sum();
+            }
+        }
+        scratch::give(patch_buf);
         Ok(Tensor::from_vec(out, [l, self.latent_channels])?)
     }
 
@@ -132,32 +115,18 @@ impl PatchVae {
         }
         let pdim = self.patch * self.patch * 3;
         let mut img = Image::zeros(self.latent_h * self.patch, self.latent_w * self.patch);
-        // Accumulate all token patches into a flat `[l, pdim]` buffer in
-        // parallel (pixels of different tokens interleave in the image,
-        // so the image itself is written serially afterwards). The
-        // axpys measure 0.19–0.31 ns per multiply or add, 5.5–10 units
-        // of the Gemm class.
+        // Accumulate all token patches into a flat `[l, pdim]` buffer
+        // (pixels of different tokens interleave in the image, so the
+        // image is written afterwards).
         let mut patches = scratch::take(l * pdim);
-        pool::for_each_row_chunk(
-            &mut patches,
-            l,
-            pdim,
-            16 * pdim * self.latent_channels,
-            pool::KernelClass::Gemm,
-            |r0, chunk| {
-                for (i, pbuf) in chunk.chunks_exact_mut(pdim).enumerate() {
-                    let tok = r0 + i;
-                    let trow = &latent.data()
-                        [tok * self.latent_channels..(tok + 1) * self.latent_channels];
-                    for (c, &tv) in trow.iter().enumerate() {
-                        let erow = &self.enc.data()[c * pdim..(c + 1) * pdim];
-                        for (pb, &e) in pbuf.iter_mut().zip(erow.iter()) {
-                            *pb += tv * e;
-                        }
-                    }
+        let tokens = latent.data().chunks_exact(self.latent_channels);
+        for (pbuf, trow) in patches.chunks_exact_mut(pdim).zip(tokens) {
+            for (&tv, erow) in trow.iter().zip(self.enc.data().chunks_exact(pdim)) {
+                for (pb, &e) in pbuf.iter_mut().zip(erow.iter()) {
+                    *pb += tv * e;
                 }
-            },
-        );
+            }
+        }
         for tok in 0..l {
             self.write_patch(
                 &mut img,

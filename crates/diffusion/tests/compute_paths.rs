@@ -1,130 +1,10 @@
-//! End-to-end bitwise identity of the compute plane.
-//!
-//! The parallel compute plane (pool + fused kernels + scratch reuse)
-//! must be invisible in the numbers: a whole edit — VAE encode, priming,
-//! every denoising step, VAE decode — produces byte-identical output
-//! whether every kernel stays on the calling thread or every kernel is
-//! row-chunked over the pool. Each case therefore runs twice, under the
-//! two ends of the one dispatch override ([`EXECUTIONS`]) — at these
-//! shapes the calibrated default would keep both runs serial and the
-//! comparison would be of a run with itself. These tests drive the
-//! public pipeline API rather than individual kernels, so they also
-//! cover the block/model/VAE wiring that routes through the fused
-//! helpers and the UNet scaffold.
+//! End-to-end checks of the compute plane through the public pipeline
+//! API: opt-in kernel spans, scratch-buffer reuse across edits, and the
+//! UNet scaffold's edits at the degenerate mask ratios.
 
-use fps_diffusion::block::{MaskedContext, TransformerBlock};
-use fps_diffusion::embedding::{embed_prompt, embed_timestep, pool_condition};
 use fps_diffusion::{EditPipeline, Image, ModelConfig, Strategy};
-use fps_tensor::ops::gather_rows;
-use fps_tensor::ops::sparse::SparsePlan;
-use fps_tensor::pool::with_min_parallel_work;
-use fps_tensor::rng::DetRng;
-use fps_tensor::{scratch, Tensor};
+use fps_tensor::scratch;
 use fps_trace::{Clock, TraceSink, Track};
-
-/// `with_min_parallel_work` thresholds of the two executions compared:
-/// the serial reference, then forced-pooled.
-const EXECUTIONS: [usize; 2] = [usize::MAX, 0];
-
-fn bits(t: &Tensor) -> Vec<u32> {
-    t.data().iter().map(|v| v.to_bits()).collect()
-}
-
-#[test]
-fn block_forwards_identical_across_paths() {
-    let cfg = ModelConfig::tiny();
-    let mut rng = DetRng::new(cfg.weight_seed);
-    let block = TransformerBlock::new(&cfg, &mut rng);
-    let prompt = embed_prompt(&cfg, "path test");
-    let cond = pool_condition(&prompt, &embed_timestep(&cfg, 0.5));
-    let (cross, ada) = (
-        block.cross_kv(&prompt).unwrap(),
-        block.ada_params(&cond).unwrap(),
-    );
-    let x = Tensor::randn([cfg.tokens(), cfg.hidden], &mut DetRng::new(21));
-    let masked_idx: Vec<usize> = vec![1, 4, 7];
-    let plan = SparsePlan::from_mask(cfg.tokens(), &masked_idx).unwrap();
-    let xm = gather_rows(&x, &masked_idx).unwrap();
-
-    let run = || {
-        let full = block.forward_full(&x, &cross, &ada).unwrap();
-        let self_only = block
-            .forward_masked(&xm, MaskedContext::SelfOnly, &cross, &ada)
-            .unwrap();
-        let cached_kv = block
-            .forward_masked(
-                &xm,
-                MaskedContext::CachedKv {
-                    kv: &full.kv,
-                    masked_idx: &masked_idx,
-                },
-                &cross,
-                &ada,
-            )
-            .unwrap();
-        let full_kv = block
-            .forward_masked_full_kv(&x, &plan, &cross, &ada)
-            .unwrap();
-        let (k, v) = (full.kv.keys().clone(), full.kv.values().clone());
-        [full.y, k, v, self_only, cached_kv, full_kv]
-    };
-    let [serial, pooled] = EXECUTIONS.map(|min_work| with_min_parallel_work(min_work, run));
-    let labels = [
-        "full y",
-        "full k",
-        "full v",
-        "self-only",
-        "cached-kv",
-        "full-kv",
-    ];
-    for ((s, p), label) in serial.iter().zip(&pooled).zip(labels) {
-        assert_eq!(bits(p), bits(s), "{label}: pooled != serial");
-    }
-}
-
-#[test]
-fn whole_edit_identical_across_paths() {
-    let cfg = ModelConfig::tiny();
-    let pipe = EditPipeline::new(&cfg).unwrap();
-    let template = Image::template(cfg.pixel_h(), cfg.pixel_w(), 42);
-    let masked: Vec<usize> = vec![5, 6, 9, 10];
-    let strategies = [
-        Strategy::FullRecompute,
-        Strategy::MaskAware {
-            use_cache: vec![true; cfg.blocks],
-            kv: false,
-        },
-        Strategy::MaskAware {
-            use_cache: vec![true; cfg.blocks],
-            kv: true,
-        },
-        Strategy::MaskedOnly,
-    ];
-    for strategy in &strategies {
-        let [serial, pooled] = EXECUTIONS.map(|min_work| {
-            with_min_parallel_work(min_work, || {
-                let cache = pipe.prime(&template, 1, true).unwrap();
-                pipe.edit(
-                    &template,
-                    1,
-                    &masked,
-                    "a blue door",
-                    7,
-                    strategy,
-                    Some(&cache),
-                )
-                .unwrap()
-                .image
-            })
-        });
-        assert_eq!(
-            pooled,
-            serial,
-            "{} output differs pooled vs serial",
-            strategy.label()
-        );
-    }
-}
 
 #[test]
 fn kernel_spans_appear_only_when_enabled() {
@@ -204,21 +84,17 @@ fn pipeline_reuses_scratch_buffers() {
 #[test]
 fn unet_edit_identical_across_mask_ratios() {
     // The UNet preset adds the conv scaffold (ResBlock) in front of the
-    // transformer stack. Byte identity must hold at every mask ratio,
-    // including the degenerate 0% (empty plan: nothing to compute,
-    // template rows verbatim) and 100% (full plan: every row computed,
-    // no replenishment).
+    // transformer stack, which convolves the whole grid. Under the
+    // inpainting blend every unmasked token's latent row is the
+    // template's, so its patch of the decoded image is the same at
+    // every mask ratio, including the degenerate 0% (empty plan:
+    // nothing to compute, template rows verbatim) and 100% (full plan:
+    // every row computed, no replenishment, no unmasked patch).
     let cfg = ModelConfig::sd21_like();
     let pipe = EditPipeline::new(&cfg).unwrap();
     let template = Image::template(cfg.pixel_h(), cfg.pixel_w(), 17);
     let tokens = cfg.tokens();
-    // ~7% of 64 tokens is 5 rows (touching a grid edge), plus the
-    // degenerate extremes.
-    let ratios: [(&str, Vec<usize>); 3] = [
-        ("0%", vec![]),
-        ("7%", vec![0, 9, 10, 17, 18]),
-        ("100%", (0..tokens).collect()),
-    ];
+    let cache = pipe.prime(&template, 4, true).unwrap();
     // kv:false keeps cached blocks on the cached-Y variant, which
     // tolerates an empty masked set (the KV variant's fused attention
     // rejects zero key rows).
@@ -226,18 +102,34 @@ fn unet_edit_identical_across_mask_ratios() {
         use_cache: vec![true; cfg.blocks],
         kv: false,
     };
+    let edit = |masked: &[usize]| {
+        pipe.edit(&template, 4, masked, "a red roof", 11, &strat, Some(&cache))
+            .unwrap()
+            .image
+    };
+    let untouched = edit(&[]);
+    // ~7% of 64 tokens is 5 rows (touching a grid edge), and the full
+    // grid.
+    let ratios: [(&str, Vec<usize>); 2] = [
+        ("7%", vec![0, 9, 10, 17, 18]),
+        ("100%", (0..tokens).collect()),
+    ];
     for (label, masked) in &ratios {
-        let [serial, pooled] = EXECUTIONS.map(|min_work| {
-            with_min_parallel_work(min_work, || {
-                let cache = pipe.prime(&template, 4, true).unwrap();
-                pipe.edit(&template, 4, masked, "a red roof", 11, &strat, Some(&cache))
-                    .unwrap()
-                    .image
-            })
-        });
-        assert_eq!(
-            pooled, serial,
-            "sd21 {label} mask output differs pooled vs serial"
-        );
+        let image = edit(masked);
+        assert!(image.data().iter().all(|v| v.is_finite()), "sd21 {label}");
+        assert_ne!(image, untouched, "sd21 {label}: the edit changed nothing");
+        for y in 0..cfg.pixel_h() {
+            for x in 0..cfg.pixel_w() {
+                let tok = (y / cfg.patch) * cfg.latent_w + x / cfg.patch;
+                if !masked.contains(&tok) {
+                    let (a, b) = (image.pixel(y, x).unwrap(), untouched.pixel(y, x).unwrap());
+                    assert_eq!(
+                        a.map(f32::to_bits),
+                        b.map(f32::to_bits),
+                        "sd21 {label}: unmasked pixel ({y},{x}) differs from the 0% edit"
+                    );
+                }
+            }
+        }
     }
 }

@@ -19,19 +19,18 @@
 //! - All randomness flows through [`rng::DetRng`], a deterministic
 //!   splitmix64/xoshiro generator, so model weights and experiments are
 //!   bit-reproducible across runs and platforms.
-//! - Kernels run on a deterministic parallel compute plane ([`pool`]):
-//!   row-wise operators chunk over *output rows* across a small shared
-//!   work pool, keeping each row's reduction order — and therefore the
-//!   result, bitwise — identical to a serial pass. Short-lived
-//!   intermediates draw storage from a thread-local [`scratch`] pool,
-//!   and [`ktrace`] exposes an opt-in per-kernel timing hook.
+//! - Every kernel runs on the calling thread, over its whole output;
+//!   a server parallelizes across requests, one per worker thread, not
+//!   inside a kernel. Short-lived intermediates draw storage from a
+//!   thread-local [`scratch`] pool, and [`ktrace`] exposes an opt-in
+//!   per-kernel timing hook.
 //! - The hot row kernels (the GEMM rows, the GeLU epilogue, the
 //!   attention stages) are one source compiled twice, for the
 //!   target's baseline and for AVX2, and the AVX2 build runs where a
 //!   runtime check finds it; both give the same bits.
-//! - All of the crate's `unsafe` is in [`pool`]: lifetime-erased task
-//!   dispatch, disjoint row-chunk slicing, and the call into the AVX2
-//!   build behind its feature check.
+//! - The crate's one `unsafe` is in [`pool`]: the call into the AVX2
+//!   build behind its runtime feature check (`scripts/check.sh` fails
+//!   on `unsafe` anywhere else under `crates/`).
 
 pub mod error;
 pub mod ktrace;

@@ -10,11 +10,9 @@
 //! The layout here is `[H*W, C]` row-major over the grid: the same
 //! token matrix the transformer blocks consume.
 //!
-//! The kernel parallelizes over grid *rows* (each output pixel depends
-//! only on input pixels, so rows are independent) and, like the matmul
-//! family, no longer skips exact-zero input activations: the skip made
-//! measured time diverge from the dense FLOP accounting in
-//! `fps-diffusion::flops` on padded/masked inputs. See the
+//! Like the matmul family, the kernel no longer skips exact-zero input
+//! activations: the skip made measured time diverge from the dense FLOP
+//! accounting in `fps-diffusion::flops` on padded/masked inputs. See
 //! the `matmul` module docs for the full rationale.
 //!
 //! Within a grid row, four output pixels × four output channels
@@ -26,7 +24,7 @@
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;
-use crate::{ktrace, pool, scratch, Result};
+use crate::{ktrace, scratch, Result};
 
 /// 3×3 same-padding convolution over an `[h*w, c_in]` token grid with
 /// kernel `[9 * c_in, c_out]` (kernel rows ordered `(dy, dx, c_in)`
@@ -72,18 +70,7 @@ pub fn conv3x3(x: &Tensor, h: usize, w: usize, kernel: &Tensor, bias: &Tensor) -
         kernel: kernel.data(),
         bias: bias.data(),
     };
-    // One "row" per grid row: w pixels × c_out channels, all computed
-    // from read-only input, so grid rows chunk across the pool. The Conv
-    // class calibrates on this kernel (8 × 8, 4 → 4 channels) in these
-    // units; 8 × 8 to 16 × 16 grids measure 0.96–1.04 of them.
-    pool::for_each_row_chunk(
-        &mut out,
-        h,
-        w * c_out,
-        w * 18 * c_in * c_out,
-        pool::KernelClass::Conv,
-        |y0, chunk| grid.rows(chunk, y0),
-    );
+    grid.rows(&mut out);
     Tensor::from_vec(out, [h * w, c_out])
 }
 
@@ -95,31 +82,31 @@ const PIX: usize = 4;
 /// [`conv3x3`]'s operands: the `[h·w, c_in]` grid `x`, the
 /// `[9·c_in, c_out]` kernel and the `[c_out]` bias.
 #[derive(Clone, Copy)]
-pub(crate) struct Grid<'a> {
-    pub(crate) x: &'a [f32],
-    pub(crate) h: usize,
-    pub(crate) w: usize,
-    pub(crate) c_in: usize,
-    pub(crate) kernel: &'a [f32],
-    pub(crate) bias: &'a [f32],
+struct Grid<'a> {
+    x: &'a [f32],
+    h: usize,
+    w: usize,
+    c_in: usize,
+    kernel: &'a [f32],
+    bias: &'a [f32],
 }
 
 impl Grid<'_> {
-    /// Output grid rows `y0..` into `chunk` (whole rows of `w · c_out`),
+    /// Every output grid row into `out` (`h` rows of `w · c_out`),
     /// [`PIX`] pixels of a row at a time, then one.
-    pub(crate) fn rows(self, chunk: &mut [f32], y0: usize) {
+    fn rows(self, out: &mut [f32]) {
         let c_out = self.bias.len();
         if self.w == 0 || c_out == 0 {
             return;
         }
-        for (yi, grid_row) in chunk.chunks_exact_mut(self.w * c_out).enumerate() {
+        for (y, grid_row) in out.chunks_exact_mut(self.w * c_out).enumerate() {
             let mut px = 0;
             while px + PIX <= self.w {
-                self.pixels::<PIX>(&mut grid_row[px * c_out..], y0 + yi, px);
+                self.pixels::<PIX>(&mut grid_row[px * c_out..], y, px);
                 px += PIX;
             }
             while px < self.w {
-                self.pixels::<1>(&mut grid_row[px * c_out..], y0 + yi, px);
+                self.pixels::<1>(&mut grid_row[px * c_out..], y, px);
                 px += 1;
             }
         }

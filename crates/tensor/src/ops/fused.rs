@@ -6,8 +6,8 @@
 //! `softmax_row_inplace`, the matmul row kernels — or, for attention,
 //! keeping every reduction in the primitives' order, so every fused
 //! result is **bitwise identical** to the composed path. That identity
-//! is asserted by proptests in this crate and by whole-pipeline
-//! byte-equality checks in `fps-bench`'s `bench_kernels`.
+//! is asserted by the tests here and the proptests of
+//! `tests/fused_identity.rs`.
 //!
 //! Fusions provided (the `TransformerBlock` hot path):
 //!
@@ -48,26 +48,12 @@ pub fn ada_layer_norm(
     check_norm_args("ada_layer_norm", x, scale, shift)?;
     let _span = ktrace::span("ada_layer_norm");
     let mut out = scratch::take(rows * cols);
-    let xd = x.data();
-    let (gd, bd) = (gamma.data(), beta.data());
-    let (sd, hd) = (scale.data(), shift.data());
-    // 0.94–1.12 ns per element at 12–256 rows × 48–64 columns, 7.7–9.2
-    // units of the RowWise class (calibrated on `layer_norm`'s rows).
-    pool::for_each_row_chunk(
+    layer_norm_rows(
+        x.data(),
         &mut out,
-        rows,
-        cols,
-        8 * cols,
-        pool::KernelClass::RowWise,
-        |r0, chunk| {
-            layer_norm_rows(
-                &xd[r0 * cols..][..chunk.len()],
-                chunk,
-                gd,
-                bd,
-                Some((sd, hd)),
-            );
-        },
+        gamma.data(),
+        beta.data(),
+        Some((scale.data(), shift.data())),
     );
     Tensor::from_vec(out, [rows, cols])
 }
@@ -90,25 +76,12 @@ pub fn matmul_gelu(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     }
     let _span = ktrace::span("matmul_gelu");
     let mut out = scratch::take(m * n);
-    let ad = a.data();
-    let bd = b.data();
-    // The GeLU epilogue measures 1.1–1.3 ns per element in its AVX2
-    // build, 55–63 of the Gemm class's calibrated units (≈ 0.02 ns per
-    // multiply or add, also under AVX2).
-    pool::for_each_row_chunk(
-        &mut out,
-        m,
-        n,
-        2 * k * n + 60 * n,
-        pool::KernelClass::Gemm,
-        |r0, chunk| {
-            pool::with_wide_isa(
-                #[inline(always)]
-                || {
-                    matmul_rows_body(chunk, r0, ad, bd, k, n);
-                    gelu_rows_body(chunk);
-                },
-            );
+    let (ad, bd) = (a.data(), b.data());
+    pool::with_wide_isa(
+        #[inline(always)]
+        || {
+            matmul_rows_body(&mut out, ad, bd, k, n);
+            gelu_rows_body(&mut out);
         },
     );
     Tensor::from_vec(out, [m, n])
@@ -384,31 +357,21 @@ pub fn mha_panels(
 fn attend(q: &Tensor, p: PanelView<'_>, scale: f32) -> Result<Tensor> {
     let (n, h, l) = (q.dims()[0], p.h, p.l);
     let mut out = scratch::take(n * h);
-    let qd = q.data();
-    // A query row costs 0.25–0.33 ns per `h·l` in the AVX2 build (the
-    // two matmul stages' 4·h·l multiply-adds plus the softmax), 12–16
-    // of the Gemm class's calibrated units.
-    pool::for_each_row_chunk(
-        &mut out,
-        n,
-        h,
-        12 * h * l,
-        pool::KernelClass::Gemm,
-        |r0, chunk| {
-            let mut probs = scratch::take(QB * l);
-            for (bi, oblock) in chunk.chunks_mut(QB * h).enumerate() {
-                let qblock = &qd[(r0 + bi * QB) * h..];
-                if oblock.len() == QB * h {
-                    p.attend::<QB>(oblock, qblock, &mut probs, scale);
-                } else {
-                    for (orow, qrow) in oblock.chunks_exact_mut(h).zip(qblock.chunks_exact(h)) {
-                        p.attend::<1>(orow, qrow, &mut probs, scale);
-                    }
-                }
+    if h == 0 {
+        // Panels of zero-width keys: empty rows, and no block width.
+        return Tensor::from_vec(out, [n, h]);
+    }
+    let mut probs = scratch::take(QB * l);
+    for (oblock, qblock) in out.chunks_mut(QB * h).zip(q.data().chunks(QB * h)) {
+        if oblock.len() == QB * h {
+            p.attend::<QB>(oblock, qblock, &mut probs, scale);
+        } else {
+            for (orow, qrow) in oblock.chunks_exact_mut(h).zip(qblock.chunks_exact(h)) {
+                p.attend::<1>(orow, qrow, &mut probs, scale);
             }
-            scratch::give(probs);
-        },
-    );
+        }
+    }
+    scratch::give(probs);
     Tensor::from_vec(out, [n, h])
 }
 
@@ -608,7 +571,6 @@ fn rank2_dims(op: &'static str, t: &Tensor) -> Result<(usize, usize)> {
 mod tests {
     use super::*;
     use crate::ops::{layer_norm, matmul, matmul_bt, modulate, softmax_rows};
-    use crate::pool::with_min_parallel_work;
     use crate::rng::DetRng;
 
     fn bits(t: &Tensor) -> Vec<u32> {
@@ -652,12 +614,8 @@ mod tests {
         let s = Tensor::randn([16], &mut rng);
         let sh = Tensor::randn([16], &mut rng);
         let composed = modulate(&layer_norm(&x, &g, &b).unwrap(), &s, &sh).unwrap();
-        // Serial, then forced-pooled.
-        for min_work in [usize::MAX, 0] {
-            let fused =
-                with_min_parallel_work(min_work, || ada_layer_norm(&x, &g, &b, &s, &sh).unwrap());
-            assert_eq!(bits(&fused), bits(&composed), "min_work {min_work}");
-        }
+        let fused = ada_layer_norm(&x, &g, &b, &s, &sh).unwrap();
+        assert_eq!(bits(&fused), bits(&composed));
     }
 
     #[test]
@@ -666,7 +624,7 @@ mod tests {
         let a = Tensor::randn([7, 5], &mut rng);
         let b = Tensor::randn([5, 11], &mut rng);
         let composed = crate::ops::gelu(&matmul(&a, &b).unwrap());
-        let fused = with_min_parallel_work(0, || matmul_gelu(&a, &b).unwrap());
+        let fused = matmul_gelu(&a, &b).unwrap();
         assert_eq!(bits(&fused), bits(&composed));
     }
 
@@ -679,7 +637,7 @@ mod tests {
             let v = Tensor::randn([l, h], &mut rng);
             let scale = 1.0 / ((h / heads) as f32).sqrt();
             let composed = mha_composed(&q, &k, &v, heads, scale);
-            let fused = with_min_parallel_work(0, || mha_fused(&q, &k, &v, heads, scale).unwrap());
+            let fused = mha_fused(&q, &k, &v, heads, scale).unwrap();
             assert_eq!(
                 bits(&fused),
                 bits(&composed),
@@ -748,9 +706,7 @@ mod tests {
             crate::ops::scatter_rows_into(&mut v_full, &fv, &rows).unwrap();
             let scale = 1.0 / ((h / heads) as f32).sqrt();
             let panels = AttnPanels::pack(&k, &v, heads).unwrap();
-            let split = with_min_parallel_work(0, || {
-                mha_panels(&q, &panels, Some((&fk, &fv, &rows)), scale).unwrap()
-            });
+            let split = mha_panels(&q, &panels, Some((&fk, &fv, &rows)), scale).unwrap();
             // The cached panels themselves are never written.
             proptest::prop_assert_eq!(&panels, &AttnPanels::pack(&k, &v, heads).unwrap());
             let dense = mha_fused(&q, &k_full, &v_full, heads, scale).unwrap();

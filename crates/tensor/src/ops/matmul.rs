@@ -1,8 +1,8 @@
 //! Matrix multiplication kernels.
 //!
 //! The dense row kernel (`matmul_rows`, shared by [`matmul`] and the
-//! fused GEMM+GeLU) is cache-blocked: `MC` comes from the pool's row
-//! chunking, the `k` dimension is cut into `KC` strips, and output
+//! fused GEMM+GeLU) is cache-blocked: `MC` is the whole output, the
+//! `k` dimension is cut into `KC` strips, and output
 //! columns into `NC` panels. A `B` at most `NC` wide is one panel
 //! already contiguous in memory and is read in place; a wider one has
 //! each panel's sub-block packed into a scratch buffer, because a panel
@@ -11,7 +11,7 @@
 //! register micro-kernel keeps 4 output rows × 16 columns of
 //! accumulators (eight 8-lane registers in the AVX2 build). The panel's
 //! remaining columns go through 8-, 4- and 1-wide tiles that still
-//! advance all 4 rows, and a chunk's last rows through the same tiles
+//! advance all 4 rows, and the output's last rows through the same tiles
 //! one row at a time, so even an output narrower than a tile — the
 //! `[L, H] × [H, 4]` noise projection — keeps 4 independent sums in
 //! flight. [`matmul_bt`] uses a 4-wide column unroll that amortizes
@@ -28,10 +28,6 @@
 //! kernel that `bench_kernels` times as its "old scalar" baseline —
 //! and every byte-identity guarantee built on top (cache replays,
 //! committed artifacts, chaos reproducibility) is preserved.
-//!
-//! All kernels parallelize over *output rows* through [`crate::pool`]:
-//! each row's reduction runs in the same order whichever thread
-//! computes it, so pooled results are bitwise identical to serial ones.
 //!
 //! Earlier revisions skipped inner-product terms whose `A` element was
 //! exactly `0.0`. That branch is gone: it made measured kernel time
@@ -85,18 +81,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     }
     let _span = ktrace::span("matmul");
     let mut out = scratch::take(m * n);
-    let ad = a.data();
-    let bd = b.data();
-    pool::for_each_row_chunk(
-        &mut out,
-        m,
-        n,
-        2 * k * n,
-        pool::KernelClass::Gemm,
-        |r0, chunk| {
-            matmul_rows(chunk, r0, ad, bd, k, n);
-        },
-    );
+    matmul_rows(&mut out, a.data(), b.data(), k, n);
     Tensor::from_vec(out, [m, n])
 }
 
@@ -109,16 +94,8 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// tests use it as the order-of-operations oracle the blocked kernel
 /// must match bit-for-bit.
 #[inline]
-pub(crate) fn matmul_rows_naive(
-    chunk: &mut [f32],
-    r0: usize,
-    ad: &[f32],
-    bd: &[f32],
-    k: usize,
-    n: usize,
-) {
-    for (ri, orow) in chunk.chunks_exact_mut(n).enumerate() {
-        let i = r0 + ri;
+pub(crate) fn matmul_rows_naive(out: &mut [f32], ad: &[f32], bd: &[f32], k: usize, n: usize) {
+    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
         let arow = &ad[i * k..(i + 1) * k];
         for (p, &av) in arow.iter().enumerate() {
             let brow = &bd[p * n..(p + 1) * n];
@@ -131,7 +108,7 @@ pub(crate) fn matmul_rows_naive(
 
 /// Serial `A · B` through the frozen naive kernel — the historical
 /// scalar GEMM `bench_kernels` measures its tiled-speedup gate
-/// against. Never pooled, never traced; not a production entry point.
+/// against. Never traced; not a production entry point.
 ///
 /// # Errors
 ///
@@ -150,34 +127,26 @@ pub fn matmul_naive(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         });
     }
     let mut out = scratch::take(m * n);
-    matmul_rows_naive(&mut out, 0, a.data(), b.data(), k, n);
+    matmul_rows_naive(&mut out, a.data(), b.data(), k, n);
     Tensor::from_vec(out, [m, n])
 }
 
-/// Output rows `r0..` of `A · B` into `chunk` (which arrives
-/// zero-filled from the scratch pool), through the AVX2 build of
-/// [`matmul_rows_body`] where the host has one — the same bits either
-/// way (see [`pool::with_wide_isa`]).
-pub(crate) fn matmul_rows(
-    chunk: &mut [f32],
-    r0: usize,
-    ad: &[f32],
-    bd: &[f32],
-    k: usize,
-    n: usize,
-) {
+/// `A · B` into `out` (which arrives zero-filled from the scratch
+/// pool), through the AVX2 build of [`matmul_rows_body`] where the host
+/// has one — the same bits either way (see [`pool::with_wide_isa`]).
+pub(crate) fn matmul_rows(out: &mut [f32], ad: &[f32], bd: &[f32], k: usize, n: usize) {
     pool::with_wide_isa(
         #[inline(always)]
-        || matmul_rows_body(chunk, r0, ad, bd, k, n),
+        || matmul_rows_body(out, ad, bd, k, n),
     );
 }
 
-/// Blocked scalar kernel for output rows `r0..` of `A · B`, written
-/// into `chunk`.
+/// Blocked scalar kernel for `A · B`, written into `out` (`out.len() / n`
+/// rows).
 ///
 /// Loop nest: `KC` strips of `k` (ascending, partial sums parked in
 /// the output between strips), `NC` panels of columns, then `MR`-row
-/// register tiles over the chunk's rows. A panel that spans every
+/// register tiles over the output rows. A panel that spans every
 /// column of `B` (`n ≤ NC`) is read in place, its rows already
 /// contiguous; the panels of a wider `B` are packed first. Each output
 /// element accumulates in ascending-`p` order throughout — see the
@@ -186,18 +155,11 @@ pub(crate) fn matmul_rows(
 /// instruction-set build of a caller ([`matmul_rows`], `matmul_gelu`)
 /// compiles the whole nest.
 #[inline(always)]
-pub(crate) fn matmul_rows_body(
-    chunk: &mut [f32],
-    r0: usize,
-    ad: &[f32],
-    bd: &[f32],
-    k: usize,
-    n: usize,
-) {
+pub(crate) fn matmul_rows_body(out: &mut [f32], ad: &[f32], bd: &[f32], k: usize, n: usize) {
     if n == 0 {
         return;
     }
-    let rows = chunk.len() / n;
+    let rows = out.len() / n;
     let in_place = n <= NC;
     let mut pack = if in_place {
         Vec::new()
@@ -225,16 +187,16 @@ pub(crate) fn matmul_rows_body(
             let mut r = 0;
             while r + MR <= rows {
                 let arows = [
-                    &ad[(r0 + r) * k + kc0..][..kc_len],
-                    &ad[(r0 + r + 1) * k + kc0..][..kc_len],
-                    &ad[(r0 + r + 2) * k + kc0..][..kc_len],
-                    &ad[(r0 + r + 3) * k + kc0..][..kc_len],
+                    &ad[r * k + kc0..][..kc_len],
+                    &ad[(r + 1) * k + kc0..][..kc_len],
+                    &ad[(r + 2) * k + kc0..][..kc_len],
+                    &ad[(r + 3) * k + kc0..][..kc_len],
                 ];
-                panel.rows(chunk, r, arows);
+                panel.rows(out, r, arows);
                 r += MR;
             }
             while r < rows {
-                panel.rows(chunk, r, [&ad[(r0 + r) * k + kc0..][..kc_len]]);
+                panel.rows(out, r, [&ad[r * k + kc0..][..kc_len]]);
                 r += 1;
             }
             nc0 += nc_len;
@@ -260,34 +222,34 @@ impl Panel<'_> {
     /// Advances output rows `r..r + R` by this panel: column tiles of
     /// `NR`, then 8, 4 and 1, every tile keeping all `R` rows in flight.
     #[inline(always)]
-    fn rows<const R: usize>(self, chunk: &mut [f32], r: usize, arows: [&[f32]; R]) {
+    fn rows<const R: usize>(self, out: &mut [f32], r: usize, arows: [&[f32]; R]) {
         let mut j = 0;
         while j + NR <= self.nc_len {
-            self.tile::<R, NR>(chunk, r, j, arows);
+            self.tile::<R, NR>(out, r, j, arows);
             j += NR;
         }
         if j + 8 <= self.nc_len {
-            self.tile::<R, 8>(chunk, r, j, arows);
+            self.tile::<R, 8>(out, r, j, arows);
             j += 8;
         }
         if j + 4 <= self.nc_len {
-            self.tile::<R, 4>(chunk, r, j, arows);
+            self.tile::<R, 4>(out, r, j, arows);
             j += 4;
         }
         while j < self.nc_len {
-            self.tile::<R, 1>(chunk, r, j, arows);
+            self.tile::<R, 1>(out, r, j, arows);
             j += 1;
         }
     }
 
     /// The register micro-kernel: output rows `r..r + R` × panel
     /// columns `j..j + W` in `R × W` accumulators, loaded from the
-    /// partial sums in `chunk` (an exact `f32` round trip), advanced
+    /// partial sums in `out` (an exact `f32` round trip), advanced
     /// in ascending `p`, stored back.
     #[inline(always)]
     fn tile<const R: usize, const W: usize>(
         self,
-        chunk: &mut [f32],
+        out: &mut [f32],
         r: usize,
         j: usize,
         arows: [&[f32]; R],
@@ -295,7 +257,7 @@ impl Panel<'_> {
         let col = self.nc0 + j;
         let mut acc = [[0.0f32; W]; R];
         for (u, accr) in acc.iter_mut().enumerate() {
-            accr.copy_from_slice(&chunk[(r + u) * self.n + col..][..W]);
+            accr.copy_from_slice(&out[(r + u) * self.n + col..][..W]);
         }
         // Panel row `p` is `nc_len` long and `j + W ≤ nc_len`, so every
         // `bp` is a full `W`-column slice; each `arows[u]` is `kc_len`
@@ -310,7 +272,7 @@ impl Panel<'_> {
             }
         }
         for (u, accr) in acc.iter().enumerate() {
-            chunk[(r + u) * self.n + col..][..W].copy_from_slice(accr);
+            out[(r + u) * self.n + col..][..W].copy_from_slice(accr);
         }
     }
 }
@@ -339,33 +301,21 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     }
     let _span = ktrace::span("matmul_bt");
     let mut out = scratch::take(m * n);
-    let ad = a.data();
-    let bd = b.data();
-    // Its dot products, one chain per output, measure 0.16–0.40 ns per
-    // multiply or add (the high end at the `k = 8` of per-head scores),
-    // 5–12 units of the Gemm class, which calibrates on the tiled rows.
-    pool::for_each_row_chunk(
-        &mut out,
-        m,
-        n,
-        16 * k * n,
-        pool::KernelClass::Gemm,
-        |r0, chunk| {
-            matmul_bt_rows(chunk, r0, ad, bd, k, n);
-        },
-    );
+    matmul_bt_rows(&mut out, a.data(), b.data(), k, n);
     Tensor::from_vec(out, [m, n])
 }
 
-/// Scalar kernel for output rows `r0..` of `A · Bᵀ`: dot products of
-/// contiguous rows, unrolled 4 output columns wide so each read of the
-/// `A` row feeds four independent accumulators. Each accumulator is
+/// Scalar kernel for `A · Bᵀ` into `out`: dot products of contiguous
+/// rows, unrolled 4 output columns wide so each read of the `A` row
+/// feeds four independent accumulators. Each accumulator is
 /// still a single ascending-`k` sum, so the unroll is bitwise
 /// invisible.
 #[inline]
-fn matmul_bt_rows(chunk: &mut [f32], r0: usize, ad: &[f32], bd: &[f32], k: usize, n: usize) {
-    for (ri, orow) in chunk.chunks_exact_mut(n).enumerate() {
-        let i = r0 + ri;
+fn matmul_bt_rows(out: &mut [f32], ad: &[f32], bd: &[f32], k: usize, n: usize) {
+    if n == 0 {
+        return;
+    }
+    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
         let arow = &ad[i * k..(i + 1) * k];
         let mut j = 0;
         while j + 4 <= n {
@@ -515,7 +465,7 @@ mod tests {
                 "[{m}x{k}]x[{k}x{n}] tiled != naive"
             );
             let mut base = vec![0.0f32; m * n];
-            matmul_rows_body(&mut base, 0, a.data(), b.data(), k, n);
+            matmul_rows_body(&mut base, a.data(), b.data(), k, n);
             assert_eq!(bits(&base), naive, "[{m}x{k}]x[{k}x{n}] baseline != naive");
         }
     }
@@ -528,8 +478,9 @@ mod tests {
         let a = Tensor::randn([m, k], &mut rng);
         let b = Tensor::randn([k, n], &mut rng);
         let (mut base, mut wide) = (vec![0.0f32; (m - r0) * n], vec![0.0f32; (m - r0) * n]);
-        matmul_rows_body(&mut base, r0, a.data(), b.data(), k, n);
-        matmul_rows(&mut wide, r0, a.data(), b.data(), k, n);
+        let ad = &a.data()[r0 * k..];
+        matmul_rows_body(&mut base, ad, b.data(), k, n);
+        matmul_rows(&mut wide, ad, b.data(), k, n);
         (bits(&base), bits(&wide))
     }
 

@@ -18,8 +18,7 @@
 //!   the one plan-taking GEMM the benchmarks time against it.
 //!
 //! There is one kernel family: every operator has one implementation,
-//! and whether it fans out over the pool is decided per call by
-//! [`crate::pool::for_each_row_chunk`], never by a mode.
+//! which runs on the calling thread, never chosen by a mode.
 
 pub mod activation;
 pub mod conv;

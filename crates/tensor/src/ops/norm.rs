@@ -16,7 +16,7 @@
 
 use crate::error::TensorError;
 use crate::tensor::Tensor;
-use crate::{ktrace, pool, scratch, Result};
+use crate::{ktrace, scratch, Result};
 
 /// Numerical floor added to variances before taking square roots.
 pub const NORM_EPS: f32 = 1e-5;
@@ -33,19 +33,7 @@ pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor) -> Result<Tensor> {
     let (rows, cols) = check_norm_args("layer_norm", x, gamma, beta)?;
     let _span = ktrace::span("layer_norm");
     let mut out = scratch::take(rows * cols);
-    let xd = x.data();
-    let (gd, bd) = (gamma.data(), beta.data());
-    // The RowWise class calibrates on this kernel at 64 × 64, six units
-    // per element; at 12–256 rows × 48–64 columns it measures 0.76–0.91
-    // ns per element, 6.2–7.4 units.
-    pool::for_each_row_chunk(
-        &mut out,
-        rows,
-        cols,
-        6 * cols,
-        pool::KernelClass::RowWise,
-        |r0, chunk| layer_norm_rows(&xd[r0 * cols..][..chunk.len()], chunk, gd, bd, None),
-    );
+    layer_norm_rows(x.data(), &mut out, gamma.data(), beta.data(), None);
     Tensor::from_vec(out, [rows, cols])
 }
 

@@ -194,7 +194,7 @@ pub fn matmul(
     if !plan.active.is_empty() && n > 0 {
         let ga = gather_into_scratch(a.data(), &plan.active, k);
         let mut gout = scratch::take(plan.active.len() * n);
-        matmul_rows(&mut gout, 0, &ga, b.data(), k, n);
+        matmul_rows(&mut gout, &ga, b.data(), k, n);
         scatter_from_scratch(&mut out, &gout, &plan.active, n);
         scratch::give(gout);
         scratch::give(ga);

@@ -31,22 +31,6 @@ impl Shape {
         self.0.iter().product()
     }
 
-    /// Returns the size of dimension `axis`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] if `axis >= rank`.
-    pub fn dim(&self, axis: usize) -> Result<usize> {
-        self.0
-            .get(axis)
-            .copied()
-            .ok_or(TensorError::IndexOutOfBounds {
-                op: "shape.dim",
-                index: axis,
-                bound: self.0.len(),
-            })
-    }
-
     /// Returns row-major strides (in elements) for this shape.
     ///
     /// The innermost dimension has stride 1.
@@ -154,12 +138,5 @@ mod tests {
             s.offset(&[2, 0]),
             Err(TensorError::IndexOutOfBounds { .. })
         ));
-    }
-
-    #[test]
-    fn dim_accessor_checks_bounds() {
-        let s = Shape::from([5, 7]);
-        assert_eq!(s.dim(1).unwrap(), 7);
-        assert!(s.dim(2).is_err());
     }
 }

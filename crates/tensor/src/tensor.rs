@@ -104,11 +104,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Consumes the tensor and hands its storage to the calling
     /// thread's [`scratch`](crate::scratch) pool so a later kernel can
     /// reuse it. Call this on dead intermediates in hot loops; dropping
@@ -215,13 +210,6 @@ impl Tensor {
         }
     }
 
-    /// Applies a function to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Element-wise addition.
     ///
     /// # Errors
@@ -238,15 +226,6 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
     pub fn sub(&self, other: &Self) -> Result<Self> {
         self.zip_with(other, "sub", |a, b| a - b)
-    }
-
-    /// Element-wise (Hadamard) multiplication.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn mul(&self, other: &Self) -> Result<Self> {
-        self.zip_with(other, "mul", |a, b| a * b)
     }
 
     /// Multiplies every element by a scalar, returning a new tensor.
@@ -271,15 +250,6 @@ impl Tensor {
             *a += k * b;
         }
         Ok(())
-    }
-
-    /// Linear interpolation `(1 - t) * self + t * other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn lerp(&self, other: &Self, t: f32) -> Result<Self> {
-        self.zip_with(other, "lerp", |a, b| (1.0 - t) * a + t * b)
     }
 
     /// Returns the sum of all elements.
@@ -430,7 +400,6 @@ mod tests {
         let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], [3]).unwrap();
         assert_eq!(a.add(&b).unwrap().data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).unwrap().data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).unwrap().data(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0]);
     }
 
@@ -442,15 +411,11 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_lerp() {
+    fn axpy_accumulates_scaled_other() {
         let mut a = Tensor::from_vec(vec![1.0, 1.0], [2]).unwrap();
         let b = Tensor::from_vec(vec![2.0, 4.0], [2]).unwrap();
         a.axpy(0.5, &b).unwrap();
         assert_eq!(a.data(), &[2.0, 3.0]);
-        let l = a.lerp(&b, 1.0).unwrap();
-        assert_eq!(l.data(), b.data());
-        let l0 = a.lerp(&b, 0.0).unwrap();
-        assert_eq!(l0.data(), a.data());
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Bitwise-identity guarantees of the plan-taking GEMM.
 //!
-//! `ops::sparse::matmul`'s contract mirrors the parallel plane's: rows
-//! the plan computes are **bit-for-bit identical** to the dense
-//! kernel's rows (it runs the same row code on gathered data), and
-//! every other row is the caller's template verbatim (or exact zeros
-//! with no template). These proptests check that split on arbitrary
-//! shapes and arbitrary — unsorted, duplicated — mask index lists, and
-//! pin down the degenerate empty/full plans.
+//! `ops::sparse::matmul`'s contract: rows the plan computes are
+//! **bit-for-bit identical** to the dense kernel's rows (it runs the
+//! same row code on gathered data), and every other row is the
+//! caller's template verbatim (or exact zeros with no template). These
+//! proptests check that split on arbitrary shapes and arbitrary —
+//! unsorted, duplicated — mask index lists, and pin down the degenerate
+//! empty/full plans.
 
 use fps_tensor::ops::matmul;
 use fps_tensor::ops::sparse::{self, SparsePlan};
-use fps_tensor::pool::with_min_parallel_work;
 use fps_tensor::rng::DetRng;
 use fps_tensor::Tensor;
 use proptest::prelude::*;
@@ -70,8 +69,7 @@ proptest! {
         let a = Tensor::randn([m, k], &mut rng);
         let b = Tensor::randn([k, n], &mut rng);
         let tpl = Tensor::randn([m, n], &mut rng);
-        // Serial dense reference.
-        let dense = with_min_parallel_work(usize::MAX, || matmul(&a, &b).unwrap());
+        let dense = matmul(&a, &b).unwrap();
         for template in [None, Some(&tpl)] {
             let s = sparse::matmul(&plan, &a, &b, template).unwrap();
             assert_row_split("matmul", &s, &dense, plan.active(), template);
